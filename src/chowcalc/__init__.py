@@ -5,7 +5,6 @@ from .blowup import (
     BlowupClass,
     BlowupRing,
     EmbeddingData,
-    ValidationReport,
     cw_top,
     embedding_validate,
     key_formula_check,
@@ -31,10 +30,6 @@ from .flop import (
     CorrectionClass,
     FlopContext,
     SigmaVector,
-    e_class,
-    eta_prime_push,
-    eta_push_h_power,
-    flop_context,
     sigma_top_product,
     term_A,
     term_B,
@@ -50,7 +45,7 @@ from .projbundle import (
     binomial_identity_sum,
 )
 from .report import CheckResult, Report
-from .rings import GradedElement, GradedRing, RingSpec, ring_make
+from .rings import GradedElement, GradedRing
 
 __all__ = [
     "BlowupClass",
@@ -67,26 +62,19 @@ __all__ = [
     "PBElement",
     "ProjBundleRing",
     "Report",
-    "RingSpec",
     "SigmaVector",
-    "ValidationReport",
     "binomial",
     "binomial_identity_check",
     "binomial_identity_sum",
     "chern_character",
     "cw_top",
     "dual_bundle",
-    "e_class",
     "embedding_validate",
-    "eta_prime_push",
-    "eta_push_h_power",
-    "flop_context",
     "key_formula_check",
     "linear_blowup",
     "load_embedding",
     "mukai_vector",
     "power_sums",
-    "ring_make",
     "segre_classes",
     "sigma_top_product",
     "sqrt_one_series",

@@ -12,13 +12,13 @@ so the exceptional self-intersection multiplies by -xi.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import BundleClass
+from .chern import BundleClass, binomial
 from .errors import ConsistencyError
 from .projbundle import PBElement, ProjBundleRing
-from .rings import GradedElement, GradedRing
+from .rings import GradedElement, GradedRing, linear_power
 
 
 def cw_top(pb: ProjBundleRing) -> PBElement:
@@ -78,43 +78,34 @@ class EmbeddingData:
         return out
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    checks: int
-    failures: list[str] = field(default_factory=list)
-
-
-def embedding_validate(data: EmbeddingData, samples: int, seed: int = 0) -> ValidationReport:
-    """Sample-check the homomorphism, projection and self-intersection laws."""
+def embedding_validate(data: EmbeddingData, samples: int, seed: int = 0) -> None:
+    """Sample-check the homomorphism, projection and self-intersection laws;
+    the first failure raises ``ConsistencyError`` with the law as witness."""
     rng = random.Random(seed)
-    failures: list[str] = []
     amb_deg = data.ambient.dim_bound
     cen_deg = data.center.dim_bound
     if amb_deg is None or cen_deg is None:
         raise ValueError("validation sampling needs dimension-bounded rings")
     c_top = data.normal.c(data.codim)
+
+    def law(name: str, lhs, rhs):
+        if lhs != rhs:
+            raise ConsistencyError(
+                "embedding data rejected", witness=f"{name}: diff {lhs - rhs}"
+            )
+
     for _ in range(samples):
         a = data.ambient.random_element(rng, amb_deg)
         b = data.ambient.random_element(rng, amb_deg)
         g = data.center.random_element(rng, cen_deg)
         g2 = data.center.random_element(rng, cen_deg)
-        lhs = data.pull(a * b)
-        rhs = data.pull(a) * data.pull(b)
-        if lhs != rhs:
-            failures.append(f"i^* not multiplicative: diff {lhs - rhs}")
-            break
-        lhs = data.push(data.pull(a) * g)
-        rhs = a * data.push(g)
-        if lhs != rhs:
-            failures.append(f"projection formula fails: diff {lhs - rhs}")
-            break
-        lhs = data.push(g) * data.push(g2)
-        rhs = data.push(g * g2 * c_top)
-        if lhs != rhs:
-            failures.append(f"self-intersection fails: diff {lhs - rhs}")
-            break
-    return ValidationReport(not failures, samples, failures)
+        law("i^* not multiplicative", data.pull(a * b), data.pull(a) * data.pull(b))
+        law("projection formula fails", data.push(data.pull(a) * g), a * data.push(g))
+        law(
+            "self-intersection fails",
+            data.push(g) * data.push(g2),
+            data.push(g * g2 * c_top),
+        )
 
 
 def linear_blowup(n: int, m: int) -> EmbeddingData:
@@ -127,15 +118,9 @@ def linear_blowup(n: int, m: int) -> EmbeddingData:
     r = n - m
     push_table = {(k,): t ** (k + r) for k in range(m + 1)}
     normal = BundleClass(
-        center, r, [u ** i * Fraction(_comb(r, i)) for i in range(1, r + 1)]
+        center, r, [u ** i * Fraction(binomial(r, i)) for i in range(1, r + 1)]
     )
     return EmbeddingData(ambient, center, r, {"t": u}, push_table, normal)
-
-
-def _comb(a: int, b: int) -> int:
-    import math
-
-    return math.comb(a, b)
 
 
 class BlowupRing:
@@ -146,19 +131,9 @@ class BlowupRing:
         self.r = data.codim
         self.E = ProjBundleRing(data.center, data.normal, hyperplane="xi")
         self.xi = self.E.h
-        self.cW = self.cW_top()
+        self.cW = cw_top(self.E)  # c_{r-1} of the universal quotient bundle
         if validate_samples:
-            report = embedding_validate(data, validate_samples, seed)
-            if not report.ok:
-                raise ConsistencyError(
-                    "embedding data rejected", witness="; ".join(report.failures)
-                )
-
-    # ----------------------------------------------------------- key class
-
-    def cW_top(self) -> PBElement:
-        """c_{r-1} of W = eta^*(N) / O(-1), the universal quotient bundle."""
-        return cw_top(self.E)
+            embedding_validate(data, validate_samples, seed)
 
     # ------------------------------------------------------------- classes
 
@@ -226,12 +201,7 @@ class BlowupClass:
         return BlowupClass(self.blowup, -self.ambient, -self.exceptional)
 
     def __pow__(self, k: int) -> "BlowupClass":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = self.blowup.pull(self.blowup.data.ambient.one)
-        for _ in range(k):
-            out = out * self
-        return out
+        return linear_power(self, k, self.blowup.pull(self.blowup.data.ambient.one))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlowupClass):
@@ -277,27 +247,38 @@ def load_embedding(text: str) -> EmbeddingData:
         else:
             raise ValueError(f"cannot parse line {line!r}")
 
+    def section(name: str) -> list[tuple[str, str]]:
+        if name not in sections:
+            raise ValueError(f"missing section [{name}]")
+        return sections[name]
+
+    def entry(name: str, key: str) -> str:
+        entries = dict(section(name))
+        if key not in entries:
+            raise ValueError(f"section [{name}] has no {key!r} entry")
+        return entries[key]
+
     def build_ring(name: str) -> GradedRing:
-        entries = dict(sections[name])
         gens = []
-        for part in entries["generators"].split(","):
-            gname, deg = part.strip().split(":")
+        for part in entry(name, "generators").split(","):
+            gname, sep, deg = part.partition(":")
+            if not sep:
+                raise ValueError(f"generator {part.strip()!r} is not name:degree")
             gens.append((gname.strip(), int(deg)))
-        bound = entries.get("dim_bound")
+        bound = dict(section(name)).get("dim_bound")
         return GradedRing(gens, dim_bound=None if bound is None else int(bound))
 
     ambient = build_ring("ambient")
     center = build_ring("center")
-    pull_images = {k: center.parse(v) for k, v in sections["pull"]}
+    pull_images = {k: center.parse(v) for k, v in section("pull")}
     push_table = {}
-    for mono_str, value in sections["push"]:
+    for mono_str, value in section("push"):
         mono = center.parse(mono_str)
         if len(mono.terms) != 1 or next(iter(mono.terms.values())) != 1:
             raise ValueError(f"push key must be a single monomial: {mono_str!r}")
         push_table[next(iter(mono.terms))] = ambient.parse(value)
-    normal_entries = dict(sections["normal"])
-    rank = int(normal_entries["rank"])
-    chern = [center.parse(normal_entries[f"c{i}"]) for i in range(1, rank + 1)]
+    rank = int(entry("normal", "rank"))
+    chern = [center.parse(entry("normal", f"c{i}")) for i in range(1, rank + 1)]
     return EmbeddingData(
         ambient, center, rank, pull_images, push_table, BundleClass(center, rank, chern)
     )

@@ -11,6 +11,7 @@ free graded rings and to projective-bundle Chow rings.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,19 +235,13 @@ def todd_universal(d: int) -> tuple:
     elementary = []
     for k in range(1, d + 1):
         ek = ring.zero
-        for subset in _combinations(d, k):
+        for subset in itertools.combinations(range(d), k):
             term = ring.one
             for i in subset:
                 term = term * roots[i]
             ek = ek + term
         elementary.append(ek)
     return tuple(_symmetric_to_elementary(ring, component, d, elementary))
-
-
-def _combinations(n: int, k: int):
-    import itertools
-
-    return itertools.combinations(range(n), k)
 
 
 def todd_class(F: BundleClass, max_deg: int) -> CharClass:

@@ -22,7 +22,7 @@ from .chern import BundleClass, dual_bundle
 from .errors import ConsistencyError
 from .projbundle import PBElement, ProjBundleRing
 from .report import Report
-from .rings import GradedElement, GradedRing
+from .rings import GradedRing
 
 
 @dataclass
@@ -65,16 +65,15 @@ class FlopContext:
         mode: str = "formal",
         base: GradedRing | None = None,
         chern_values: list | None = None,
-        graded_sigma: bool = True,
     ):
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
         if mode == "formal":
             gens = [(f"c{i}", i) for i in range(1, r + 2)]
             for k in range(r + 1):
-                gens.append((f"a{k}", r - k if graded_sigma else 0))
+                gens.append((f"a{k}", r - k))
             for k in range(r + 1):
-                gens.append((f"b{k}", r - k if graded_sigma else 0))
+                gens.append((f"b{k}", r - k))
             S = GradedRing(gens)
             chern = [S.gen(f"c{i}") for i in range(1, r + 2)]
         elif mode == "numeric":
@@ -94,26 +93,10 @@ class FlopContext:
         self.Pdual = ProjBundleRing(S, dual_bundle(self.F), hyperplane="l")
         self.l = self.Pdual.h
         # G = Omega_{P'|S} tensor O_{P'}(1), rank r, via the twist formula
-        lpow = [self.Pdual.one]
-        for _ in range(r):
-            lpow.append(lpow[-1] * self.l)
-        g_chern = []
-        for i in range(1, r + 1):
-            ci = self.Pdual.zero
-            for m in range(0, i + 1):
-                ci = ci + lpow[m] * self.Pdual.pullback(self.F.c(i - m)) * (-1) ** m
-            g_chern.append(ci)
+        g_chern = [self.Pdual.cotangent_twist_chern(i) for i in range(1, r + 1)]
         self.G = BundleClass(self.Pdual, r, g_chern)
         self.E = ProjBundleRing(self.Pdual, self.G, hyperplane="H")
         self.H = self.E.h
-        self.L = self.E.pullback(self.l)
-        # internal consistency: reducing H^{r+1} in two ways must agree
-        one_shot = self.E.reduce(
-            [self.Pdual.zero] * (r + 1) + [self.Pdual.one]
-        )
-        stepwise = (self.H ** r * self.H).coeffs if r >= 1 else None
-        if stepwise is not None and tuple(one_shot) != stepwise:
-            raise ConsistencyError("relation reduction for E is inconsistent")
 
     # ------------------------------------------------------------- helpers
 
@@ -155,34 +138,8 @@ class FlopContext:
         draw = self._chern_subring.random_homogeneous(rng, degree, coeff_range)
         return draw.substitute(self._chern_images, self.S)
 
-    def pull_to_E(self, s) -> PBElement:
-        """Pullback from the base S all the way up to E."""
-        return self.E.pullback(self.Pdual.pullback(s))
-
-
-def flop_context(r: int, mode: str = "formal", **kwargs) -> FlopContext:
-    return FlopContext(r, mode, **kwargs)
-
 
 # --------------------------------------------------------------- operations
-
-
-def e_class(ctx: FlopContext, sigma: SigmaVector) -> PBElement:
-    """Restriction of a class to E: sum_k (pullback of sigma_k) H^k."""
-    if len(sigma) != ctx.r + 1:
-        raise ValueError(f"sigma vector must have length {ctx.r + 1}")
-    coeffs = [ctx.Pdual.pullback(sigma[k]) for k in range(ctx.r + 1)]
-    return ctx.E.element(coeffs)
-
-
-def eta_prime_push(ctx: FlopContext, x: PBElement) -> PBElement:
-    """Pushforward from E down to P'."""
-    return ctx.E.pushforward(x)
-
-
-def eta_push_h_power(ctx: FlopContext, k: int) -> PBElement:
-    """Pushforward of H^k, read off the Segre classes of G."""
-    return ctx.E.pushforward_power(k)
 
 
 def sigma_top_product(
@@ -205,13 +162,19 @@ def sigma_top_product(
     return CorrectionClass(ctx.Pdual.pullback(top))
 
 
-def help_sum_check(ctx: FlopContext, j: int, k: int) -> None:
-    """Alternating pushforward sum vs its closed form in the tau table."""
-    lhs = ctx.Pdual.zero
+def _help_sum(ctx: FlopContext, j: int, k: int) -> PBElement:
+    """sum_{i<j} (-1)^i l^i eta'_*(H^{k+j-i-1}), through the Segre table of G."""
+    out = ctx.Pdual.zero
     lpow = ctx.Pdual.one
     for i in range(j):
-        lhs = lhs + lpow * eta_push_h_power(ctx, k + j - i - 1) * (-1) ** i
+        out = out + lpow * ctx.E.pushforward_power(k + j - i - 1) * (-1) ** i
         lpow = lpow * ctx.l
+    return out
+
+
+def help_sum_check(ctx: FlopContext, j: int, k: int) -> None:
+    """Alternating pushforward sum vs its closed form in the tau table."""
+    lhs = _help_sum(ctx, j, k)
     rhs = (
         ctx.Pdual.pullback(ctx.P.tau(k + j, ctx.r))
         + ctx.l ** j * ctx.Pdual.pullback(ctx.P.tau(k, ctx.r)) * (-1) ** (j + 1)
@@ -239,12 +202,7 @@ def term_A(ctx: FlopContext, sa: SigmaVector, sb: SigmaVector) -> CorrectionClas
     raw = ctx.Pdual.zero
     for k in range(r + 1):
         for j in range(r + 1):
-            inner = ctx.Pdual.zero
-            lpow = ctx.Pdual.one
-            for i in range(j):
-                inner = inner + lpow * eta_push_h_power(ctx, k + j - i - 1) * (-1) ** i
-                lpow = lpow * ctx.l
-            raw = raw + pull(sa[k] * sb[j]) * inner
+            raw = raw + pull(sa[k] * sb[j]) * _help_sum(ctx, j, k)
     if raw != closed:
         raise ConsistencyError(
             "first correction term: raw and closed routes disagree",
@@ -264,27 +222,11 @@ def _t1_sum(ctx: FlopContext, j: int, col: int) -> PBElement:
 def t1_check(ctx: FlopContext, j: int, q: int) -> None:
     """The generalized alternating-sum identity for the G-Chern sums."""
     lhs = _t1_sum(ctx, j, ctx.r - q)
-    rhs_factor = ctx.Pdual.zero
-    lpow = ctx.Pdual.one
-    for m in range(q + 1):
-        rhs_factor = rhs_factor + lpow * ctx.Pdual.pullback(ctx.F.c(q - m)) * (-1) ** m
-        lpow = lpow * ctx.l
-    rhs = ctx.l ** j * rhs_factor * (-1) ** j
+    rhs = ctx.l ** j * ctx.G.c(q) * (-1) ** j
     if lhs != rhs:
         raise ConsistencyError(
             f"T1 identity fails at j={j}, q={q}", witness=str(lhs - rhs)
         )
-
-
-def _t2_closed(ctx: FlopContext) -> PBElement:
-    out = ctx.Pdual.zero
-    lpow = ctx.Pdual.one
-    for m in range(ctx.r + 1):
-        out = out + lpow * ctx.Pdual.pullback(ctx.F.c(ctx.r - m)) * (
-            (-1) ** (m + 1) * (m + 1)
-        )
-        lpow = lpow * ctx.l
-    return out
 
 
 def term_B(ctx: FlopContext, sa: SigmaVector, sb: SigmaVector) -> CorrectionClass:
@@ -303,7 +245,7 @@ def term_B(ctx: FlopContext, sa: SigmaVector, sb: SigmaVector) -> CorrectionClas
         raw = raw + pull(sa[r] * sb[j]) * _t1_sum(ctx, j, r)
     raw = raw + pull(sa[r] * sb[r]) * t2_raw
     # closed route
-    t2_closed = _t2_closed(ctx)
+    t2_closed = -cotangent_top_expansion(ctx)
     if t2_raw != t2_closed:
         raise ConsistencyError(
             "T2 closed form disagrees with its defining sum",
@@ -460,26 +402,15 @@ def verify_foundations(ctx: FlopContext) -> Report:
     r = ctx.r
 
     def eta_table():
-        expected_top = ctx.l - ctx.Pdual.pullback(ctx.F.c(1))
         for k in range(r + 1):
-            via_segre = eta_push_h_power(ctx, k)
+            via_segre = ctx.E.pushforward_power(k)
             via_reduce = ctx.E.pushforward(ctx.H ** k)
             if via_segre != via_reduce:
                 raise ConsistencyError(
                     f"pushforward of H^{k}: Segre and reduction routes disagree",
                     witness=str(via_segre - via_reduce),
                 )
-            if k <= r - 2:
-                expected = ctx.Pdual.zero
-            elif k == r - 1:
-                expected = ctx.Pdual.one
-            else:
-                expected = expected_top
-            if via_segre != expected:
-                raise ConsistencyError(
-                    f"pushforward table wrong at H^{k}",
-                    witness=str(via_segre - expected),
-                )
+        ctx.E.check_push_table(ctx.l - ctx.Pdual.pullback(ctx.F.c(1)))
 
     report.run(
         "foundations.eta_push_table",
@@ -488,10 +419,13 @@ def verify_foundations(ctx: FlopContext) -> Report:
     )
 
     def relation_consistency():
-        one_shot = ctx.E.reduce([ctx.Pdual.zero] * (r + 1) + [ctx.Pdual.one])
-        stepwise = (ctx.H ** r * ctx.H).coeffs
-        if tuple(one_shot) != stepwise:
-            raise ConsistencyError("reducing H^{r+1} two ways disagrees")
+        one_shot = ctx.E.element([ctx.Pdual.zero] * (r + 1) + [ctx.Pdual.one])
+        stepwise = ctx.H ** r * ctx.H
+        if one_shot != stepwise:
+            raise ConsistencyError(
+                "reducing H^{r+1} two ways disagrees",
+                witness=str(one_shot - stepwise),
+            )
 
     report.run(
         "foundations.e_relation",
@@ -517,12 +451,12 @@ def verify_foundations(ctx: FlopContext) -> Report:
 
     def twist_chern_routes():
         for i in range(r + 1):
-            direct = ctx.G.c(i)
-            closed = ctx.Pdual.cotangent_twist_chern(i)
+            closed = ctx.G.c(i)
             tensor = ctx.Pdual.cotangent_twist_via_tensor(i)
-            if direct != closed or direct != tensor:
+            if closed != tensor:
                 raise ConsistencyError(
-                    f"twisted cotangent Chern class c_{i} routes disagree"
+                    f"twisted cotangent Chern class c_{i} routes disagree",
+                    witness=str(closed - tensor),
                 )
 
     report.run(
@@ -554,33 +488,9 @@ def verify_foundations(ctx: FlopContext) -> Report:
 
     def symmetry():
         # Mirror tower: E presented over P instead of P'.
-        f_dual = dual_bundle(ctx.F)
-        h = ctx.P.h
-        hpow = [ctx.P.one]
-        for _ in range(r):
-            hpow.append(hpow[-1] * h)
-        gm_chern = []
-        for i in range(1, r + 1):
-            ci = ctx.P.zero
-            for m in range(0, i + 1):
-                ci = ci + hpow[m] * ctx.P.pullback(f_dual.c(i - m)) * (-1) ** m
-            gm_chern.append(ci)
-        Gm = BundleClass(ctx.P, r, gm_chern)
-        Em = ProjBundleRing(ctx.P, Gm, hyperplane="L")
-        expected_top = h - ctx.P.pullback(f_dual.c(1))
-        for k in range(r + 1):
-            got = Em.pushforward_power(k)
-            if k <= r - 2:
-                expected = ctx.P.zero
-            elif k == r - 1:
-                expected = ctx.P.one
-            else:
-                expected = expected_top
-            if got != expected:
-                raise ConsistencyError(
-                    f"mirror pushforward table wrong at power {k}",
-                    witness=str(got - expected),
-                )
+        gm_chern = [ctx.P.cotangent_twist_chern(i) for i in range(1, r + 1)]
+        Em = ProjBundleRing(ctx.P, BundleClass(ctx.P, r, gm_chern), hyperplane="L")
+        Em.check_push_table(ctx.P.h - ctx.P.pullback(dual_bundle(ctx.F).c(1)))
 
     report.run(
         "foundations.symmetry",

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .chern import BundleClass, binomial, dual_bundle, segre_classes, tensor_by_line
 from .errors import ConsistencyError
+from .rings import linear_power
 
 
 class ProjBundleRing:
@@ -116,6 +117,27 @@ class ProjBundleRing:
     def pushforward_power(self, k: int):
         """Pushforward of h^k computed directly from the Segre classes."""
         return self.segre(k - (self.rank - 1))
+
+    def check_push_table(self, top) -> None:
+        """Pushforwards of h^0..h^n (n the rank): 0 below n-1, 1 at n-1, ``top`` at n.
+
+        The caller supplies ``top`` in its own terms; deriving it from c_1(F)
+        would restate the Segre route and make the top entry vacuous.
+        """
+        n = self.rank
+        for k in range(n + 1):
+            got = self.pushforward_power(k)
+            if k <= n - 2:
+                expected = self.base.zero
+            elif k == n - 1:
+                expected = self.base.one
+            else:
+                expected = top
+            if got != expected:
+                raise ConsistencyError(
+                    f"pushforward table wrong at {self.hyperplane}^{k}",
+                    witness=str(got - expected),
+                )
 
     def h_power_coeffs(self, i: int) -> list:
         """Basis coefficients of h^i, by iterated shift-and-reduce."""
@@ -299,12 +321,7 @@ class PBElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        result = self.ring.one
-        for _ in range(n):
-            result = result * self
-        return result
+        return linear_power(self, n, self.ring.one)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConsistencyError
 
@@ -40,11 +40,16 @@ class Report:
     def add(self, result: CheckResult):
         self.checks.append(result)
 
-    def extend(self, other):
-        self.checks.extend(other.checks if isinstance(other, Report) else other)
+    def extend(self, other: "Report", prefix: str = ""):
+        """Append the checks of ``other``, each name prefixed by ``prefix``."""
+        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
 
     def run(self, name: str, anchor: str, fn) -> CheckResult:
-        """Run a check function; any ConsistencyError/AssertionError fails it."""
+        """Run a check function; any exception it raises fails the check.
+
+        A ConsistencyError keeps its witness; any other exception is recorded
+        as ``"<Type>: <msg>"``, so a bug in one check cannot crash a suite.
+        """
         start = time.perf_counter()
         witness = None
         status = "pass"
@@ -56,6 +61,9 @@ class Report:
         except AssertionError as exc:
             status = "fail"
             witness = str(exc) or "assertion failed"
+        except Exception as exc:
+            status = "fail"
+            witness = f"{type(exc).__name__}: {exc}"
         millis = (time.perf_counter() - start) * 1000.0
         result = CheckResult(name, anchor, status, witness, millis)
         self.add(result)

@@ -8,29 +8,20 @@ higher total degree after each operation.  All generators commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 Exponents = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """Declarative description of a graded ring.
-
-    ``generators`` is a sequence of (name, degree) pairs; ``dim_bound``, when
-    set, kills every homogeneous component of total degree above it;
-    ``integral`` additionally asserts that all coefficients are integers.
-    """
-
-    generators: tuple[tuple[str, int], ...]
-    dim_bound: int | None = None
-    integral: bool = False
-
-
-def ring_make(spec: RingSpec) -> "GradedRing":
-    return GradedRing(spec.generators, dim_bound=spec.dim_bound, integral=spec.integral)
+def linear_power(x, n: int, one):
+    """x ** n as one * x * ... * x, multiplied left to right."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    for _ in range(n):
+        result = result * x
+    return result
 
 
 class GradedRing:
@@ -40,7 +31,6 @@ class GradedRing:
         self,
         generators: Iterable[tuple[str, int]],
         dim_bound: int | None = None,
-        integral: bool = False,
     ):
         gens = tuple((str(name), int(deg)) for name, deg in generators)
         names = [name for name, _ in gens]
@@ -56,7 +46,6 @@ class GradedRing:
         self.generator_names = tuple(names)
         self.degrees = tuple(deg for _, deg in gens)
         self.dim_bound = dim_bound
-        self.integral = integral
         self.nvars = len(gens)
         self._index = {name: i for i, name in enumerate(names)}
         self.zero = GradedElement(self, {})
@@ -100,16 +89,7 @@ class GradedRing:
             for exps, coeff in terms.items()
             if coeff and (bound is None or self.monomial_degree(exps) <= bound)
         }
-        if self.integral:
-            for exps, coeff in clean.items():
-                if coeff.denominator != 1:
-                    raise ValueError(
-                        f"non-integral coefficient {coeff} at {exps} in integral ring"
-                    )
         return GradedElement(self, clean)
-
-    def same_ring(self, other: "GradedRing") -> bool:
-        return self is other
 
     def __repr__(self) -> str:
         gens = ", ".join(
@@ -153,7 +133,10 @@ class GradedRing:
     # ------------------------------------------------------------- parsing
 
     def parse(self, text: str) -> "GradedElement":
-        """Inverse of ``str(element)`` for the canonical serialization."""
+        """Inverse of ``str(element)`` for the canonical serialization.
+
+        Malformed text raises ``ValueError`` naming the offending token.
+        """
         text = text.strip()
         if text == "0":
             return self.zero
@@ -162,10 +145,10 @@ class GradedRing:
             chunk = chunk.strip()
             if " * " in chunk:
                 coeff_str, mono_str = chunk.split(" * ", 1)
-                coeff = Fraction(coeff_str)
+                coeff = _parse_coefficient(coeff_str)
             else:
                 try:
-                    coeff, mono_str = Fraction(chunk), None
+                    coeff, mono_str = _parse_coefficient(chunk), None
                 except ValueError:
                     coeff, mono_str = Fraction(1), chunk  # bare monomial
             if mono_str is None:
@@ -173,15 +156,22 @@ class GradedRing:
             else:
                 exps = [0] * self.nvars
                 for factor in mono_str.split("*"):
-                    if "^" in factor:
-                        name, power = factor.split("^")
-                        e = int(power)
-                    else:
-                        name, e = factor, 1
-                    exps[self._index[name.strip()]] += e
+                    name, caret, exponent = factor.strip().partition("^")
+                    if caret and not exponent.isdigit():
+                        raise ValueError(f"bad exponent {exponent!r} in {factor!r}")
+                    if name not in self._index:
+                        raise ValueError(f"unknown generator {name!r} in {text!r}")
+                    exps[self._index[name]] += int(exponent) if caret else 1
                 key = tuple(exps)
             terms[key] = terms.get(key, Fraction(0)) + coeff
         return self._canonical(terms)
+
+
+def _parse_coefficient(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad coefficient {token!r}") from None
 
 
 class GradedElement:
@@ -200,9 +190,6 @@ class GradedElement:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
 
     def degree(self) -> int:
         """Max weighted degree of a term (0 for the zero element)."""
@@ -288,12 +275,7 @@ class GradedElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        result = self.ring.one
-        for _ in range(n):
-            result = result * self
-        return result
+        return linear_power(self, n, self.ring.one)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -99,7 +99,7 @@ def test_criterion_4_exceptional_push_table():
         for r in range(1, 6):
             ctx = FlopContext(r)
             for k in range(r + 1):
-                got = flop_mod.eta_push_h_power(ctx, k)
+                got = ctx.E.pushforward_power(k)
                 if k <= r - 2:
                     assert got == ctx.Pdual.zero
                 elif k == r - 1:

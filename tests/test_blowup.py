@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,7 @@ def bl41(data41):
 
 
 def test_linear_blowup_validates(data41):
-    report = embedding_validate(data41, samples=25, seed=0)
-    assert report.ok, report.failures
+    embedding_validate(data41, samples=25, seed=0)  # raises on any failure
 
 
 def test_bad_parameters_rejected():
@@ -54,9 +54,10 @@ def test_corrupted_push_table_rejected(data41):
         bad_table,
         data41.normal,
     )
-    report = embedding_validate(bad, samples=25, seed=0)
-    assert not report.ok
-    assert report.failures
+    with pytest.raises(ConsistencyError) as exc:
+        embedding_validate(bad, samples=25, seed=0)
+    assert exc.value.witness.startswith("projection formula fails: diff ")
+    assert "diff 0" not in exc.value.witness
 
 
 def test_cw_rank_one_is_one():
@@ -206,11 +207,49 @@ def test_load_embedding_round_trip():
     """
     data = load_embedding(text)
     assert data.codim == 2
-    report = embedding_validate(data, samples=25, seed=0)
-    assert report.ok, report.failures
+    embedding_validate(data, samples=25, seed=0)  # raises on any failure
     bl = BlowupRing(data)
     rng = random.Random(7)
     key_formula_check(bl, data.center.random_homogeneous(rng, 1))
+
+
+LINE_IN_P3 = """
+[ambient]
+generators: t:1
+dim_bound: 3
+[center]
+generators: u:1
+dim_bound: 1
+[pull]
+t = u
+[push]
+1 = t^2
+u = t^3
+[normal]
+rank = 2
+c1 = 2 * u
+c2 = 0
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, token",
+    [
+        ("[center]", "[middle]", "[center]"),  # missing section
+        ("generators: t:1", "generators: t", "'t'"),  # degree missing
+        ("generators: t:1", "gens: t:1", "'generators'"),
+        ("dim_bound: 3", "dim_bound: three", "'three'"),
+        ("rank = 2", "rank = two", "'two'"),
+        ("c2 = 0", "c3 = 0", "'c2'"),
+        ("t = u", "t = v", "'v'"),  # unknown center generator
+        ("u = t^3", "u = 1/0 * t^3", "'1/0'"),
+        ("u = t^3", "2*u = t^3", "'2'"),
+    ],
+)
+def test_load_embedding_names_the_bad_token(old, new, token):
+    assert old in LINE_IN_P3
+    with pytest.raises(ValueError, match=re.escape(token)):
+        load_embedding(LINE_IN_P3.replace(old, new))
 
 
 def test_load_embedding_rejects_garbage():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from chowcalc.cli import SuiteConfig, main, parse_config, run_suite
+from chowcalc.report import Report
 
 
 def strip_millis(report: dict) -> dict:
@@ -37,6 +38,15 @@ def test_usage_errors(capsys):
 def test_unknown_case_is_usage_error(capsys):
     assert main(["blowup", "--case", "weird:1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", ["linear:4,4", "linear:2,5", "linear:3,-1"])
+def test_case_out_of_range_is_usage_error(case, capsys):
+    assert main(["blowup", "--case", case]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert case in captured.err
+    assert captured.out == ""
 
 
 def test_json_schema(capsys):
@@ -117,3 +127,24 @@ def test_suite_config_validation():
         SuiteConfig(suite="flop", trials=0)
     with pytest.raises(ValueError):
         SuiteConfig(suite="flop", fmt="yaml")
+
+
+def test_unexpected_exception_becomes_failing_entry():
+    report = Report()
+    result = report.run("demo.crash", "a check with a bug in it", lambda: 1 / 0)
+    assert report.checks == [result]
+    assert result.status == "fail"
+    assert result.witness == "ZeroDivisionError: division by zero"
+
+
+def test_crashing_check_gives_failure_exit(monkeypatch):
+    import chowcalc.flop as flop_mod
+
+    def crash(ctx, j, q):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(flop_mod, "t1_check", crash)
+    status, report = run_suite(SuiteConfig(suite="flop", r=1))
+    assert status == 1
+    failed = [(c.name, c.witness) for c in report.checks if c.status == "fail"]
+    assert failed == [("r1.flop.t1_identity", "ZeroDivisionError: injected")]

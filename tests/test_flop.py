@@ -6,9 +6,7 @@ from chowcalc import (
     ConsistencyError,
     FlopContext,
     GradedRing,
-    e_class,
-    eta_prime_push,
-    eta_push_h_power,
+    ProjBundleRing,
     sigma_top_product,
     term_A,
     term_B,
@@ -47,22 +45,12 @@ def test_sigma_vector_validation():
     assert sv[2] == ctx.S.one
 
 
-def test_e_class_restriction():
-    ctx = FlopContext(2)
-    sa, _ = ctx.formal_sigmas()
-    cls = e_class(ctx, sa)
-    expected = ctx.E.zero
-    for k in range(3):
-        expected = expected + ctx.pull_to_E(sa[k]) * ctx.H ** k
-    assert cls == expected
-
-
 def test_eta_push_table():
     for r in range(1, 6):
         ctx = FlopContext(r)
         for k in range(r + 1):
-            got = eta_push_h_power(ctx, k)
-            assert got == eta_prime_push(ctx, ctx.H ** k)
+            got = ctx.E.pushforward_power(k)
+            assert got == ctx.E.pushforward(ctx.H ** k)
             if k <= r - 2:
                 assert got == ctx.Pdual.zero
             elif k == r - 1:
@@ -174,3 +162,36 @@ def test_failure_reported_with_witness():
     wrong = sigma_top_product(ctx, sa, sa)  # sb swapped out
     diff = (a + b + c - wrong).value
     assert not diff.is_zero()
+
+
+def test_twist_chern_routes_detects_corrupted_tensor_route(monkeypatch):
+    # G is built from the closed twist formula; the tensor route is the
+    # independent one, so corrupting it alone must fail the check
+    orig = ProjBundleRing.cotangent_twist_via_tensor
+
+    def bad(self, i):
+        value = orig(self, i)
+        return value + self.h if i == 1 else value  # still homogeneous
+
+    monkeypatch.setattr(ProjBundleRing, "cotangent_twist_via_tensor", bad)
+    ctx = FlopContext(2)
+    report = verify_foundations(ctx)
+    failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
+    assert failed == {"foundations.twist_chern_routes": str(-ctx.l)}
+    monkeypatch.undo()
+    assert verify_foundations(FlopContext(2)).ok
+
+
+def test_e_relation_failure_carries_witness(monkeypatch):
+    ctx = FlopContext(2)
+    orig = ProjBundleRing.element
+
+    def bad(self, coeffs):
+        value = orig(self, coeffs)
+        return value + self.h if self is ctx.E else value
+
+    monkeypatch.setattr(ProjBundleRing, "element", bad)
+    report = verify_foundations(ctx)
+    [check] = [c for c in report.checks if c.name == "foundations.e_relation"]
+    assert check.status == "fail"
+    assert check.witness == str(ctx.H)  # the injected difference

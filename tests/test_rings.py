@@ -1,9 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from chowcalc import ConsistencyError, GradedElement, GradedRing, RingSpec, ring_make
+from chowcalc import ConsistencyError, GradedElement, GradedRing
 
 
 @pytest.fixture
@@ -12,8 +13,7 @@ def ring():
 
 
 def test_ring_make_from_spec():
-    spec = RingSpec(generators=(("t", 1),), dim_bound=3, integral=False)
-    R = ring_make(spec)
+    R = GradedRing([("t", 1)], dim_bound=3)
     t = R.gen("t")
     assert t ** 3 == t * t * t
     assert (t ** 4).is_zero()
@@ -124,12 +124,20 @@ def test_serialization_round_trip(ring):
     assert ring.parse("0") == ring.zero
 
 
-def test_integral_flag():
-    R = GradedRing([("t", 1)], integral=True)
-    t = R.gen("t")
-    assert (2 * t).has_integer_coefficients()
-    with pytest.raises(ValueError):
-        t * Fraction(1, 2)
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("w", "'w'"),  # unknown generator
+        ("2*x", "'2'"),  # coefficient glued to a monomial
+        ("1/0 * x", "'1/0'"),
+        ("x^k", "'k'"),
+        ("x^-1", "'-1'"),
+        ("x^2^3", "'2^3'"),
+    ],
+)
+def test_parse_rejects_malformed_text(ring, text, token):
+    with pytest.raises(ValueError, match=re.escape(token)):
+        ring.parse(text)
 
 
 def test_rational_coefficients_allowed_by_default(ring):
