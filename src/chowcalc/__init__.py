@@ -5,7 +5,6 @@ from .blowup import (
     BlowupClass,
     BlowupRing,
     EmbeddingData,
-    cw_top,
     embedding_validate,
     key_formula_check,
     linear_blowup,
@@ -27,22 +26,20 @@ from .chern import (
 )
 from .errors import ConsistencyError
 from .flop import (
-    CorrectionClass,
     FlopContext,
-    SigmaVector,
     sigma_top_product,
     term_A,
     term_B,
     term_C,
     verify_foundations,
     verify_multiplicativity,
-    zstar_correction,
 )
 from .projbundle import (
     PBElement,
     ProjBundleRing,
     binomial_identity_check,
     binomial_identity_sum,
+    cw_top,
 )
 from .report import CheckResult, Report
 from .rings import GradedElement, GradedRing
@@ -54,7 +51,6 @@ __all__ = [
     "CharClass",
     "CheckResult",
     "ConsistencyError",
-    "CorrectionClass",
     "EmbeddingData",
     "FlopContext",
     "GradedElement",
@@ -62,7 +58,6 @@ __all__ = [
     "PBElement",
     "ProjBundleRing",
     "Report",
-    "SigmaVector",
     "binomial",
     "binomial_identity_check",
     "binomial_identity_sum",
@@ -86,7 +81,6 @@ __all__ = [
     "verify_foundations",
     "verify_multiplicativity",
     "whitney_sum",
-    "zstar_correction",
 ]
 
 __version__ = "0.1.0"

@@ -17,19 +17,8 @@ from fractions import Fraction
 
 from .chern import BundleClass, binomial
 from .errors import ConsistencyError
-from .projbundle import PBElement, ProjBundleRing
+from .projbundle import PBElement, ProjBundleRing, cw_top
 from .rings import GradedElement, GradedRing, linear_power
-
-
-def cw_top(pb: ProjBundleRing) -> PBElement:
-    """Top Chern class of the universal quotient W = pullback(N) / O(-1)
-    on P(N), where N is the bundle the projective bundle is built from."""
-    from .chern import dual_bundle
-
-    r = pb.rank
-    n_dual = dual_bundle(pb.bundle)
-    coeffs = [n_dual.c(r - 1 - m) * ((-1) ** (r - 1) * (-1) ** m) for m in range(r)]
-    return pb.element(coeffs)
 
 
 def key_formula_check(bl: "BlowupRing", gamma: GradedElement) -> None:
@@ -271,6 +260,13 @@ def load_embedding(text: str) -> EmbeddingData:
     ambient = build_ring("ambient")
     center = build_ring("center")
     pull_images = {k: center.parse(v) for k, v in section("pull")}
+    unknown = sorted(set(pull_images) - set(ambient.generator_names))
+    missing = [g for g in ambient.generator_names if g not in pull_images]
+    if unknown or missing:
+        raise ValueError(
+            f"[pull] must map each ambient generator: unknown {unknown}, "
+            f"missing {missing}"
+        )
     push_table = {}
     for mono_str, value in section("push"):
         mono = center.parse(mono_str)

@@ -312,7 +312,7 @@ def suite_flop(cfg: SuiteConfig) -> Report:
     else:
         ranks = list(range(1, (cfg.r_max or 3) + 1))
     for r in ranks:
-        ctx = flop.FlopContext(r, mode="formal")
+        ctx = flop.FlopContext(r)
         report.extend(flop.verify_foundations(ctx), prefix=f"r{r}.")
         if cfg.mode == "formal":
             sa, sb = ctx.formal_sigmas()

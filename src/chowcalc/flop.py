@@ -6,6 +6,9 @@ bundles P = P(F) (class h) and P' = P(F dual) (class l), and the exceptional
 locus E, presented over P' as the projective bundle of the rank-r bundle
 G = Omega_{P'|S} tensor O(1) with relative class H.
 
+The base is formal: the c_i and both sigma vectors (tuples of base
+elements) are free generators, so a pass holds for every specialised base.
+
 Every intermediate identity of the multiplicativity computation is verified
 by two independent routes (a raw expansion through pushforward tables, and
 the closed form), and the headline check is that the three correction terms
@@ -14,137 +17,79 @@ add up exactly to the top sigma coefficient of the product.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import BundleClass, dual_bundle
 from .errors import ConsistencyError
-from .projbundle import PBElement, ProjBundleRing
+from .projbundle import PBElement, ProjBundleRing, cw_top
 from .report import Report
 from .rings import GradedRing
-
-
-@dataclass
-class SigmaVector:
-    """Base-ring coefficients sigma_0..sigma_r of a restricted class."""
-
-    values: tuple
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k: int):
-        return self.values[k]
-
-
-@dataclass
-class CorrectionClass:
-    """The argument of the pushforward from P' in a correction term."""
-
-    value: PBElement
-
-    def __add__(self, other: "CorrectionClass") -> "CorrectionClass":
-        return CorrectionClass(self.value + other.value)
-
-    def __sub__(self, other: "CorrectionClass") -> "CorrectionClass":
-        return CorrectionClass(self.value - other.value)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CorrectionClass):
-            return NotImplemented
-        return self.value == other.value
 
 
 class FlopContext:
     """The ring tower CH(S), CH(P), CH(P'), CH(E) for codimension r."""
 
-    def __init__(
-        self,
-        r: int,
-        mode: str = "formal",
-        base: GradedRing | None = None,
-        chern_values: list | None = None,
-    ):
+    def __init__(self, r: int):
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
-        if mode == "formal":
-            gens = [(f"c{i}", i) for i in range(1, r + 2)]
-            for k in range(r + 1):
-                gens.append((f"a{k}", r - k))
-            for k in range(r + 1):
-                gens.append((f"b{k}", r - k))
-            S = GradedRing(gens)
-            chern = [S.gen(f"c{i}") for i in range(1, r + 2)]
-        elif mode == "numeric":
-            if base is None or chern_values is None:
-                raise ValueError("numeric mode needs a base ring and Chern values")
-            S = base
-            chern = list(chern_values)
-            if len(chern) != r + 1:
-                raise ValueError(f"expected {r + 1} Chern values, got {len(chern)}")
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        chern_gens = [(f"c{i}", i) for i in range(1, r + 2)]
+        gens = list(chern_gens)
+        for k in range(r + 1):
+            gens.append((f"a{k}", r - k))
+        for k in range(r + 1):
+            gens.append((f"b{k}", r - k))
+        S = GradedRing(gens)
         self.r = r
-        self.mode = mode
         self.S = S
+        chern = [S.gen(name) for name, _ in chern_gens]
         self.F = BundleClass(S, r + 1, chern)  # homogeneity validated here
         self.P = ProjBundleRing(S, self.F, hyperplane="h")
         self.Pdual = ProjBundleRing(S, dual_bundle(self.F), hyperplane="l")
         self.l = self.Pdual.h
+        # l^0 .. l^r, the one table every sum over powers of l reads
+        self.lpow = [self.Pdual.one]
+        for _ in range(r):
+            self.lpow.append(self.lpow[-1] * self.l)
         # G = Omega_{P'|S} tensor O_{P'}(1), rank r, via the twist formula
         g_chern = [self.Pdual.cotangent_twist_chern(i) for i in range(1, r + 1)]
         self.G = BundleClass(self.Pdual, r, g_chern)
         self.E = ProjBundleRing(self.Pdual, self.G, hyperplane="H")
         self.H = self.E.h
+        # random sigmas are drawn in the Chern subring: the sigma generators
+        # of the formal base include degree-0 ones, which cannot be enumerated
+        self._chern_subring = GradedRing(chern_gens)
+        self._chern_images = {name: c for (name, _), c in zip(chern_gens, chern)}
 
     # ------------------------------------------------------------- helpers
 
-    def sigma(self, values) -> SigmaVector:
+    def sigma(self, values) -> tuple:
         values = tuple(
             self.S.one * v if isinstance(v, (int, Fraction)) else v for v in values
         )
         if len(values) != self.r + 1:
             raise ValueError(f"sigma vector must have length {self.r + 1}")
-        return SigmaVector(values)
+        return values
 
-    def formal_sigmas(self) -> tuple[SigmaVector, SigmaVector]:
-        if self.mode != "formal":
-            raise ValueError("formal sigma vectors exist only in formal mode")
+    def formal_sigmas(self) -> tuple[tuple, tuple]:
         sa = self.sigma([self.S.gen(f"a{k}") for k in range(self.r + 1)])
         sb = self.sigma([self.S.gen(f"b{k}") for k in range(self.r + 1)])
         return sa, sb
 
-    def random_sigma(self, rng, coeff_range=(-9, 9)) -> SigmaVector:
+    def random_sigma(self, rng, coeff_range=(-9, 9)) -> tuple:
         return self.sigma(
             [
-                self._random_base(rng, self.r - k, coeff_range)
+                self._chern_subring.random_homogeneous(
+                    rng, self.r - k, coeff_range
+                ).substitute(self._chern_images, self.S)
                 for k in range(self.r + 1)
             ]
         )
-
-    def _random_base(self, rng, degree: int, coeff_range):
-        if self.mode != "formal":
-            return self.S.random_homogeneous(rng, degree, coeff_range)
-        # sample in the Chern subring: the sigma generators of the formal
-        # base include degree-0 ones, which cannot be enumerated
-        if not hasattr(self, "_chern_subring"):
-            self._chern_subring = GradedRing(
-                [(f"c{i}", i) for i in range(1, self.r + 2)]
-            )
-            self._chern_images = {
-                f"c{i}": self.S.gen(f"c{i}") for i in range(1, self.r + 2)
-            }
-        draw = self._chern_subring.random_homogeneous(rng, degree, coeff_range)
-        return draw.substitute(self._chern_images, self.S)
 
 
 # --------------------------------------------------------------- operations
 
 
-def sigma_top_product(
-    ctx: FlopContext, sa: SigmaVector, sb: SigmaVector
-) -> CorrectionClass:
+def sigma_top_product(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     """The top sigma coefficient of the product, cross-checked two ways."""
     r = ctx.r
     top = ctx.S.zero
@@ -152,23 +97,19 @@ def sigma_top_product(
         for j in range(r + 1):
             top = top + sa[k] * sb[j] * ctx.P.tau(k + j, r)
     # independent route: multiply in CH(P) and read the top coefficient
-    a = PBElement(ctx.P, sa.values)
-    b = PBElement(ctx.P, sb.values)
-    direct = (a * b).coeffs[r]
+    direct = (PBElement(ctx.P, sa) * PBElement(ctx.P, sb)).coeffs[r]
     if top != direct:
         raise ConsistencyError(
             "top sigma coefficient routes disagree", witness=str(top - direct)
         )
-    return CorrectionClass(ctx.Pdual.pullback(top))
+    return ctx.Pdual.pullback(top)
 
 
 def _help_sum(ctx: FlopContext, j: int, k: int) -> PBElement:
     """sum_{i<j} (-1)^i l^i eta'_*(H^{k+j-i-1}), through the Segre table of G."""
     out = ctx.Pdual.zero
-    lpow = ctx.Pdual.one
     for i in range(j):
-        out = out + lpow * ctx.E.pushforward_power(k + j - i - 1) * (-1) ** i
-        lpow = lpow * ctx.l
+        out = out + ctx.lpow[i] * ctx.E.pushforward_power(k + j - i - 1) * (-1) ** i
     return out
 
 
@@ -177,7 +118,7 @@ def help_sum_check(ctx: FlopContext, j: int, k: int) -> None:
     lhs = _help_sum(ctx, j, k)
     rhs = (
         ctx.Pdual.pullback(ctx.P.tau(k + j, ctx.r))
-        + ctx.l ** j * ctx.Pdual.pullback(ctx.P.tau(k, ctx.r)) * (-1) ** (j + 1)
+        + ctx.lpow[j] * ctx.Pdual.pullback(ctx.P.tau(k, ctx.r)) * (-1) ** (j + 1)
     )
     if lhs != rhs:
         raise ConsistencyError(
@@ -185,7 +126,7 @@ def help_sum_check(ctx: FlopContext, j: int, k: int) -> None:
         )
 
 
-def term_A(ctx: FlopContext, sa: SigmaVector, sb: SigmaVector) -> CorrectionClass:
+def term_A(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     """Correction term from the pure pullback products and the first mixed
     product, computed both raw (pushforward expansion) and in closed form."""
     r = ctx.r
@@ -194,10 +135,8 @@ def term_A(ctx: FlopContext, sa: SigmaVector, sb: SigmaVector) -> CorrectionClas
     for k in range(r + 1):
         for j in range(r + 1):
             closed = closed + pull(sa[k] * sb[j] * ctx.P.tau(k + j, r))
-    lpow = ctx.Pdual.one
     for j in range(r + 1):
-        closed = closed + pull(sa[r] * sb[j]) * lpow * (-1) ** (j + 1)
-        lpow = lpow * ctx.l
+        closed = closed + pull(sa[r] * sb[j]) * ctx.lpow[j] * (-1) ** (j + 1)
     # raw route: the pre-simplification double sum through eta'_* tables
     raw = ctx.Pdual.zero
     for k in range(r + 1):
@@ -208,7 +147,7 @@ def term_A(ctx: FlopContext, sa: SigmaVector, sb: SigmaVector) -> CorrectionClas
             "first correction term: raw and closed routes disagree",
             witness=str(raw - closed),
         )
-    return CorrectionClass(closed)
+    return closed
 
 
 def _t1_sum(ctx: FlopContext, j: int, col: int) -> PBElement:
@@ -222,24 +161,22 @@ def _t1_sum(ctx: FlopContext, j: int, col: int) -> PBElement:
 def t1_check(ctx: FlopContext, j: int, q: int) -> None:
     """The generalized alternating-sum identity for the G-Chern sums."""
     lhs = _t1_sum(ctx, j, ctx.r - q)
-    rhs = ctx.l ** j * ctx.G.c(q) * (-1) ** j
+    rhs = ctx.lpow[j] * ctx.G.c(q) * (-1) ** j
     if lhs != rhs:
         raise ConsistencyError(
             f"T1 identity fails at j={j}, q={q}", witness=str(lhs - rhs)
         )
 
 
-def term_B(ctx: FlopContext, sa: SigmaVector, sb: SigmaVector) -> CorrectionClass:
+def term_B(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     """Correction term from the second mixed product; the defining sums T1(j)
     and T2 are compared against their closed forms before being used."""
     r = ctx.r
     pull = ctx.Pdual.pullback
     # defining route
     t2_raw = ctx.Pdual.zero
-    lpow = ctx.Pdual.one
     for n in range(r + 1):
-        t2_raw = t2_raw + lpow * ctx.G.c(r - n) * (-1) ** (n + 1)
-        lpow = lpow * ctx.l
+        t2_raw = t2_raw + ctx.lpow[n] * ctx.G.c(r - n) * (-1) ** (n + 1)
     raw = ctx.Pdual.zero
     for j in range(r + 1):
         raw = raw + pull(sa[r] * sb[j]) * _t1_sum(ctx, j, r)
@@ -252,32 +189,28 @@ def term_B(ctx: FlopContext, sa: SigmaVector, sb: SigmaVector) -> CorrectionClas
             witness=str(t2_raw - t2_closed),
         )
     closed = ctx.Pdual.zero
-    lpow = ctx.Pdual.one
     for j in range(r + 1):
-        closed = closed + pull(sa[r] * sb[j]) * lpow * (-1) ** j
-        lpow = lpow * ctx.l
+        closed = closed + pull(sa[r] * sb[j]) * ctx.lpow[j] * (-1) ** j
     closed = closed + pull(sa[r] * sb[r]) * t2_closed
     if raw != closed:
         raise ConsistencyError(
             "second correction term: raw and closed routes disagree",
             witness=str(raw - closed),
         )
-    return CorrectionClass(closed)
+    return closed
 
 
 def cotangent_top_expansion(ctx: FlopContext) -> PBElement:
     """c_r of the relative cotangent bundle of P', in expanded form."""
     out = ctx.Pdual.zero
-    lpow = ctx.Pdual.one
     for m in range(ctx.r + 1):
-        out = out + lpow * ctx.Pdual.pullback(ctx.F.c(ctx.r - m)) * (
+        out = out + ctx.lpow[m] * ctx.Pdual.pullback(ctx.F.c(ctx.r - m)) * (
             (-1) ** m * (m + 1)
         )
-        lpow = lpow * ctx.l
     return out
 
 
-def term_C(ctx: FlopContext, sa: SigmaVector, sb: SigmaVector) -> CorrectionClass:
+def term_C(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     """Correction term from the self-intersection of the pushed top classes;
     the cotangent class expansion is cross-checked against the generic
     cotangent Chern class formula of P'."""
@@ -288,31 +221,32 @@ def term_C(ctx: FlopContext, sa: SigmaVector, sb: SigmaVector) -> CorrectionClas
             "cotangent class expansion disagrees with the generic formula",
             witness=str(expansion - generic),
         )
-    return CorrectionClass(ctx.Pdual.pullback(sa[ctx.r] * sb[ctx.r]) * expansion)
-
-
-def zstar_correction(ctx: FlopContext, sigma: SigmaVector) -> CorrectionClass:
-    """The pushforward-correction summand of the flop correspondence; the
-    strict-transform summand is not computable from sigma alone."""
-    return CorrectionClass(ctx.Pdual.pullback(sigma[ctx.r]))
+    return ctx.Pdual.pullback(sa[ctx.r] * sb[ctx.r]) * expansion
 
 
 # ------------------------------------------------------------ verification
 
 
-def verify_multiplicativity(
-    ctx: FlopContext, sa: SigmaVector, sb: SigmaVector
-) -> Report:
+def verify_multiplicativity(ctx: FlopContext, sa: tuple, sb: tuple) -> Report:
     """Check that the three correction terms add up to the top sigma
     coefficient of the product, including every dual-route sub-claim."""
     report = Report()
-    box: dict[str, CorrectionClass] = {}
+    box: dict[str, PBElement] = {}
 
     def store(key, fn):
         def run():
             box[key] = fn(ctx, sa, sb)
 
         return run
+
+    keys = ("rhs", "A", "B", "C")
+
+    def terms() -> list[PBElement]:
+        """The four stored terms, in the order of ``keys``."""
+        missing = [k for k in keys if k not in box]
+        if missing:
+            raise ConsistencyError(f"prerequisite terms missing: {missing}")
+        return [box[k] for k in keys]
 
     report.run(
         "flop.sigma_top_cross_route",
@@ -361,14 +295,10 @@ def verify_multiplicativity(
         if not all(
             v.is_homogeneous(ctx.r - k) or v.is_zero()
             for vec in (sa, sb)
-            for k, v in enumerate(vec.values)
+            for k, v in enumerate(vec)
         ):
             return  # ungraded stress mode: nothing to assert
-        missing = [k for k in ("rhs", "A", "B", "C") if k not in box]
-        if missing:
-            raise ConsistencyError(f"prerequisite terms missing: {missing}")
-        for key in ("rhs", "A", "B", "C"):
-            value = box[key].value
+        for key, value in zip(keys, terms()):
             if not (value.is_homogeneous(ctx.r) or value.is_zero()):
                 raise ConsistencyError(f"term {key} is not homogeneous of degree r")
 
@@ -379,10 +309,8 @@ def verify_multiplicativity(
     )
 
     def final():
-        missing = [k for k in ("rhs", "A", "B", "C") if k not in box]
-        if missing:
-            raise ConsistencyError(f"prerequisite terms missing: {missing}")
-        diff = (box["A"] + box["B"] + box["C"] - box["rhs"]).value
+        rhs, a, b, c = terms()
+        diff = a + b + c - rhs
         if diff:
             raise ConsistencyError(
                 "multiplicativity cancellation fails", witness=str(diff)
@@ -434,8 +362,6 @@ def verify_foundations(ctx: FlopContext) -> Report:
     )
 
     def quotient_class_push():
-        from .blowup import cw_top
-
         cw = cw_top(ctx.E)
         if ctx.E.pushforward(cw) != ctx.Pdual.one:
             raise ConsistencyError(
@@ -466,10 +392,7 @@ def verify_foundations(ctx: FlopContext) -> Report:
     )
 
     def fibre_square():
-        if ctx.mode == "formal":
-            sa, _ = ctx.formal_sigmas()
-        else:
-            sa = ctx.random_sigma(random.Random(0))
+        sa, _ = ctx.formal_sigmas()
         acc = ctx.S.zero
         for k in range(r + 1):
             acc = acc + sa[k] * ctx.P.pushforward_power(k)

@@ -346,6 +346,15 @@ class PBElement:
         return f"<{self}>"
 
 
+def cw_top(pb: ProjBundleRing) -> PBElement:
+    """Top Chern class of the universal quotient W = pullback(N) / O(-1)
+    on P(N), where N is the bundle the projective bundle is built from."""
+    r = pb.rank
+    n_dual = dual_bundle(pb.bundle)
+    coeffs = [n_dual.c(r - 1 - m) * ((-1) ** (r - 1) * (-1) ** m) for m in range(r)]
+    return pb.element(coeffs)
+
+
 # ------------------------------------------------------- binomial identity
 
 

@@ -56,7 +56,7 @@ class GradedRing:
     def gen(self, name: str) -> "GradedElement":
         i = self._index[name]
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return GradedElement(self, {exps: Fraction(1)})
+        return self._canonical({exps: Fraction(1)})
 
     def gens(self) -> list["GradedElement"]:
         return [self.gen(name) for name in self.generator_names]

@@ -29,7 +29,7 @@ from chowcalc import (
     verify_multiplicativity,
     whitney_sum,
 )
-from chowcalc.flop import CorrectionClass, help_sum_check, t1_check
+from chowcalc.flop import help_sum_check, t1_check
 
 
 def criterion(number, description, bound_seconds, fn):
@@ -241,7 +241,7 @@ def test_criterion_10_mutations(monkeypatch):
         orig_term_b = flop_mod.term_B
 
         def bad_term_b(ctx, sa, sb):
-            return CorrectionClass(-orig_term_b(ctx, sa, sb).value)
+            return -orig_term_b(ctx, sa, sb)
 
         monkeypatch.setattr(flop_mod, "term_B", bad_term_b)
         assert_fails_with_witness(run_headline())

@@ -242,6 +242,7 @@ c2 = 0
         ("rank = 2", "rank = two", "'two'"),
         ("c2 = 0", "c3 = 0", "'c2'"),
         ("t = u", "t = v", "'v'"),  # unknown center generator
+        ("t = u", "s = u", "'s'"),  # unknown ambient generator
         ("u = t^3", "u = 1/0 * t^3", "'1/0'"),
         ("u = t^3", "2*u = t^3", "'2'"),
     ],

@@ -35,6 +35,11 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_projbundle_passes_at_dim_bound_zero(capsys):
+    assert main(["projbundle", "--dim-bound", "0"]) == 0
+    capsys.readouterr()
+
+
 def test_unknown_case_is_usage_error(capsys):
     assert main(["blowup", "--case", "weird:1"]) == 2
     capsys.readouterr()
@@ -107,12 +112,11 @@ def test_out_file(tmp_path):
 
 def test_run_suite_returns_failure_exit(monkeypatch):
     import chowcalc.flop as flop_mod
-    from chowcalc.flop import CorrectionClass
 
     orig = flop_mod.term_B
 
     def broken(ctx, sa, sb):
-        return CorrectionClass(-orig(ctx, sa, sb).value)
+        return -orig(ctx, sa, sb)
 
     monkeypatch.setattr(flop_mod, "term_B", broken)
     status, report = run_suite(SuiteConfig(suite="flop", r=1))

@@ -5,7 +5,6 @@ import pytest
 from chowcalc import (
     ConsistencyError,
     FlopContext,
-    GradedRing,
     ProjBundleRing,
     sigma_top_product,
     term_A,
@@ -13,7 +12,6 @@ from chowcalc import (
     term_C,
     verify_foundations,
     verify_multiplicativity,
-    zstar_correction,
 )
 from chowcalc.flop import help_sum_check, t1_check
 
@@ -21,10 +19,6 @@ from chowcalc.flop import help_sum_check, t1_check
 def test_context_validation():
     with pytest.raises(ValueError):
         FlopContext(0)
-    with pytest.raises(ValueError):
-        FlopContext(2, mode="nope")
-    with pytest.raises(ValueError):
-        FlopContext(2, mode="numeric")  # missing base / Chern data
 
 
 def test_context_shape():
@@ -64,7 +58,7 @@ def test_sigma_top_product_routes():
         ctx = FlopContext(r)
         sa, sb = ctx.formal_sigmas()
         top = sigma_top_product(ctx, sa, sb)
-        assert top.value.is_homogeneous(r)
+        assert top.is_homogeneous(r)
 
 
 def test_help_sum_identity():
@@ -90,7 +84,7 @@ def test_term_c_rank_one():
     assert ctx.Pdual.cotangent_chern(1) == expected
     sa, sb = ctx.formal_sigmas()
     value = term_C(ctx, sa, sb)
-    assert value.value == ctx.Pdual.pullback(sa[1] * sb[1]) * expected
+    assert value == ctx.Pdual.pullback(sa[1] * sb[1]) * expected
 
 
 def test_headline_cancellation_formal():
@@ -101,7 +95,7 @@ def test_headline_cancellation_formal():
         b = term_B(ctx, sa, sb)
         c = term_C(ctx, sa, sb)
         rhs = sigma_top_product(ctx, sa, sb)
-        assert (a + b + c).value == rhs.value
+        assert a + b + c == rhs
 
 
 def test_verify_multiplicativity_report():
@@ -130,28 +124,6 @@ def test_verify_foundations():
         assert report.ok, report.to_text()
 
 
-def test_numeric_mode_context():
-    S = GradedRing([("c1", 1), ("c2", 2), ("c3", 3)])
-    chern = [S.gen("c1"), S.gen("c2"), S.gen("c3")]
-    ctx = FlopContext(2, mode="numeric", base=S, chern_values=chern)
-    rng = random.Random(0)
-    sa = ctx.random_sigma(rng)
-    sb = ctx.random_sigma(rng)
-    assert verify_multiplicativity(ctx, sa, sb).ok
-
-
-def test_numeric_mode_rejects_inhomogeneous_chern():
-    S = GradedRing([("c1", 1)])
-    with pytest.raises(ValueError):
-        FlopContext(2, mode="numeric", base=S, chern_values=[S.gen("c1")] * 3)
-
-
-def test_zstar_correction_is_top_sigma():
-    ctx = FlopContext(2)
-    sa, _ = ctx.formal_sigmas()
-    assert zstar_correction(ctx, sa).value == ctx.Pdual.pullback(sa[2])
-
-
 def test_failure_reported_with_witness():
     ctx = FlopContext(2)
     sa, sb = ctx.formal_sigmas()
@@ -160,8 +132,33 @@ def test_failure_reported_with_witness():
     b = term_B(ctx, sa, sb)
     c = term_C(ctx, sa, sb)
     wrong = sigma_top_product(ctx, sa, sa)  # sb swapped out
-    diff = (a + b + c - wrong).value
+    diff = a + b + c - wrong
     assert not diff.is_zero()
+
+
+def test_corrupted_l_power_table_fails_every_reader():
+    # ctx.lpow is an input to both routes of each check that reads it, so
+    # a corrupted entry must still make each of them fail
+    readers = {
+        "flop.t1_identity",
+        "flop.help_sum_identity",
+        "flop.term_A_routes",
+        "flop.term_B_routes",
+        "flop.term_C_routes",
+    }
+    for r in (1, 2, 3):
+        for k in range(1, r + 1):
+            ctx = FlopContext(r)
+            c1 = ctx.Pdual.pullback(ctx.F.c(1))
+            ctx.lpow[k] = ctx.lpow[k] + c1 * ctx.lpow[k - 1]  # still homogeneous
+            report = verify_multiplicativity(ctx, *ctx.formal_sigmas())
+            failed = {
+                c.name for c in report.checks
+                if c.status == "fail" and c.witness not in (None, "", "0")
+            }
+            assert readers <= failed, (r, k, failed)
+        ctx = FlopContext(r)
+        assert verify_multiplicativity(ctx, *ctx.formal_sigmas()).ok
 
 
 def test_twist_chern_routes_detects_corrupted_tensor_route(monkeypatch):

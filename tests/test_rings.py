@@ -51,6 +51,10 @@ def test_truncation_by_dim_bound():
     assert (t ** 2) * t == R.zero
     # truncation is idempotent with arithmetic
     assert (t + t ** 2) * (t + t ** 2) == t ** 2
+    # a generator above the bound is truncated however it is built
+    Z = GradedRing([("t", 1)], dim_bound=0)
+    assert Z.gen("t") == Z.gen("t") * 1 == Z.zero
+    assert str(Z.gen("t")) == "0"
 
 
 def test_grade_components_resum(ring):
