@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import BundleClass, binomial
-from .errors import ConsistencyError
+from .errors import ConsistencyError, require_equal
 from .projbundle import PBElement, ProjBundleRing, cw_top
 from .rings import GradedElement, GradedRing, linear_power
 
@@ -26,12 +26,7 @@ def key_formula_check(bl: "BlowupRing", gamma: GradedElement) -> None:
     cW-twisted pullback in from the exceptional divisor."""
     lhs = bl.pull(bl.data.push(gamma))
     rhs = bl.exc_push(bl.cW * bl.E.pullback(gamma))
-    if lhs != rhs:
-        raise ConsistencyError(
-            "key formula fails",
-            witness=f"ambient {lhs.ambient - rhs.ambient}; "
-            f"exceptional {lhs.exceptional - rhs.exceptional}",
-        )
+    require_equal(lhs, rhs, "key formula fails")
 
 
 @dataclass

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import blowup as bl_mod
 from . import chern, flop
-from .errors import ConsistencyError
+from .errors import ConsistencyError, require_equal
 from .projbundle import ProjBundleRing, binomial_identity_check
 from .report import Report
 from .rings import GradedRing
@@ -58,6 +58,8 @@ class SuiteConfig:
             raise ValueError("--r-max must be >= 1")
         if self.trials < 1:
             raise ValueError("--trials must be >= 1")
+        if self.dim_bound is not None and self.dim_bound < 0:
+            raise ValueError("--dim-bound must be >= 0")
         _parse_case(self.case)  # syntax-checked up front
 
 
@@ -118,20 +120,16 @@ def suite_projbundle(cfg: SuiteConfig) -> Report:
 
         def cotangent(P=P, r=r):
             for i in range(r + 1):
-                closed = P.cotangent_chern(i)
-                euler = P.cotangent_chern_via_euler(i)
-                if closed != euler:
-                    raise ConsistencyError(
-                        f"cotangent c_{i} routes disagree at r={r}",
-                        witness=str(closed - euler),
-                    )
-                tw_closed = P.cotangent_twist_chern(i)
-                tw_tensor = P.cotangent_twist_via_tensor(i)
-                if tw_closed != tw_tensor:
-                    raise ConsistencyError(
-                        f"twisted cotangent c_{i} routes disagree at r={r}",
-                        witness=str(tw_closed - tw_tensor),
-                    )
+                require_equal(
+                    P.cotangent_chern(i),
+                    P.cotangent_chern_via_euler(i),
+                    f"cotangent c_{i} routes disagree at r={r}",
+                )
+                require_equal(
+                    P.cotangent_twist_chern(i),
+                    P.cotangent_twist_via_tensor(i),
+                    f"twisted cotangent c_{i} routes disagree at r={r}",
+                )
 
         report.run(
             f"projbundle.cotangent_r{r}",
@@ -187,8 +185,8 @@ def suite_blowup(cfg: SuiteConfig) -> Report:
     def round_trip():
         for d in range(n + 1):
             alpha = data.ambient.random_homogeneous(rng, d)
-            if bl.push(bl.pull(alpha)) != alpha:
-                raise ConsistencyError(f"push after pull is not identity at degree {d}")
+            message = f"push after pull is not identity at degree {d}"
+            require_equal(bl.push(bl.pull(alpha)), alpha, message)
 
     report.run(
         "blowup.pull_push_identity",
@@ -205,10 +203,10 @@ def suite_blowup(cfg: SuiteConfig) -> Report:
                 eps = bl.E.random_element(rng, n)
                 trio.append(bl.exc_push(eps) + bl.pull(alpha))
             a, b, c = trio
-            if (a * b) * c != a * (b * c):
-                raise ConsistencyError("blow-up product is not associative")
-            if a * b != b * a:
-                raise ConsistencyError("blow-up product is not commutative")
+            require_equal(
+                (a * b) * c, a * (b * c), "blow-up product is not associative"
+            )
+            require_equal(a * b, b * a, "blow-up product is not commutative")
 
     report.run(
         "blowup.ring_laws",
@@ -222,7 +220,8 @@ def suite_charclass(cfg: SuiteConfig) -> Report:
     report = Report()
     rng = random.Random(cfg.seed)
     S = GradedRing(
-        [("x1", 1), ("x2", 2), ("y1", 1), ("y2", 2)], dim_bound=cfg.dim_bound or 8
+        [("x1", 1), ("x2", 2), ("y1", 1), ("y2", 2)],
+        dim_bound=8 if cfg.dim_bound is None else cfg.dim_bound,
     )
     E = chern.BundleClass(S, 3, [S.gen("x1"), S.gen("x2"), S.gen("x1") * S.gen("x2")])
     F = chern.BundleClass(S, 2, [S.gen("y1"), S.gen("y2")])
@@ -234,11 +233,8 @@ def suite_charclass(cfg: SuiteConfig) -> Report:
             total_s = total_s + s
         prod = total_c * total_s
         for d in range(1, 9):
-            if prod.grade_component(d):
-                raise ConsistencyError(
-                    f"c(E)s(E) has a nonzero degree-{d} part",
-                    witness=str(prod.grade_component(d)),
-                )
+            part = prod.grade_component(d)
+            require_equal(part, S.zero, f"c(E)s(E) has a nonzero degree-{d} part")
 
     report.run(
         "charclass.chern_segre_inverse",
@@ -427,9 +423,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT
     status, report = run_suite(cfg)
     if cfg.fmt == "json":
-        text = report.to_json(
-            suite=cfg.suite, seed=cfg.seed, mode=cfg.mode, trials=cfg.trials
-        )
+        keys = ("suite", "seed", "mode", "trials", "case", "dim_bound")
+        meta = {k: getattr(cfg, k) for k in keys}  # case, dim_bound only when set
+        text = report.to_json(**{k: v for k, v in meta.items() if v is not None})
     else:
         text = report.to_text()
     if cfg.out:

@@ -13,3 +13,9 @@ class ConsistencyError(Exception):
     def __init__(self, message: str, witness: str | None = None):
         super().__init__(message if witness is None else f"{message}: {witness}")
         self.witness = witness
+
+
+def require_equal(lhs, rhs, message: str) -> None:
+    """Compare two routes; on disagreement raise with ``lhs - rhs`` as witness."""
+    if lhs != rhs:
+        raise ConsistencyError(message, witness=str(lhs - rhs))

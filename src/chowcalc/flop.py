@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chern import BundleClass, dual_bundle
-from .errors import ConsistencyError
+from .errors import ConsistencyError, require_equal
 from .projbundle import PBElement, ProjBundleRing, cw_top
 from .report import Report
 from .rings import GradedRing
@@ -98,10 +98,7 @@ def sigma_top_product(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
             top = top + sa[k] * sb[j] * ctx.P.tau(k + j, r)
     # independent route: multiply in CH(P) and read the top coefficient
     direct = (PBElement(ctx.P, sa) * PBElement(ctx.P, sb)).coeffs[r]
-    if top != direct:
-        raise ConsistencyError(
-            "top sigma coefficient routes disagree", witness=str(top - direct)
-        )
+    require_equal(top, direct, "top sigma coefficient routes disagree")
     return ctx.Pdual.pullback(top)
 
 
@@ -120,10 +117,7 @@ def help_sum_check(ctx: FlopContext, j: int, k: int) -> None:
         ctx.Pdual.pullback(ctx.P.tau(k + j, ctx.r))
         + ctx.lpow[j] * ctx.Pdual.pullback(ctx.P.tau(k, ctx.r)) * (-1) ** (j + 1)
     )
-    if lhs != rhs:
-        raise ConsistencyError(
-            f"help-sum identity fails at j={j}, k={k}", witness=str(lhs - rhs)
-        )
+    require_equal(lhs, rhs, f"help-sum identity fails at j={j}, k={k}")
 
 
 def term_A(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
@@ -142,11 +136,7 @@ def term_A(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     for k in range(r + 1):
         for j in range(r + 1):
             raw = raw + pull(sa[k] * sb[j]) * _help_sum(ctx, j, k)
-    if raw != closed:
-        raise ConsistencyError(
-            "first correction term: raw and closed routes disagree",
-            witness=str(raw - closed),
-        )
+    require_equal(raw, closed, "first correction term: raw and closed routes disagree")
     return closed
 
 
@@ -162,10 +152,7 @@ def t1_check(ctx: FlopContext, j: int, q: int) -> None:
     """The generalized alternating-sum identity for the G-Chern sums."""
     lhs = _t1_sum(ctx, j, ctx.r - q)
     rhs = ctx.lpow[j] * ctx.G.c(q) * (-1) ** j
-    if lhs != rhs:
-        raise ConsistencyError(
-            f"T1 identity fails at j={j}, q={q}", witness=str(lhs - rhs)
-        )
+    require_equal(lhs, rhs, f"T1 identity fails at j={j}, q={q}")
 
 
 def term_B(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
@@ -183,20 +170,14 @@ def term_B(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     raw = raw + pull(sa[r] * sb[r]) * t2_raw
     # closed route
     t2_closed = -cotangent_top_expansion(ctx)
-    if t2_raw != t2_closed:
-        raise ConsistencyError(
-            "T2 closed form disagrees with its defining sum",
-            witness=str(t2_raw - t2_closed),
-        )
+    require_equal(t2_raw, t2_closed, "T2 closed form disagrees with its defining sum")
     closed = ctx.Pdual.zero
     for j in range(r + 1):
         closed = closed + pull(sa[r] * sb[j]) * ctx.lpow[j] * (-1) ** j
     closed = closed + pull(sa[r] * sb[r]) * t2_closed
-    if raw != closed:
-        raise ConsistencyError(
-            "second correction term: raw and closed routes disagree",
-            witness=str(raw - closed),
-        )
+    require_equal(
+        raw, closed, "second correction term: raw and closed routes disagree"
+    )
     return closed
 
 
@@ -216,11 +197,11 @@ def term_C(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     cotangent Chern class formula of P'."""
     expansion = cotangent_top_expansion(ctx)
     generic = ctx.Pdual.cotangent_chern(ctx.r)
-    if expansion != generic:
-        raise ConsistencyError(
-            "cotangent class expansion disagrees with the generic formula",
-            witness=str(expansion - generic),
-        )
+    require_equal(
+        expansion,
+        generic,
+        "cotangent class expansion disagrees with the generic formula",
+    )
     return ctx.Pdual.pullback(sa[ctx.r] * sb[ctx.r]) * expansion
 
 
@@ -310,11 +291,7 @@ def verify_multiplicativity(ctx: FlopContext, sa: tuple, sb: tuple) -> Report:
 
     def final():
         rhs, a, b, c = terms()
-        diff = a + b + c - rhs
-        if diff:
-            raise ConsistencyError(
-                "multiplicativity cancellation fails", witness=str(diff)
-            )
+        require_equal(a + b + c, rhs, "multiplicativity cancellation fails")
 
     report.run(
         "flop.final_cancellation",
@@ -333,11 +310,11 @@ def verify_foundations(ctx: FlopContext) -> Report:
         for k in range(r + 1):
             via_segre = ctx.E.pushforward_power(k)
             via_reduce = ctx.E.pushforward(ctx.H ** k)
-            if via_segre != via_reduce:
-                raise ConsistencyError(
-                    f"pushforward of H^{k}: Segre and reduction routes disagree",
-                    witness=str(via_segre - via_reduce),
-                )
+            require_equal(
+                via_segre,
+                via_reduce,
+                f"pushforward of H^{k}: Segre and reduction routes disagree",
+            )
         ctx.E.check_push_table(ctx.l - ctx.Pdual.pullback(ctx.F.c(1)))
 
     report.run(
@@ -349,11 +326,7 @@ def verify_foundations(ctx: FlopContext) -> Report:
     def relation_consistency():
         one_shot = ctx.E.element([ctx.Pdual.zero] * (r + 1) + [ctx.Pdual.one])
         stepwise = ctx.H ** r * ctx.H
-        if one_shot != stepwise:
-            raise ConsistencyError(
-                "reducing H^{r+1} two ways disagrees",
-                witness=str(one_shot - stepwise),
-            )
+        require_equal(one_shot, stepwise, "reducing H^{r+1} two ways disagrees")
 
     report.run(
         "foundations.e_relation",
@@ -362,12 +335,11 @@ def verify_foundations(ctx: FlopContext) -> Report:
     )
 
     def quotient_class_push():
-        cw = cw_top(ctx.E)
-        if ctx.E.pushforward(cw) != ctx.Pdual.one:
-            raise ConsistencyError(
-                "top quotient-bundle class does not push forward to 1",
-                witness=str(ctx.E.pushforward(cw) - ctx.Pdual.one),
-            )
+        require_equal(
+            ctx.E.pushforward(cw_top(ctx.E)),
+            ctx.Pdual.one,
+            "top quotient-bundle class does not push forward to 1",
+        )
 
     report.run(
         "foundations.quotient_class_push",
@@ -379,11 +351,9 @@ def verify_foundations(ctx: FlopContext) -> Report:
         for i in range(r + 1):
             closed = ctx.G.c(i)
             tensor = ctx.Pdual.cotangent_twist_via_tensor(i)
-            if closed != tensor:
-                raise ConsistencyError(
-                    f"twisted cotangent Chern class c_{i} routes disagree",
-                    witness=str(closed - tensor),
-                )
+            require_equal(
+                closed, tensor, f"twisted cotangent Chern class c_{i} routes disagree"
+            )
 
     report.run(
         "foundations.twist_chern_routes",
@@ -398,10 +368,7 @@ def verify_foundations(ctx: FlopContext) -> Report:
             acc = acc + sa[k] * ctx.P.pushforward_power(k)
         lhs = ctx.Pdual.pullback(acc)
         rhs = ctx.Pdual.pullback(sa[r])
-        if lhs != rhs:
-            raise ConsistencyError(
-                "fibre-square pushforward identity fails", witness=str(lhs - rhs)
-            )
+        require_equal(lhs, rhs, "fibre-square pushforward identity fails")
 
     report.run(
         "foundations.fibre_square",

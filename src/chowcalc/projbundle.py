@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chern import BundleClass, binomial, dual_bundle, segre_classes, tensor_by_line
-from .errors import ConsistencyError
+from .errors import require_equal
 from .rings import linear_power
 
 
@@ -133,11 +133,9 @@ class ProjBundleRing:
                 expected = self.base.one
             else:
                 expected = top
-            if got != expected:
-                raise ConsistencyError(
-                    f"pushforward table wrong at {self.hyperplane}^{k}",
-                    witness=str(got - expected),
-                )
+            require_equal(
+                got, expected, f"pushforward table wrong at {self.hyperplane}^{k}"
+            )
 
     def h_power_coeffs(self, i: int) -> list:
         """Basis coefficients of h^i, by iterated shift-and-reduce."""
@@ -166,12 +164,9 @@ class ProjBundleRing:
                 row.append(entry - self.bundle.c(r + 1 - j) * prev[r])
             reduced = self.h_power_coeffs(i)
             for j in range(n):
-                if row[j] != reduced[j]:
-                    diff = row[j] - reduced[j]
-                    raise ConsistencyError(
-                        f"tau_{{{i},{j}}} recursion/reduction mismatch",
-                        witness=str(diff),
-                    )
+                require_equal(
+                    row[j], reduced[j], f"tau_{{{i},{j}}} recursion/reduction mismatch"
+                )
             self._tau_rows.append(row)
         return [list(row) for row in self._tau_rows[: i_max + 1]]
 
@@ -348,11 +343,10 @@ class PBElement:
 
 def cw_top(pb: ProjBundleRing) -> PBElement:
     """Top Chern class of the universal quotient W = pullback(N) / O(-1)
-    on P(N), where N is the bundle the projective bundle is built from."""
-    r = pb.rank
-    n_dual = dual_bundle(pb.bundle)
-    coeffs = [n_dual.c(r - 1 - m) * ((-1) ** (r - 1) * (-1) ** m) for m in range(r)]
-    return pb.element(coeffs)
+    on P(N), where N is the bundle the projective bundle is built from.
+
+    W is dual to Omega(1), so c_{r-1}(W) = (-1)^{r-1} c_{r-1}(Omega(1))."""
+    return pb.cotangent_twist_chern(pb.rank - 1) * (-1) ** (pb.rank - 1)
 
 
 # ------------------------------------------------------- binomial identity

@@ -37,9 +37,6 @@ class Report:
     def ok(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
 
-    def add(self, result: CheckResult):
-        self.checks.append(result)
-
     def extend(self, other: "Report", prefix: str = ""):
         """Append the checks of ``other``, each name prefixed by ``prefix``."""
         self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
@@ -58,15 +55,12 @@ class Report:
         except ConsistencyError as exc:
             status = "fail"
             witness = exc.witness or str(exc)
-        except AssertionError as exc:
-            status = "fail"
-            witness = str(exc) or "assertion failed"
         except Exception as exc:
             status = "fail"
             witness = f"{type(exc).__name__}: {exc}"
         millis = (time.perf_counter() - start) * 1000.0
         result = CheckResult(name, anchor, status, witness, millis)
-        self.add(result)
+        self.checks.append(result)
         return result
 
     def to_dict(self, **extra) -> dict:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,7 @@ def test_usage_errors(capsys):
     assert main([]) == 2  # no suite
     assert main(["flop", "--r", "0"]) == 2
     assert main(["flop", "--mode", "bogus"]) == 2
+    assert main(["projbundle", "--dim-bound", "-1"]) == 2
     capsys.readouterr()
 
 
@@ -133,12 +138,24 @@ def test_suite_config_validation():
         SuiteConfig(suite="flop", fmt="yaml")
 
 
-def test_unexpected_exception_becomes_failing_entry():
+def _raise_assertion():
+    raise AssertionError("boom")
+
+
+@pytest.mark.parametrize(
+    "check, witness",
+    [
+        (lambda: 1 / 0, "ZeroDivisionError: division by zero"),
+        (_raise_assertion, "AssertionError: boom"),
+    ],
+    ids=["ZeroDivisionError", "AssertionError"],
+)
+def test_unexpected_exception_becomes_failing_entry(check, witness):
     report = Report()
-    result = report.run("demo.crash", "a check with a bug in it", lambda: 1 / 0)
+    result = report.run("demo.crash", "a check with a bug in it", check)
     assert report.checks == [result]
     assert result.status == "fail"
-    assert result.witness == "ZeroDivisionError: division by zero"
+    assert result.witness == witness
 
 
 def test_crashing_check_gives_failure_exit(monkeypatch):
@@ -152,3 +169,78 @@ def test_crashing_check_gives_failure_exit(monkeypatch):
     assert status == 1
     failed = [(c.name, c.witness) for c in report.checks if c.status == "fail"]
     assert failed == [("r1.flop.t1_identity", "ZeroDivisionError: injected")]
+
+
+def test_route_failure_carries_the_difference(monkeypatch):
+    import chowcalc.blowup as bl_mod
+
+    orig = bl_mod.BlowupRing.push
+
+    def off_by_one(self, a):
+        return orig(self, a) + self.data.ambient.one
+
+    monkeypatch.setattr(bl_mod.BlowupRing, "push", off_by_one)
+    status, report = run_suite(SuiteConfig(suite="blowup"))
+    assert status == 1
+    failed = [(c.name, c.witness) for c in report.checks if c.status == "fail"]
+    assert failed == [("blowup.pull_push_identity", "1")]
+
+
+def test_report_records_case_and_dim_bound(capsys):
+    reports = {}
+    for case in ("linear:3,0", "linear:5,2"):
+        assert main(["blowup", "--case", case, "--format", "json"]) == 0
+        reports[case] = strip_millis(json.loads(capsys.readouterr().out))
+        assert reports[case]["case"] == case
+    assert reports["linear:3,0"] != reports["linear:5,2"]
+    argv = ["projbundle", "--r-max", "1", "--dim-bound", "0", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["dim_bound"] == 0
+
+
+def test_charclass_runs_at_dim_bound_zero(monkeypatch):
+    import chowcalc.cli as cli_mod
+
+    real_ring = cli_mod.GradedRing
+    bounds = []
+
+    def recording_ring(gens, dim_bound=None):
+        bounds.append(dim_bound)
+        return real_ring(gens, dim_bound=dim_bound)
+
+    monkeypatch.setattr(cli_mod, "GradedRing", recording_ring)
+    status, _ = run_suite(SuiteConfig(suite="charclass", dim_bound=0))
+    assert status == 0
+    assert bounds == [0]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["projbundle", "--dim-bound", "-1"],
+        ["flop", "--r", "0"],
+        ["flop", "--trials", "0"],
+        ["blowup", "--case", "linear:4,4"],
+        ["--config", "BAD_CONFIG"],
+    ],
+    ids=["dim-bound", "r", "trials", "case", "config"],
+)
+def test_child_process_usage_error_exits_two(argv, tmp_path):
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_text("this is not a key value pair\n")
+    argv = [str(bad_config) if a == "BAD_CONFIG" else a for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowcalc.cli", *argv],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
