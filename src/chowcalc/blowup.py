@@ -18,7 +18,7 @@ from fractions import Fraction
 from .chern import BundleClass, binomial
 from .errors import ConsistencyError, require_equal
 from .projbundle import PBElement, ProjBundleRing, cw_top
-from .rings import GradedElement, GradedRing, linear_power
+from .rings import GradedElement, GradedRing, RingElement
 
 
 def key_formula_check(bl: "BlowupRing", gamma: GradedElement) -> None:
@@ -116,6 +116,8 @@ class BlowupRing:
         self.E = ProjBundleRing(data.center, data.normal, hyperplane="xi")
         self.xi = self.E.h
         self.cW = cw_top(self.E)  # c_{r-1} of the universal quotient bundle
+        self.zero = self.pull(data.ambient.zero)
+        self.one = self.pull(data.ambient.one)
         if validate_samples:
             embedding_validate(data, validate_samples, seed)
 
@@ -142,7 +144,7 @@ class BlowupRing:
         return a.exceptional
 
     def mul(self, a: "BlowupClass", b: "BlowupClass") -> "BlowupClass":
-        if a.blowup is not self or b.blowup is not self:
+        if a.ring is not self or b.ring is not self:
             raise ValueError("classes belong to a different blow-up")
         restrict_a = self.E.pullback(self.data.pull(a.ambient))
         restrict_b = self.E.pullback(self.data.pull(b.ambient))
@@ -158,42 +160,36 @@ class BlowupRing:
         )
 
 
-@dataclass
-class BlowupClass:
+@dataclass(repr=False)
+class BlowupClass(RingElement):
     """phi^*(ambient) + j_*(exceptional), with eta_*(exceptional) = 0."""
 
-    blowup: BlowupRing
+    ring: BlowupRing
     ambient: GradedElement
     exceptional: PBElement
 
     def __add__(self, other: "BlowupClass") -> "BlowupClass":
-        if other.blowup is not self.blowup:
+        if other.ring is not self.ring:
             raise ValueError("classes belong to a different blow-up")
         return BlowupClass(
-            self.blowup,
+            self.ring,
             self.ambient + other.ambient,
             self.exceptional + other.exceptional,
         )
 
-    def __sub__(self, other: "BlowupClass") -> "BlowupClass":
-        return self + BlowupClass(self.blowup, -other.ambient, -other.exceptional)
-
     def __mul__(self, other: "BlowupClass") -> "BlowupClass":
-        return self.blowup.mul(self, other)
+        return self.ring.mul(self, other)
 
     def __neg__(self) -> "BlowupClass":
-        return BlowupClass(self.blowup, -self.ambient, -self.exceptional)
-
-    def __pow__(self, k: int) -> "BlowupClass":
-        return linear_power(self, k, self.blowup.pull(self.blowup.data.ambient.one))
+        return BlowupClass(self.ring, -self.ambient, -self.exceptional)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlowupClass):
             return NotImplemented
         return self.ambient == other.ambient and self.exceptional == other.exceptional
 
-    def is_zero(self) -> bool:
-        return self.ambient.is_zero() and self.exceptional.is_zero()
+    def __bool__(self) -> bool:
+        return bool(self.ambient) or bool(self.exceptional)
 
     def __str__(self) -> str:
         return f"ambient: {self.ambient}; exceptional: {self.exceptional}"

@@ -80,6 +80,10 @@ class CharClass:
         max_deg = min(self.max_deg, other.max_deg)
         return CharClass(_truncate(self.value + other.value, max_deg), max_deg)
 
+    def __sub__(self, other: "CharClass") -> "CharClass":
+        max_deg = min(self.max_deg, other.max_deg)
+        return CharClass(_truncate(self.value - other.value, max_deg), max_deg)
+
     def __mul__(self, other: "CharClass") -> "CharClass":
         max_deg = min(self.max_deg, other.max_deg)
         return CharClass(_truncate(self.value * other.value, max_deg), max_deg)
@@ -100,17 +104,20 @@ def _truncate(x, max_deg: int):
 # ----------------------------------------------------------- basic calculus
 
 
+def _inverse_unit_series(coeffs: list) -> list:
+    """Inverse of a power series with constant term 1, over any ring."""
+    assert coeffs[0] == 1
+    inv = [coeffs[0]]
+    for m in range(1, len(coeffs)):
+        inv.append(-sum(coeffs[i] * inv[m - i] for i in range(1, m + 1)))
+    return inv
+
+
 def segre_classes(F: BundleClass, k_max: int) -> list:
     """Segre classes s_0..s_{k_max}, inverse of the total Chern class."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    s = [F.ring.one]
-    for k in range(1, k_max + 1):
-        acc = F.ring.zero
-        for i in range(1, k + 1):
-            acc = acc + F.c(i) * s[k - i]
-        s.append(-acc)
-    return s
+    return _inverse_unit_series([F.c(i) for i in range(k_max + 1)])
 
 
 def dual_bundle(F: BundleClass) -> BundleClass:
@@ -170,15 +177,6 @@ def chern_character(F: BundleClass, max_deg: int) -> CharClass:
 
 
 # ----------------------------------------------------------------- genera
-
-
-def _inverse_unit_series(coeffs: list[Fraction]) -> list[Fraction]:
-    """Multiplicative inverse of a power series with constant term 1."""
-    assert coeffs[0] == 1
-    inv = [Fraction(1)]
-    for m in range(1, len(coeffs)):
-        inv.append(-sum(coeffs[i] * inv[m - i] for i in range(1, m + 1)))
-    return inv
 
 
 def todd_series(k_max: int) -> list[Fraction]:
@@ -263,10 +261,9 @@ def todd_class(F: BundleClass, max_deg: int) -> CharClass:
     return CharClass(_truncate(value, max_deg), max_deg)
 
 
-def sqrt_one_series(a: CharClass, max_deg: int | None = None) -> CharClass:
+def sqrt_one_series(a: CharClass) -> CharClass:
     """Unique square root with constant term 1, degree by degree."""
-    if max_deg is None:
-        max_deg = a.max_deg
+    max_deg = a.max_deg
     ring = a.value.ring
     if a.value.grade_component(0) != ring.one:
         raise ValueError("degree-0 part must be 1")

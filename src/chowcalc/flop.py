@@ -75,12 +75,12 @@ class FlopContext:
         sb = self.sigma([self.S.gen(f"b{k}") for k in range(self.r + 1)])
         return sa, sb
 
-    def random_sigma(self, rng, coeff_range=(-9, 9)) -> tuple:
+    def random_sigma(self, rng) -> tuple:
         return self.sigma(
             [
-                self._chern_subring.random_homogeneous(
-                    rng, self.r - k, coeff_range
-                ).substitute(self._chern_images, self.S)
+                self._chern_subring.random_homogeneous(rng, self.r - k).substitute(
+                    self._chern_images, self.S
+                )
                 for k in range(self.r + 1)
             ]
         )

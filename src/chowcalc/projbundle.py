@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .chern import BundleClass, binomial, dual_bundle, segre_classes, tensor_by_line
 from .errors import require_equal
-from .rings import linear_power
+from .rings import RingElement
 
 
 class ProjBundleRing:
@@ -36,12 +36,7 @@ class ProjBundleRing:
         self.one = PBElement(
             self, tuple(base.one if k == 0 else base.zero for k in range(n))
         )
-        if n >= 2:
-            coeffs = [base.zero] * n
-            coeffs[1] = base.one
-            self.h = PBElement(self, tuple(coeffs))
-        else:
-            self.h = self.element([base.zero, base.one])
+        self.h = self.element([base.zero, base.one])
         self._segre: list = [base.one]
         self._tau_rows: list[list] = [
             [base.one if j == 0 else base.zero for j in range(n)]
@@ -64,11 +59,8 @@ class ProjBundleRing:
         coeffs = [a] + [self.base.zero] * (self.rank - 1)
         return PBElement(self, tuple(coeffs))
 
-    def random_element(self, rng, max_degree: int, coeff_range=(-9, 9)) -> "PBElement":
-        coeffs = [
-            self.base.random_element(rng, max_degree, coeff_range)
-            for _ in range(self.rank)
-        ]
+    def random_element(self, rng, max_degree: int) -> "PBElement":
+        coeffs = [self.base.random_element(rng, max_degree) for _ in range(self.rank)]
         return PBElement(self, tuple(coeffs))
 
     def reduce(self, coeffs: Sequence) -> tuple:
@@ -227,7 +219,7 @@ class ProjBundleRing:
         return f"ProjBundleRing(rank={self.rank}, {self.hyperplane}, base={self.base!r})"
 
 
-class PBElement:
+class PBElement(RingElement):
     """Element of CH(P(F)) as a length-n coefficient vector over the base."""
 
     __slots__ = ("ring", "coeffs")
@@ -238,11 +230,8 @@ class PBElement:
 
     # ----------------------------------------------------------- structure
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def grade_component(self, d: int) -> "PBElement":
         coeffs = [c.grade_component(d - k) for k, c in enumerate(self.coeffs)]
@@ -293,18 +282,6 @@ class PBElement:
     def __neg__(self):
         return PBElement(self.ring, tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return PBElement(self.ring, tuple(c * other for c in self.coeffs))
@@ -314,9 +291,6 @@ class PBElement:
         return self.ring.mul(self, coerced)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return linear_power(self, n, self.ring.one)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -336,9 +310,6 @@ class PBElement:
             mono = "1" if k == 0 else (h if k == 1 else f"{h}^{k}")
             parts.append(f"({c}) * {mono}")
         return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"<{self}>"
 
 
 def cw_top(pb: ProjBundleRing) -> PBElement:

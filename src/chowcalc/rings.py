@@ -14,14 +14,36 @@ from typing import Iterable, Iterator, Mapping
 Exponents = tuple[int, ...]
 
 
-def linear_power(x, n: int, one):
-    """x ** n as one * x * ... * x, multiplied left to right."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    result = one
-    for _ in range(n):
-        result = result * x
-    return result
+# Coefficients of sampled elements are drawn uniformly from this range.
+COEFF_RANGE = (-9, 9)
+
+
+class RingElement:
+    """Subtraction, powers, the zero test and repr, derived once from a
+    subclass's ``ring.one``, ``+``, unary ``-``, ``*``, ``bool`` and ``str``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, n: int):
+        """self ** n as one * self * ... * self, multiplied left to right."""
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = self.ring.one
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def is_zero(self) -> bool:
+        return not self
+
+    def __repr__(self) -> str:
+        return f"<{self}>"
 
 
 class GradedRing:
@@ -120,14 +142,12 @@ class GradedRing:
         for k in range(d + 1):
             yield from self.monomials_of_degree(k)
 
-    def random_homogeneous(self, rng, degree: int, coeff_range=(-9, 9)) -> "GradedElement":
-        lo, hi = coeff_range
-        terms = {m: Fraction(rng.randint(lo, hi)) for m in self.monomials_of_degree(degree)}
+    def random_homogeneous(self, rng, degree: int) -> "GradedElement":
+        terms = {m: Fraction(rng.randint(*COEFF_RANGE)) for m in self.monomials_of_degree(degree)}
         return self._canonical(terms)
 
-    def random_element(self, rng, max_degree: int, coeff_range=(-9, 9)) -> "GradedElement":
-        lo, hi = coeff_range
-        terms = {m: Fraction(rng.randint(lo, hi)) for m in self.monomials_up_to(max_degree)}
+    def random_element(self, rng, max_degree: int) -> "GradedElement":
+        terms = {m: Fraction(rng.randint(*COEFF_RANGE)) for m in self.monomials_up_to(max_degree)}
         return self._canonical(terms)
 
     # ------------------------------------------------------------- parsing
@@ -174,7 +194,7 @@ def _parse_coefficient(token: str) -> Fraction:
         raise ValueError(f"bad coefficient {token!r}") from None
 
 
-class GradedElement:
+class GradedElement(RingElement):
     """An element of a :class:`GradedRing` in canonical form."""
 
     __slots__ = ("ring", "terms")
@@ -184,9 +204,6 @@ class GradedElement:
         self.terms = terms
 
     # ----------------------------------------------------------- structure
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -239,18 +256,6 @@ class GradedElement:
     def __neg__(self):
         return GradedElement(self.ring, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
@@ -273,9 +278,6 @@ class GradedElement:
         return ring._canonical(terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return linear_power(self, n, self.ring.one)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -343,6 +345,3 @@ class GradedElement:
             else:
                 parts.append(str(coeff))
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"<{self}>"

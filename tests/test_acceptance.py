@@ -7,8 +7,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 import chowcalc.chern as chern_mod
 import chowcalc.flop as flop_mod
 import chowcalc.projbundle as pb_mod

@@ -186,6 +186,22 @@ def test_route_failure_carries_the_difference(monkeypatch):
     assert failed == [("blowup.pull_push_identity", "1")]
 
 
+def test_charclass_failure_carries_the_difference(monkeypatch):
+    import chowcalc.chern as chern_mod
+
+    orig = chern_mod.chern_character
+
+    def plus_one_on_rank_five(F, max_deg):
+        ch = orig(F, max_deg)
+        return ch + chern_mod.CharClass(F.ring.one, max_deg) if F.rank == 5 else ch
+
+    monkeypatch.setattr(chern_mod, "chern_character", plus_one_on_rank_five)
+    status, report = run_suite(SuiteConfig(suite="charclass"))
+    assert status == 1
+    failed = [(c.name, c.witness) for c in report.checks if c.status == "fail"]
+    assert failed == [("charclass.ch_additive", "CharClass(value=<1>, max_deg=6)")]
+
+
 def test_report_records_case_and_dim_bound(capsys):
     reports = {}
     for case in ("linear:3,0", "linear:5,2"):
@@ -225,13 +241,15 @@ ROOT = Path(__file__).resolve().parent.parent
         ["flop", "--trials", "0"],
         ["blowup", "--case", "linear:4,4"],
         ["--config", "BAD_CONFIG"],
+        ["binomial", "--r-max", "1", "--out", "TMP_DIR"],
     ],
-    ids=["dim-bound", "r", "trials", "case", "config"],
+    ids=["dim-bound", "r", "trials", "case", "config", "out"],
 )
 def test_child_process_usage_error_exits_two(argv, tmp_path):
     bad_config = tmp_path / "bad.cfg"
     bad_config.write_text("this is not a key value pair\n")
     argv = [str(bad_config) if a == "BAD_CONFIG" else a for a in argv]
+    argv = [str(tmp_path) if a == "TMP_DIR" else a for a in argv]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "chowcalc.cli", *argv],

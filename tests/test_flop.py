@@ -3,7 +3,6 @@ import random
 import pytest
 
 from chowcalc import (
-    ConsistencyError,
     FlopContext,
     ProjBundleRing,
     sigma_top_product,

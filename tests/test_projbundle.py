@@ -5,9 +5,7 @@ import pytest
 
 from chowcalc import (
     BundleClass,
-    ConsistencyError,
     GradedRing,
-    PBElement,
     ProjBundleRing,
     binomial_identity_check,
     binomial_identity_sum,

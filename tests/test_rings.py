@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from chowcalc import ConsistencyError, GradedElement, GradedRing
+from chowcalc import (
+    BlowupRing,
+    BundleClass,
+    ConsistencyError,
+    GradedRing,
+    ProjBundleRing,
+    linear_blowup,
+)
 
 
 @pytest.fixture
@@ -159,3 +166,45 @@ def test_monomials_of_degree():
 def test_consistency_error_carries_witness():
     err = ConsistencyError("boom", witness="2*x")
     assert err.witness == "2*x"
+
+
+def _graded_element():
+    R = GradedRing([("x", 1), ("y", 2)], dim_bound=6)
+    return R, R.gen("x") + R.gen("y") * 2 - 1
+
+
+def _projbundle_element():
+    S = GradedRing([("c1", 1), ("c2", 2)], dim_bound=4)
+    P = ProjBundleRing(S, BundleClass(S, 2, [S.gen("c1"), S.gen("c2")]))
+    return P, P.h + S.gen("c1") - 3
+
+
+def _blowup_class():
+    bl = BlowupRing(linear_blowup(4, 1))
+    return bl, bl.pull(bl.data.ambient.gen("t")) + bl.exc_push(bl.xi)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_graded_element, _projbundle_element, _blowup_class],
+    ids=["graded", "projbundle", "blowup"],
+)
+def test_derived_operators(make):
+    ring, x = make()
+    assert x and not x.is_zero()
+    assert ring.one and not ring.zero
+    assert x ** 3 == x * x * x
+    assert x ** 0 == ring.one
+    with pytest.raises(ValueError):
+        x ** -1
+    assert (x - x).is_zero()
+    assert not (x - x)
+
+
+@pytest.mark.parametrize(
+    "make", [_graded_element, _projbundle_element], ids=["graded", "projbundle"]
+)
+def test_reflected_subtraction(make):
+    ring, x = make()
+    assert 3 - x == -(x - 3)
+    assert (3 - x) + x == ring.one * 3
