@@ -168,23 +168,41 @@ class BlowupClass(RingElement):
     ambient: GradedElement
     exceptional: PBElement
 
-    def __add__(self, other: "BlowupClass") -> "BlowupClass":
-        if other.ring is not self.ring:
-            raise ValueError("classes belong to a different blow-up")
+    def _coerce(self, other) -> "BlowupClass | None":
+        if isinstance(other, BlowupClass):
+            if other.ring is not self.ring:
+                raise ValueError("classes belong to a different blow-up")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.ring.pull(self.ring.data.ambient.scalar(other))
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return BlowupClass(
             self.ring,
             self.ambient + other.ambient,
             self.exceptional + other.exceptional,
         )
 
-    def __mul__(self, other: "BlowupClass") -> "BlowupClass":
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self.ring.mul(self, other)
+
+    __rmul__ = __mul__
 
     def __neg__(self) -> "BlowupClass":
         return BlowupClass(self.ring, -self.ambient, -self.exceptional)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, BlowupClass):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self.ambient == other.ambient and self.exceptional == other.exceptional
 

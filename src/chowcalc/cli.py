@@ -2,18 +2,23 @@
 
 Usage examples::
 
-    chow-verify flop --r 2 --mode formal
+    chow-verify flop --r 2
     chow-verify binomial --r-max 12
     chow-verify blowup --case linear:4,1
     chow-verify all --format json --out report.json
 
+``--r N`` runs rank N alone and ``--r-max N`` runs ranks 1..N, in every
+suite; giving both is a usage error.
+
 Exit status 0 if every check passed, 1 on any failure, 2 on usage errors
-(a report that cannot be written to ``--out`` is one).
+(an ``--out`` path that cannot be opened for writing is one, found before
+any check runs).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import random
 import sys
@@ -38,7 +43,6 @@ class SuiteConfig:
     suite: str
     r: int | None = None
     r_max: int | None = None
-    mode: str = "formal"
     trials: int = 5
     seed: int = 0
     dim_bound: int | None = None
@@ -49,14 +53,14 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
-        if self.mode not in ("formal", "numeric"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.fmt not in ("text", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.r is not None and self.r < 1:
             raise ValueError("--r must be >= 1")
         if self.r_max is not None and self.r_max < 1:
             raise ValueError("--r-max must be >= 1")
+        if self.r is not None and self.r_max is not None:
+            raise ValueError("--r and --r-max are mutually exclusive")
         if self.trials < 1:
             raise ValueError("--trials must be >= 1")
         if self.dim_bound is not None and self.dim_bound < 0:
@@ -65,6 +69,13 @@ class SuiteConfig:
 
 
 # ------------------------------------------------------------------ suites
+
+
+def _ranks(cfg: SuiteConfig, default: int) -> range:
+    """Rank --r alone, else ranks 1..--r-max (1..default when neither is set)."""
+    if cfg.r is not None:
+        return range(cfg.r, cfg.r + 1)
+    return range(1, (cfg.r_max or default) + 1)
 
 
 def _generic_tower(r: int, dim_bound: int | None) -> ProjBundleRing:
@@ -76,9 +87,7 @@ def _generic_tower(r: int, dim_bound: int | None) -> ProjBundleRing:
 
 def suite_binomial(cfg: SuiteConfig) -> Report:
     report = Report()
-    r_max = cfg.r_max or cfg.r or 12
-
-    for r in range(1, r_max + 1):
+    for r in _ranks(cfg, 12):
 
         def check(r=r):
             ok, failures = binomial_identity_check(r)
@@ -97,8 +106,7 @@ def suite_binomial(cfg: SuiteConfig) -> Report:
 
 def suite_projbundle(cfg: SuiteConfig) -> Report:
     report = Report()
-    r_max = cfg.r_max or cfg.r or 5
-    for r in range(1, r_max + 1):
+    for r in _ranks(cfg, 5):
         P = _generic_tower(r, cfg.dim_bound)
 
         def push_table(P=P):
@@ -302,24 +310,11 @@ def suite_charclass(cfg: SuiteConfig) -> Report:
 
 def suite_flop(cfg: SuiteConfig) -> Report:
     report = Report()
-    if cfg.r is not None:
-        ranks = [cfg.r]
-    else:
-        ranks = list(range(1, (cfg.r_max or 3) + 1))
-    for r in ranks:
+    for r in _ranks(cfg, 3):
         ctx = flop.FlopContext(r)
         report.extend(flop.verify_foundations(ctx), prefix=f"r{r}.")
-        if cfg.mode == "formal":
-            sa, sb = ctx.formal_sigmas()
-            sub = flop.verify_multiplicativity(ctx, sa, sb)
-            report.extend(sub, prefix=f"r{r}.")
-        else:
-            rng = random.Random(cfg.seed)
-            for t in range(cfg.trials):
-                sa = ctx.random_sigma(rng)
-                sb = ctx.random_sigma(rng)
-                sub = flop.verify_multiplicativity(ctx, sa, sb)
-                report.extend(sub, prefix=f"r{r}.trial{t}.")
+        sub = flop.verify_multiplicativity(ctx, *ctx.formal_sigmas())
+        report.extend(sub, prefix=f"r{r}.")
     return report
 
 
@@ -369,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--suite", choices=SUITES)
     parser.add_argument("--r", type=int)
     parser.add_argument("--r-max", type=int, dest="r_max")
-    parser.add_argument("--mode", choices=("formal", "numeric"))
     parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--dim-bound", type=int, dest="dim_bound")
@@ -415,27 +409,24 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         cfg = parse_config(argv)
+        # opened before the run, so an unwritable path costs no checks
+        sink = open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout)
     except SystemExit as exc:  # argparse's own usage handling
         return USAGE_EXIT if exc.code else 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    status, report = run_suite(cfg)
-    if cfg.fmt == "json":
-        keys = ("suite", "seed", "mode", "trials", "case", "dim_bound")
-        meta = {k: getattr(cfg, k) for k in keys}  # case, dim_bound only when set
-        text = report.to_json(**{k: v for k, v in meta.items() if v is not None})
-    else:
-        text = report.to_text()
-    if cfg.out:
-        try:
-            with open(cfg.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_EXIT
-    else:
-        print(text)
+    with sink as fh:
+        status, report = run_suite(cfg)
+        if cfg.fmt == "json":
+            keys = ("suite", "seed", "trials", "case", "dim_bound")
+            # case and dim_bound only when set
+            meta = {k: getattr(cfg, k) for k in keys if getattr(cfg, k) is not None}
+            # "mode" stays in the schema: the flop suite has one, formal, path
+            text = report.to_json(mode="formal", **meta)
+        else:
+            text = report.to_text()
+        fh.write(text + "\n")
     return status
 
 

@@ -32,16 +32,12 @@ class FlopContext:
     def __init__(self, r: int):
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
-        chern_gens = [(f"c{i}", i) for i in range(1, r + 2)]
-        gens = list(chern_gens)
-        for k in range(r + 1):
-            gens.append((f"a{k}", r - k))
-        for k in range(r + 1):
-            gens.append((f"b{k}", r - k))
+        gens = [(f"c{i}", i) for i in range(1, r + 2)]
+        gens += [(f"{s}{k}", r - k) for s in "ab" for k in range(r + 1)]
         S = GradedRing(gens)
         self.r = r
         self.S = S
-        chern = [S.gen(name) for name, _ in chern_gens]
+        chern = [S.gen(f"c{i}") for i in range(1, r + 2)]
         self.F = BundleClass(S, r + 1, chern)  # homogeneity validated here
         self.P = ProjBundleRing(S, self.F, hyperplane="h")
         self.Pdual = ProjBundleRing(S, dual_bundle(self.F), hyperplane="l")
@@ -55,10 +51,6 @@ class FlopContext:
         self.G = BundleClass(self.Pdual, r, g_chern)
         self.E = ProjBundleRing(self.Pdual, self.G, hyperplane="H")
         self.H = self.E.h
-        # random sigmas are drawn in the Chern subring: the sigma generators
-        # of the formal base include degree-0 ones, which cannot be enumerated
-        self._chern_subring = GradedRing(chern_gens)
-        self._chern_images = {name: c for (name, _), c in zip(chern_gens, chern)}
 
     # ------------------------------------------------------------- helpers
 
@@ -74,16 +66,6 @@ class FlopContext:
         sa = self.sigma([self.S.gen(f"a{k}") for k in range(self.r + 1)])
         sb = self.sigma([self.S.gen(f"b{k}") for k in range(self.r + 1)])
         return sa, sb
-
-    def random_sigma(self, rng) -> tuple:
-        return self.sigma(
-            [
-                self._chern_subring.random_homogeneous(rng, self.r - k).substitute(
-                    self._chern_images, self.S
-                )
-                for k in range(self.r + 1)
-            ]
-        )
 
 
 # --------------------------------------------------------------- operations
@@ -273,12 +255,6 @@ def verify_multiplicativity(ctx: FlopContext, sa: tuple, sb: tuple) -> Report:
     )
 
     def homogeneity():
-        if not all(
-            v.is_homogeneous(ctx.r - k) or v.is_zero()
-            for vec in (sa, sb)
-            for k, v in enumerate(vec)
-        ):
-            return  # ungraded stress mode: nothing to assert
         for key, value in zip(keys, terms()):
             if not (value.is_homogeneous(ctx.r) or value.is_zero()):
                 raise ConsistencyError(f"term {key} is not homogeneous of degree r")

@@ -237,23 +237,10 @@ class PBElement(RingElement):
         coeffs = [c.grade_component(d - k) for k, c in enumerate(self.coeffs)]
         return PBElement(self.ring, tuple(coeffs))
 
-    def is_homogeneous(self, d: int | None = None) -> bool:
-        if d is None:
-            degs = {
-                k + dd
-                for k, c in enumerate(self.coeffs)
-                for dd in range(c.degree() + 1)
-                if c.grade_component(dd)
-            }
-            return len(degs) <= 1
+    def is_homogeneous(self, d: int) -> bool:
         return all(
             c.is_homogeneous(d - k) or c.is_zero()
             for k, c in enumerate(self.coeffs)
-        )
-
-    def degree(self) -> int:
-        return max(
-            (k + c.degree() for k, c in enumerate(self.coeffs) if c), default=0
         )
 
     # ---------------------------------------------------------- arithmetic
@@ -297,9 +284,6 @@ class PBElement(RingElement):
         if other is None:
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((id(self.ring), self.coeffs))
 
     def __str__(self) -> str:
         h = self.ring.hyperplane

@@ -286,9 +286,6 @@ class GradedElement(RingElement):
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((id(self.ring), frozenset(self.terms.items())))
-
     # -------------------------------------------------------- substitution
 
     def substitute(self, images: Mapping[str, object], target) -> object:

@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from chowcalc import cli
 from chowcalc.cli import SuiteConfig, main, parse_config, run_suite
 from chowcalc.report import Report
 
@@ -35,7 +37,7 @@ def test_positional_and_flag_suite_agree():
 def test_usage_errors(capsys):
     assert main([]) == 2  # no suite
     assert main(["flop", "--r", "0"]) == 2
-    assert main(["flop", "--mode", "bogus"]) == 2
+    assert main(["flop", "--mode", "numeric"]) == 2
     assert main(["projbundle", "--dim-bound", "-1"]) == 2
     capsys.readouterr()
 
@@ -81,14 +83,16 @@ def test_json_deterministic_given_seed(capsys):
     assert strip_millis(first) == strip_millis(second)
 
 
-def test_numeric_mode_runs_trials(capsys):
-    assert main(
-        ["flop", "--r", "2", "--mode", "numeric", "--trials", "2",
-         "--seed", "3", "--format", "json"]
-    ) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["seed"] == 3  # seed echoed for reproducibility
-    assert any("trial1" in c["name"] for c in report["checks"])
+@pytest.mark.parametrize("suite", ["binomial", "projbundle", "flop"])
+def test_r_runs_one_rank_and_r_max_runs_one_to_n(suite):
+    def ranks(**kw):
+        _, report = run_suite(SuiteConfig(suite=suite, **kw))
+        return {re.search(r"r(\d+)", c.name).group(1) for c in report.checks}
+
+    assert ranks(r=2) == {"2"}
+    assert ranks(r_max=2) == {"1", "2"}
+    with pytest.raises(ValueError, match="--r and --r-max"):
+        SuiteConfig(suite=suite, r=2, r_max=3)
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
@@ -105,6 +109,15 @@ def test_config_file_rejects_bad_lines(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("this is not a key value pair\n")
     assert main(["--config", str(cfg_file)]) == 2
+
+
+def test_unwritable_out_exits_before_any_check(tmp_path, monkeypatch, capsys):
+    def no_run(cfg):
+        raise AssertionError("the suite ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    assert main(["binomial", "--r-max", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_out_file(tmp_path):
@@ -242,8 +255,9 @@ ROOT = Path(__file__).resolve().parent.parent
         ["blowup", "--case", "linear:4,4"],
         ["--config", "BAD_CONFIG"],
         ["binomial", "--r-max", "1", "--out", "TMP_DIR"],
+        ["flop", "--r", "2", "--r-max", "3"],
     ],
-    ids=["dim-bound", "r", "trials", "case", "config", "out"],
+    ids=["dim-bound", "r", "trials", "case", "config", "out", "r-and-r-max"],
 )
 def test_child_process_usage_error_exits_two(argv, tmp_path):
     bad_config = tmp_path / "bad.cfg"

@@ -1,9 +1,12 @@
-import random
+import functools
+import re
 
 import pytest
 
 from chowcalc import (
     FlopContext,
+    GradedRing,
+    PBElement,
     ProjBundleRing,
     sigma_top_product,
     term_A,
@@ -13,6 +16,13 @@ from chowcalc import (
     verify_multiplicativity,
 )
 from chowcalc.flop import help_sum_check, t1_check
+from chowcalc.rings import COEFF_RANGE
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # without hypothesis only the property test is left out
+    st = None
 
 
 def test_context_validation():
@@ -107,14 +117,70 @@ def test_verify_multiplicativity_report():
     assert all(c.anchor for c in report.checks)
 
 
-def test_verify_multiplicativity_numeric_sigmas():
-    ctx = FlopContext(3)
-    rng = random.Random(42)
-    for _ in range(3):
-        sa = ctx.random_sigma(rng)
-        sb = ctx.random_sigma(rng)
+TERMS = (sigma_top_product, term_A, term_B, term_C)
+
+
+@functools.cache
+def _formal_setup(r: int):
+    """One context per r, its Chern monomials by degree, and the formal terms."""
+    ctx = FlopContext(r)
+    chern = GradedRing([(f"c{i}", i) for i in range(1, r + 2)])
+    images = {f"c{i}": ctx.F.c(i) for i in range(1, r + 2)}
+    monomials = [
+        [chern.element({m: 1}).substitute(images, ctx.S)
+         for m in chern.monomials_of_degree(d)]
+        for d in range(r + 1)
+    ]
+    formal = [term(ctx, *ctx.formal_sigmas()) for term in TERMS]
+    return ctx, monomials, formal
+
+
+def _specialise(ctx, value, sa, sb):
+    """The formal class ``value`` with a_k -> sa[k] and b_k -> sb[k]."""
+    images = {f"c{i}": ctx.F.c(i) for i in range(1, ctx.r + 2)}
+    for k in range(ctx.r + 1):
+        images[f"a{k}"], images[f"b{k}"] = sa[k], sb[k]
+    coeffs = tuple(c.substitute(images, ctx.S) for c in value.coeffs)
+    return PBElement(ctx.Pdual, coeffs)
+
+
+if st is not None:
+
+    @settings(max_examples=25)
+    @given(r=st.sampled_from([1, 2, 3]), data=st.data())
+    def test_specialisation_commutes_with_every_route(r, data):
+        # every route is built from ring operations alone, so a numeric sigma
+        # (a graded substitution of the formal one) must pass and give the
+        # substituted formal terms
+        ctx, monomials, formal = _formal_setup(r)
+
+        def draw_sigma():
+            values = []
+            for k in range(r + 1):
+                basis = monomials[r - k]
+                coeffs = data.draw(
+                    st.lists(st.integers(*COEFF_RANGE),
+                             min_size=len(basis), max_size=len(basis))
+                )
+                values.append(sum((m * c for m, c in zip(basis, coeffs)), ctx.S.zero))
+            return ctx.sigma(values)
+
+        sa, sb = draw_sigma(), draw_sigma()
         report = verify_multiplicativity(ctx, sa, sb)
         assert report.ok, report.to_text()
+        for term, value in zip(TERMS, formal):
+            assert term(ctx, sa, sb) == _specialise(ctx, value, sa, sb), term.__name__
+
+
+def test_homogeneity_fails_on_ungraded_sigma():
+    ctx = FlopContext(2)
+    _, sb = ctx.formal_sigmas()
+    report = verify_multiplicativity(ctx, ctx.sigma([1, 1, 1]), sb)
+    failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
+    assert set(failed) == {"flop.homogeneity"}
+    assert re.fullmatch(
+        r"term (rhs|A|B|C) is not homogeneous of degree r", failed["flop.homogeneity"]
+    )
 
 
 def test_verify_foundations():

@@ -168,7 +168,7 @@ def test_grade_component_and_homogeneity():
     x = P.pullback(P.bundle.c(2)) + P.h
     assert x.grade_component(1) == P.h
     assert x.grade_component(2) == P.pullback(P.bundle.c(2))
-    assert not x.is_homogeneous()
+    assert not any(x.is_homogeneous(d) for d in range(4))
     assert (P.h * P.h).is_homogeneous(2)
 
 

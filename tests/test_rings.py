@@ -202,9 +202,12 @@ def test_derived_operators(make):
 
 
 @pytest.mark.parametrize(
-    "make", [_graded_element, _projbundle_element], ids=["graded", "projbundle"]
+    "make",
+    [_graded_element, _projbundle_element, _blowup_class],
+    ids=["graded", "projbundle", "blowup"],
 )
 def test_reflected_subtraction(make):
     ring, x = make()
     assert 3 - x == -(x - 3)
     assert (3 - x) + x == ring.one * 3
+    assert 2 * x == x + x
