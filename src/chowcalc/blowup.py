@@ -282,6 +282,11 @@ def load_embedding(text: str) -> EmbeddingData:
         if len(mono.terms) != 1 or next(iter(mono.terms.values())) != 1:
             raise ValueError(f"push key must be a single monomial: {mono_str!r}")
         push_table[next(iter(mono.terms))] = ambient.parse(value)
+    if center.dim_bound is not None:
+        wanted = center.monomials_up_to(center.dim_bound)
+        missing = [center.monomial_str(m) for m in wanted if m not in push_table]
+        if missing:
+            raise ValueError(f"[push] has no entry for center monomials {missing}")
     rank = int(entry("normal", "rank"))
     chern = [center.parse(entry("normal", f"c{i}")) for i in range(1, rank + 1)]
     return EmbeddingData(

@@ -3,15 +3,15 @@
 A bundle is its rank plus the list c_1..c_rank of Chern classes living in
 some ring; everything here (Segre classes, duals, line-bundle twists, Chern
 character, Todd class, series square roots, Mukai vectors) is computed
-exactly from those classes.  The functions are generic over the coefficient
-ring: any ring handle exposing ``zero``/``one`` whose elements support
-``+``, ``-``, ``*`` and ``grade_component`` works, so they apply equally to
-free graded rings and to projective-bundle Chow rings.
+exactly from those classes.  The Chern character and the Todd class both go
+through the Newton power sums of the Chern roots.  The functions are generic
+over the coefficient ring: any ring handle exposing ``zero``/``one`` whose
+elements support ``+``, ``-``, ``*`` and ``grade_component`` works, so they
+apply equally to free graded rings and to projective-bundle Chow rings.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,6 +113,16 @@ def _inverse_unit_series(coeffs: list) -> list:
     return inv
 
 
+def _log_unit_series(coeffs: list[Fraction]) -> list[Fraction]:
+    """Logarithm g of a rational power series f with f_0 = 1 (so g_0 = 0)."""
+    assert coeffs[0] == 1
+    log = [Fraction(0)]
+    for m in range(1, len(coeffs)):
+        acc = sum(i * log[i] * coeffs[m - i] for i in range(1, m))
+        log.append(coeffs[m] - Fraction(acc, m))
+    return log
+
+
 def segre_classes(F: BundleClass, k_max: int) -> list:
     """Segre classes s_0..s_{k_max}, inverse of the total Chern class."""
     if k_max < 0:
@@ -186,60 +196,24 @@ def todd_series(k_max: int) -> list[Fraction]:
     return _inverse_unit_series(g)
 
 
-def _symmetric_to_elementary(ring: GradedRing, poly, d: int, elementary: list):
-    """Rewrite a homogeneous symmetric polynomial in terms of e_1..e_d.
-
-    Standard leading-term elimination: the lex-leading exponent vector of a
-    symmetric polynomial is non-increasing and determines a unique product
-    of elementary symmetric polynomials with the same lead.
-    """
-    out = []
-    p = poly
-    while p.terms:
-        lead = max(p.terms)
-        coeff = p.terms[lead]
-        mults = tuple(
-            lead[i] - (lead[i + 1] if i + 1 < d else 0) for i in range(d)
-        )
-        out.append((mults, coeff))
-        q = ring.one * coeff
-        for i, m in enumerate(mults):
-            if m:
-                q = q * elementary[i] ** m
-        p = p - q
-    return out
-
-
 @lru_cache(maxsize=None)
 def todd_universal(d: int) -> tuple:
-    """Degree-d Todd polynomial as (e-exponents, coefficient) pairs.
+    """Degree-d Todd polynomial as (exponents over c_1..c_d, coefficient) pairs.
 
-    Computed by the formal-roots method: adjoin d degree-1 roots, expand the
-    genus series over each root, take the degree-d part and re-express it in
-    the elementary symmetric polynomials of the roots.
+    The Todd genus is multiplicative, so log td(F) = sum_k g_k p_k(F) with
+    g = log(t / (1 - e^{-t})) and p_k the power sums of the Chern roots
+    (Hirzebruch, *Topological Methods in Algebraic Geometry*, §1).  Over
+    Q[c_1..c_d], c_i of degree i, exponentiating degree by degree gives
+    td_0 = 1 and m td_m = sum_{k=1}^{m} k g_k p_k td_{m-k}.
     """
-    ring = GradedRing([(f"x{i}", 1) for i in range(d)], dim_bound=d)
-    roots = ring.gens()
-    q = todd_series(d)
-    total = ring.one
-    for x in roots:
-        factor = ring.zero
-        xp = ring.one
-        for m in range(d + 1):
-            factor = factor + xp * q[m]
-            xp = xp * x
-        total = total * factor
-    component = total.grade_component(d)
-    elementary = []
-    for k in range(1, d + 1):
-        ek = ring.zero
-        for subset in itertools.combinations(range(d), k):
-            term = ring.one
-            for i in subset:
-                term = term * roots[i]
-            ek = ek + term
-        elementary.append(ek)
-    return tuple(_symmetric_to_elementary(ring, component, d, elementary))
+    ring = GradedRing([(f"c{i}", i) for i in range(1, d + 1)], dim_bound=d)
+    p = power_sums(BundleClass(ring, d, [ring.gen(n) for n in ring.generator_names]), d)
+    g = _log_unit_series(todd_series(d))
+    td = [ring.one]
+    for m in range(1, d + 1):
+        terms = (p[k] * td[m - k] * (k * g[k]) for k in range(1, m + 1))
+        td.append(sum(terms, ring.zero) * Fraction(1, m))
+    return tuple(td[d].terms.items())
 
 
 def todd_class(F: BundleClass, max_deg: int) -> CharClass:

@@ -80,9 +80,6 @@ class GradedRing:
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
         return self._canonical({exps: Fraction(1)})
 
-    def gens(self) -> list["GradedElement"]:
-        return [self.gen(name) for name in self.generator_names]
-
     def scalar(self, c) -> "GradedElement":
         c = Fraction(c)
         if c == 0:
@@ -100,6 +97,12 @@ class GradedRing:
             if coeff:
                 out[exps] = out.get(exps, Fraction(0)) + coeff
         return self._canonical(out)
+
+    def monomial_str(self, exps: Exponents) -> str:
+        """A monomial as ``str`` writes it, with ``"1"`` for the constant one."""
+        names = self.generator_names
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e]
+        return "*".join(factors) or "1"
 
     def monomial_degree(self, exps: Exponents) -> int:
         return sum(e * d for e, d in zip(exps, self.degrees))
@@ -328,17 +331,8 @@ class GradedElement(RingElement):
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        names = self.ring.generator_names
         parts = []
         for exps, coeff in self._sorted_terms():
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if factors:
-                parts.append(f"{coeff} * " + "*".join(factors))
-            else:
-                parts.append(str(coeff))
+            mono = self.ring.monomial_str(exps)
+            parts.append(str(coeff) if mono == "1" else f"{coeff} * {mono}")
         return " + ".join(parts)

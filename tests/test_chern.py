@@ -19,7 +19,7 @@ from chowcalc import (
     todd_class,
     whitney_sum,
 )
-from chowcalc.chern import todd_series
+from chowcalc.chern import todd_series, todd_universal
 
 
 @pytest.fixture
@@ -157,6 +157,34 @@ def test_todd_low_degree_formulas(bundle):
     assert td.component(1) == c1 * Fraction(1, 2)
     assert td.component(2) == (c1 * c1 + c2) * Fraction(1, 12)
     assert td.component(3) == c1 * c2 * Fraction(1, 24)
+
+
+def test_todd_universal_contract():
+    # Pairs keyed by exponent tuples over (c1, c2, c3, c4), cached by lru_cache.
+    assert callable(todd_universal.cache_clear)
+    assert dict(todd_universal(4)) == {
+        (4, 0, 0, 0): Fraction(-1, 720),
+        (2, 1, 0, 0): Fraction(4, 720),
+        (0, 2, 0, 0): Fraction(3, 720),
+        (1, 0, 1, 0): Fraction(1, 720),
+        (0, 0, 0, 1): Fraction(-1, 720),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hirzebruch_riemann_roch_on_projective_space(n):
+    # chi(P^n, O(k)) = C(n + k, n) = integral of e^{kH} td(T_{P^n}), where
+    # c(T) = (1 + H)^{n+1}; e^{kH} is summed directly, not through ch.
+    ring = GradedRing([("H", 1)], dim_bound=n)
+    H = ring.gen("H")
+    T = BundleClass(ring, n, [H ** i * binomial(n + 1, i) for i in range(1, n + 1)])
+    td = todd_class(T, n).value
+    for k in range(-1, 4):
+        exp_kH = ring.zero
+        for j in range(n + 1):
+            exp_kH = exp_kH + H ** j * Fraction(k ** j, math.factorial(j))
+        top = (exp_kH * td).grade_component(n)
+        assert top == H ** n * binomial(n + k, n)
 
 
 def test_todd_of_line_bundle_matches_series(ring):
