@@ -123,6 +123,9 @@ class BlowupRing:
 
     # ------------------------------------------------------------- classes
 
+    def scalar(self, c) -> "BlowupClass":
+        return self.pull(self.data.ambient.scalar(c))
+
     def pull(self, alpha: GradedElement) -> "BlowupClass":
         """phi^*: ambient part alpha, no exceptional part."""
         return BlowupClass(self, alpha, self.E.zero)
@@ -168,15 +171,6 @@ class BlowupClass(RingElement):
     ambient: GradedElement
     exceptional: PBElement
 
-    def _coerce(self, other) -> "BlowupClass | None":
-        if isinstance(other, BlowupClass):
-            if other.ring is not self.ring:
-                raise ValueError("classes belong to a different blow-up")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.pull(self.ring.data.ambient.scalar(other))
-        return None
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -220,7 +214,8 @@ def load_embedding(text: str) -> EmbeddingData:
     """Parse an embedding from a declarative description.
 
     Sections ``[ambient]``, ``[center]``, ``[pull]``, ``[push]``, ``[normal]``.
-    Ring sections take ``generators: name:deg, ...`` and ``dim_bound: k``;
+    Ring sections take ``generators: name:deg, ...`` and ``dim_bound: k``
+    (required for the center: push must cover every center monomial);
     pull maps ambient generators to center expressions; push maps center
     monomials to ambient expressions; normal takes ``rank`` and ``c1``..``cr``.
     Lines starting with ``#`` are ignored.
@@ -256,18 +251,17 @@ def load_embedding(text: str) -> EmbeddingData:
             raise ValueError(f"section [{name}] has no {key!r} entry")
         return entries[key]
 
-    def build_ring(name: str) -> GradedRing:
+    def build_ring(name: str, bound: str | None) -> GradedRing:
         gens = []
         for part in entry(name, "generators").split(","):
             gname, sep, deg = part.partition(":")
             if not sep:
                 raise ValueError(f"generator {part.strip()!r} is not name:degree")
             gens.append((gname.strip(), int(deg)))
-        bound = dict(section(name)).get("dim_bound")
         return GradedRing(gens, dim_bound=None if bound is None else int(bound))
 
-    ambient = build_ring("ambient")
-    center = build_ring("center")
+    ambient = build_ring("ambient", dict(section("ambient")).get("dim_bound"))
+    center = build_ring("center", entry("center", "dim_bound"))
     pull_images = {k: center.parse(v) for k, v in section("pull")}
     unknown = sorted(set(pull_images) - set(ambient.generator_names))
     missing = [g for g in ambient.generator_names if g not in pull_images]
@@ -282,11 +276,10 @@ def load_embedding(text: str) -> EmbeddingData:
         if len(mono.terms) != 1 or next(iter(mono.terms.values())) != 1:
             raise ValueError(f"push key must be a single monomial: {mono_str!r}")
         push_table[next(iter(mono.terms))] = ambient.parse(value)
-    if center.dim_bound is not None:
-        wanted = center.monomials_up_to(center.dim_bound)
-        missing = [center.monomial_str(m) for m in wanted if m not in push_table]
-        if missing:
-            raise ValueError(f"[push] has no entry for center monomials {missing}")
+    wanted = center.monomials_up_to(center.dim_bound)
+    missing = [center.monomial_str(m) for m in wanted if m not in push_table]
+    if missing:
+        raise ValueError(f"[push] has no entry for center monomials {missing}")
     rank = int(entry("normal", "rank"))
     chern = [center.parse(entry("normal", f"c{i}")) for i in range(1, rank + 1)]
     return EmbeddingData(

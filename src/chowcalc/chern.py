@@ -8,6 +8,8 @@ through the Newton power sums of the Chern roots.  The functions are generic
 over the coefficient ring: any ring handle exposing ``zero``/``one`` whose
 elements support ``+``, ``-``, ``*`` and ``grade_component`` works, so they
 apply equally to free graded rings and to projective-bundle Chow rings.
+The line class of :func:`tensor_by_line` also needs ``.ring``: its powers
+come from :func:`rings.powers`, which starts at ``x.ring.one``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import GradedRing
+from .rings import GradedRing, powers
 
 
 def binomial(a: int, b: int) -> int:
@@ -33,7 +35,7 @@ class BundleClass:
     def __init__(self, ring, rank: int, chern):
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
-        chern = tuple(ring.one * c if isinstance(c, (int, Fraction)) else c for c in chern)
+        chern = tuple(chern)
         if len(chern) != rank:
             raise ValueError(f"expected {rank} Chern classes, got {len(chern)}")
         for i, ci in enumerate(chern, start=1):
@@ -142,9 +144,7 @@ def tensor_by_line(F: BundleClass, l) -> BundleClass:
     if hasattr(l, "is_homogeneous") and not l.is_homogeneous(1):
         raise ValueError("line class must be homogeneous of degree 1")
     n = F.rank
-    lpow = [F.ring.one]
-    for _ in range(n):
-        lpow.append(lpow[-1] * l)
+    lpow = powers(l, n)
     chern = []
     for i in range(1, n + 1):
         acc = F.ring.zero

@@ -30,7 +30,7 @@ from . import chern, flop
 from .errors import ConsistencyError, require_equal
 from .projbundle import ProjBundleRing, binomial_identity_check
 from .report import Report
-from .rings import GradedRing
+from .rings import GradedRing, powers
 
 SUITES = ("binomial", "projbundle", "blowup", "charclass", "flop", "all")
 
@@ -292,11 +292,10 @@ def suite_charclass(cfg: SuiteConfig) -> Report:
         for _ in range(cfg.trials):
             line = S.random_homogeneous(rng, 1)
             lhs = chern.chern_character(chern.tensor_by_line(E, line), 6)
-            exp_l = S.one
-            power = S.one
+            lpow = powers(line, 6)
+            exp_l = lpow[0]
             for k in range(1, 7):
-                power = power * line
-                exp_l = exp_l + power * Fraction(1, math.factorial(k))
+                exp_l = exp_l + lpow[k] * Fraction(1, math.factorial(k))
             rhs = chern.chern_character(E, 6) * chern.CharClass(exp_l, 6)
             require_equal(lhs, rhs, "twist by a line bundle breaks ch")
 
@@ -360,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chow-verify",
         description="Run exact intersection-theory verification suites.",
     )
-    parser.add_argument("suite_pos", nargs="?", choices=SUITES, metavar="suite")
-    parser.add_argument("--suite", choices=SUITES)
+    parser.add_argument("suite", nargs="?", choices=SUITES)
     parser.add_argument("--r", type=int)
     parser.add_argument("--r-max", type=int, dest="r_max")
     parser.add_argument("--trials", type=int)
@@ -392,10 +390,6 @@ def parse_config(argv: list[str]) -> SuiteConfig:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    if args.suite_pos is not None:
-        if args.suite is not None and args.suite != args.suite_pos:
-            raise ValueError("positional suite conflicts with --suite")
-        values["suite"] = args.suite_pos
     if "suite" not in values:
         raise ValueError("no suite selected")
     unknown = set(values) - set(_KEYS)

@@ -23,7 +23,7 @@ from .chern import BundleClass, dual_bundle
 from .errors import ConsistencyError, require_equal
 from .projbundle import PBElement, ProjBundleRing, cw_top
 from .report import Report
-from .rings import GradedRing
+from .rings import GradedRing, powers
 
 
 class FlopContext:
@@ -43,9 +43,7 @@ class FlopContext:
         self.Pdual = ProjBundleRing(S, dual_bundle(self.F), hyperplane="l")
         self.l = self.Pdual.h
         # l^0 .. l^r, the one table every sum over powers of l reads
-        self.lpow = [self.Pdual.one]
-        for _ in range(r):
-            self.lpow.append(self.lpow[-1] * self.l)
+        self.lpow = powers(self.l, r)
         # G = Omega_{P'|S} tensor O_{P'}(1), rank r, via the twist formula
         g_chern = [self.Pdual.cotangent_twist_chern(i) for i in range(1, r + 1)]
         self.G = BundleClass(self.Pdual, r, g_chern)

@@ -47,15 +47,13 @@ class ProjBundleRing:
 
     def element(self, coeffs: Sequence) -> "PBElement":
         """Build an element from base coefficients, reducing if over-long."""
-        coeffs = [
-            self.base.one * c if isinstance(c, (int, Fraction)) else c for c in coeffs
-        ]
         return PBElement(self, self.reduce(coeffs))
+
+    def scalar(self, c) -> "PBElement":
+        return self.pullback(self.base.one * c)
 
     def pullback(self, a) -> "PBElement":
         """Ring pullback from the base: coefficient vector (a, 0, ..., 0)."""
-        if isinstance(a, (int, Fraction)):
-            a = self.base.one * a
         coeffs = [a] + [self.base.zero] * (self.rank - 1)
         return PBElement(self, tuple(coeffs))
 
@@ -246,15 +244,9 @@ class PBElement(RingElement):
     # ---------------------------------------------------------- arithmetic
 
     def _coerce(self, other) -> "PBElement | None":
-        if isinstance(other, PBElement):
-            if other.ring is not self.ring:
-                raise ValueError("projective-bundle ring mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.pullback(other)
         if getattr(other, "ring", None) is self.ring.base:
             return self.ring.pullback(other)
-        return None
+        return super()._coerce(other)
 
     def __add__(self, other):
         other = self._coerce(other)

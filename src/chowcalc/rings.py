@@ -18,11 +18,31 @@ Exponents = tuple[int, ...]
 COEFF_RANGE = (-9, 9)
 
 
+def powers(x, n: int) -> list:
+    """The table x^0 .. x^n, starting at ``x.ring.one``, multiplied left to right."""
+    table = [x.ring.one]
+    for _ in range(n):
+        table.append(table[-1] * x)
+    return table
+
+
 class RingElement:
-    """Subtraction, powers, the zero test and repr, derived once from a
-    subclass's ``ring.one``, ``+``, unary ``-``, ``*``, ``bool`` and ``str``."""
+    """Coercion, subtraction, powers, the zero test and repr, derived once
+    from a subclass's ``ring.one``, ``ring.scalar``, ``+``, unary ``-``,
+    ``*``, ``bool`` and ``str``."""
 
     __slots__ = ()
+
+    def _coerce(self, other):
+        """``other`` in this ring: same class needs the same ring (else
+        ``ValueError``), a number becomes ``ring.scalar``, else None."""
+        if isinstance(other, type(self)):
+            if other.ring is not self.ring:
+                raise ValueError("elements belong to different rings")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.ring.scalar(other)
+        return None
 
     def __sub__(self, other):
         return self + (-other)
@@ -34,10 +54,7 @@ class RingElement:
         """self ** n as one * self * ... * self, multiplied left to right."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one
-        for _ in range(n):
-            result = result * self
-        return result
+        return powers(self, n)[n]
 
     def is_zero(self) -> bool:
         return not self
@@ -225,25 +242,14 @@ class GradedElement(RingElement):
             self.ring, {e: c for e, c in self.terms.items() if deg(e) == d}
         )
 
-    def is_homogeneous(self, d: int | None = None) -> bool:
-        degs = {self.ring.monomial_degree(e) for e in self.terms}
-        if d is None:
-            return len(degs) <= 1
-        return degs <= {d}
+    def is_homogeneous(self, d: int) -> bool:
+        deg = self.ring.monomial_degree
+        return all(deg(e) == d for e in self.terms)
 
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
     # ---------------------------------------------------------- arithmetic
-
-    def _coerce(self, other) -> "GradedElement | None":
-        if isinstance(other, GradedElement):
-            if other.ring is not self.ring:
-                raise ValueError("elements belong to different rings")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.scalar(other)
-        return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -283,9 +289,8 @@ class GradedElement(RingElement):
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.scalar(other)
-        if not isinstance(other, GradedElement) or other.ring is not self.ring:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self.terms == other.terms
 
@@ -296,29 +301,25 @@ class GradedElement(RingElement):
 
         Images are required only for generators that actually occur; the
         result is canonical in the target ring.  ``target`` may be any ring
-        handle whose elements support addition and multiplication.
+        handle whose elements support addition and multiplication; each
+        image is an element of it, and its powers come from :func:`powers`.
         """
         ring = self.ring
-        used = [i for i in range(ring.nvars) if any(e[i] for e in self.terms)]
-        for i in used:
-            if ring.generator_names[i] not in images:
-                raise KeyError(
-                    f"no image for generator {ring.generator_names[i]!r}"
-                )
-        powers: dict[int, list] = {}  # generator index -> cached powers
-
-        def power(i: int, e: int):
-            cache = powers.setdefault(i, [target.one])
-            while len(cache) <= e:
-                cache.append(cache[-1] * images[ring.generator_names[i]])
-            return cache[e]
+        table = {}  # generator index -> powers of its image
+        for i in range(ring.nvars):
+            top = max((e[i] for e in self.terms), default=0)
+            if top:
+                name = ring.generator_names[i]
+                if name not in images:
+                    raise KeyError(f"no image for generator {name!r}")
+                table[i] = powers(images[name], top)
 
         result = target.zero
         for exps, coeff in self.terms.items():
             term = target.one * coeff
-            for i in used:
+            for i, pows in table.items():
                 if exps[i]:
-                    term = term * power(i, exps[i])
+                    term = term * pows[exps[i]]
             result = result + term
         return result
 

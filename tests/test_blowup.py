@@ -246,6 +246,7 @@ c2 = 0
         ("u = t^3", "u = 1/0 * t^3", "'1/0'"),
         ("u = t^3", "2*u = t^3", "'2'"),
         ("u = t^3", "", "'u'"),  # push table misses a center monomial
+        ("dim_bound: 1", "", "'dim_bound'"),  # center without a bound
     ],
 )
 def test_load_embedding_names_the_bad_token(old, new, token):

@@ -27,11 +27,10 @@ def test_exit_zero_on_pass(capsys):
     assert "all checks passed" in out
 
 
-def test_positional_and_flag_suite_agree():
-    cfg = parse_config(["--suite", "flop", "--r", "1"])
-    assert cfg.suite == "flop"
-    with pytest.raises(ValueError):
-        parse_config(["binomial", "--suite", "flop"])
+def test_suite_is_positional_only(capsys):
+    assert main(["--suite", "flop"]) == 2
+    assert parse_config(["flop"]).suite == "flop"
+    capsys.readouterr()
 
 
 def test_usage_errors(capsys):

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from fractions import Fraction
@@ -12,6 +13,7 @@ from chowcalc import (
     ProjBundleRing,
     linear_blowup,
 )
+from chowcalc.rings import powers
 
 
 @pytest.fixture
@@ -79,7 +81,7 @@ def test_degree_and_homogeneity(ring):
     x, y = ring.gen("x"), ring.gen("y")
     assert (x * y).degree() == 3
     assert (x * y).is_homogeneous(3)
-    assert not (x + y).is_homogeneous()
+    assert not any((x + y).is_homogeneous(d) for d in range(4))
     assert ring.zero.is_homogeneous(0)
 
 
@@ -184,30 +186,43 @@ def _blowup_class():
     return bl, bl.pull(bl.data.ambient.gen("t")) + bl.exc_push(bl.xi)
 
 
-@pytest.mark.parametrize(
+MAKERS = pytest.mark.parametrize(
     "make",
     [_graded_element, _projbundle_element, _blowup_class],
     ids=["graded", "projbundle", "blowup"],
 )
+
+
+@MAKERS
 def test_derived_operators(make):
     ring, x = make()
     assert x and not x.is_zero()
     assert ring.one and not ring.zero
     assert x ** 3 == x * x * x
     assert x ** 0 == ring.one
+    assert powers(x, 3) == [ring.one, x, x * x, x * x * x]
     with pytest.raises(ValueError):
         x ** -1
     assert (x - x).is_zero()
     assert not (x - x)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [_graded_element, _projbundle_element, _blowup_class],
-    ids=["graded", "projbundle", "blowup"],
-)
+@MAKERS
 def test_reflected_subtraction(make):
     ring, x = make()
     assert 3 - x == -(x - 3)
     assert (3 - x) + x == ring.one * 3
     assert 2 * x == x + x
+
+
+@MAKERS
+def test_coercion_protocol(make):
+    ring, x = make()
+    _, foreign = make()  # same kind, second ring
+    assert x + 3 == 3 + x
+    assert ring.one * 3 == 3
+    for op in (operator.add, operator.mul, operator.eq):
+        with pytest.raises(ValueError):
+            op(x, foreign)
+    with pytest.raises(TypeError):
+        x + "a"
