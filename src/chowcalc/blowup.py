@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chern import BundleClass, binomial
 from .errors import ConsistencyError, require_equal
@@ -102,7 +101,7 @@ def linear_blowup(n: int, m: int) -> EmbeddingData:
     r = n - m
     push_table = {(k,): t ** (k + r) for k in range(m + 1)}
     normal = BundleClass(
-        center, r, [u ** i * Fraction(binomial(r, i)) for i in range(1, r + 1)]
+        center, r, [u ** i * binomial(r, i) for i in range(1, r + 1)]
     )
     return EmbeddingData(ambient, center, r, {"t": u}, push_table, normal)
 
@@ -112,7 +111,6 @@ class BlowupRing:
 
     def __init__(self, data: EmbeddingData, validate_samples: int = 0, seed: int = 0):
         self.data = data
-        self.r = data.codim
         self.E = ProjBundleRing(data.center, data.normal, hyperplane="xi")
         self.xi = self.E.h
         self.cW = cw_top(self.E)  # c_{r-1} of the universal quotient bundle

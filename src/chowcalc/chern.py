@@ -39,7 +39,7 @@ class BundleClass:
         if len(chern) != rank:
             raise ValueError(f"expected {rank} Chern classes, got {len(chern)}")
         for i, ci in enumerate(chern, start=1):
-            if hasattr(ci, "is_homogeneous") and not ci.is_homogeneous(i):
+            if not ci.is_homogeneous(i):
                 raise ValueError(f"c_{i} is not homogeneous of degree {i}")
         self.ring = ring
         self.rank = rank
@@ -141,7 +141,7 @@ def dual_bundle(F: BundleClass) -> BundleClass:
 
 def tensor_by_line(F: BundleClass, l) -> BundleClass:
     """Chern classes of F tensored with a line bundle of first Chern class l."""
-    if hasattr(l, "is_homogeneous") and not l.is_homogeneous(1):
+    if not l.is_homogeneous(1):
         raise ValueError("line class must be homogeneous of degree 1")
     n = F.rank
     lpow = powers(l, n)
@@ -183,7 +183,7 @@ def chern_character(F: BundleClass, max_deg: int) -> CharClass:
     value = F.ring.one * F.rank
     for k in range(1, max_deg + 1):
         value = value + p[k] * Fraction(1, math.factorial(k))
-    return CharClass(_truncate(value, max_deg), max_deg)
+    return CharClass(value, max_deg)
 
 
 # ----------------------------------------------------------------- genera
@@ -232,7 +232,7 @@ def todd_class(F: BundleClass, max_deg: int) -> CharClass:
                     term = term * ci ** m
             if not zero:
                 value = value + term
-    return CharClass(_truncate(value, max_deg), max_deg)
+    return CharClass(value, max_deg)
 
 
 def sqrt_one_series(a: CharClass) -> CharClass:

@@ -3,10 +3,14 @@
 For a bundle F of rank n over a base S, CH(P(F)) is represented as the free
 module with basis 1, h, ..., h^{n-1} over CH(S), where h is the relative
 hyperplane class.  Products are reduced via the defining relation
-h^n = -sum_j pull(c_j(F)) h^{n-j}; pushforwards are read off from the Segre
-classes of F.  The base may itself be another projective-bundle ring, which
-is how towers of bundles (e.g. the exceptional divisor of a blow-up over a
-projective bundle) are modelled.
+h^n = -sum_j pull(c_j(F)) h^{n-j}.  Since p_*(h^k) = s_{k-n+1}(F) vanishes
+for k < n-1 and is 1 at k = n-1, the pushforward of a reduced element is its
+top coefficient; the Segre classes give p_*(h^k) directly as the second
+route.  The one table of h-powers, tau_{i,j} (the coefficients of reduced
+h^i), is built by the c_j(F) recursion and checked row by row against the
+reduction of h * h^{i-1}.  The base may itself be another projective-bundle
+ring, which is how towers of bundles (e.g. the exceptional divisor of a
+blow-up over a projective bundle) are modelled.
 """
 
 from __future__ import annotations
@@ -38,10 +42,7 @@ class ProjBundleRing:
         )
         self.h = self.element([base.zero, base.one])
         self._segre: list = [base.one]
-        self._tau_rows: list[list] = [
-            [base.one if j == 0 else base.zero for j in range(n)]
-        ]
-        self._h_reduced: list[list] = [list(self.one.coeffs)]
+        self._tau_rows: list[tuple] = [self.one.coeffs]
 
     # ------------------------------------------------------------ elements
 
@@ -91,18 +92,14 @@ class ProjBundleRing:
         """s_k(F), with s_k = 0 for k < 0."""
         if k < 0:
             return self.base.zero
-        while len(self._segre) <= k:
+        if len(self._segre) <= k:
             self._segre = segre_classes(self.bundle, k)
         return self._segre[k]
 
     def pushforward(self, a: "PBElement"):
-        """Projection pushforward: sum_k a_k s_{k-(n-1)}(F)."""
-        n = self.rank
-        out = self.base.zero
-        for k, ak in enumerate(a.coeffs):
-            if ak:
-                out = out + ak * self.segre(k - (n - 1))
-        return out
+        """Projection pushforward sum_k a_k s_{k-(n-1)}(F): for k < n only
+        s_0 = 1 survives, so it is the coefficient of h^{n-1}."""
+        return a.coeffs[-1]
 
     def pushforward_power(self, k: int):
         """Pushforward of h^k computed directly from the Segre classes."""
@@ -127,21 +124,14 @@ class ProjBundleRing:
                 got, expected, f"pushforward table wrong at {self.hyperplane}^{k}"
             )
 
-    def h_power_coeffs(self, i: int) -> list:
-        """Basis coefficients of h^i, by iterated shift-and-reduce."""
-        while len(self._h_reduced) <= i:
-            prev = self._h_reduced[-1]
-            shifted = [self.base.zero] + list(prev)
-            self._h_reduced.append(list(self.reduce(shifted)))
-        return list(self._h_reduced[i])
-
     # ----------------------------------------------------------- tau table
 
-    def tau_rows(self, i_max: int) -> list[list]:
+    def tau_rows(self, i_max: int) -> list[tuple]:
         """Rows tau_{i,0..n-1} for i <= i_max, via recursion and reduction.
 
-        The two routes (the coefficient recursion driven by c_j(F), and
-        direct basis reduction of h^i) are both computed and must agree.
+        Row i is built from the stored row i-1 two ways (the coefficient
+        recursion driven by c_j(F), and basis reduction of h times it), and
+        the two must agree; row i-1 was itself checked one step earlier.
         """
         n = self.rank
         r = n - 1
@@ -152,20 +142,19 @@ class ProjBundleRing:
             for j in range(n):
                 entry = prev[j - 1] if j >= 1 else self.base.zero
                 row.append(entry - self.bundle.c(r + 1 - j) * prev[r])
-            reduced = self.h_power_coeffs(i)
+            reduced = self.reduce((self.base.zero, *prev))
             for j in range(n):
                 require_equal(
                     row[j], reduced[j], f"tau_{{{i},{j}}} recursion/reduction mismatch"
                 )
-            self._tau_rows.append(row)
-        return [list(row) for row in self._tau_rows[: i_max + 1]]
+            self._tau_rows.append(tuple(row))
+        return self._tau_rows[: i_max + 1]
 
     def tau(self, i: int, j: int):
         """tau_{i,j}, zero outside 0 <= j <= n-1."""
         if j < 0 or j >= self.rank:
             return self.base.zero
-        self.tau_rows(i)
-        return self._tau_rows[i][j]
+        return self.tau_rows(i)[i][j]
 
     # ------------------------------------------------- cotangent formulas
 

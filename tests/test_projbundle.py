@@ -5,11 +5,13 @@ import pytest
 
 from chowcalc import (
     BundleClass,
+    ConsistencyError,
     GradedRing,
     ProjBundleRing,
     binomial_identity_check,
     binomial_identity_sum,
 )
+from chowcalc.flop import FlopContext
 
 
 def generic_tower(n: int, dim_bound=None) -> ProjBundleRing:
@@ -70,6 +72,40 @@ def test_pushforward_table():
             assert P.pushforward(P.h ** k) == P.pushforward_power(k)
 
 
+def _segre_pushforward(P, a):
+    """The pushforward as the Segre sum sum_k a_k s_{k-(n-1)}(F)."""
+    n = P.rank
+    return sum(
+        (a.coeffs[k] * P.segre(k - (n - 1)) for k in range(n)), P.base.zero
+    )
+
+
+def _random_formal(ring, rng):
+    """Random element of a tower over a ring with degree-0 generators, which
+    ``random_element`` cannot enumerate: small integer combinations of the
+    base generators in every coefficient slot."""
+    if isinstance(ring, GradedRing):
+        out = ring.one * rng.randint(-3, 3)
+        for name in rng.sample(ring.generator_names, 3):
+            out = out + ring.gen(name) * rng.randint(-3, 3)
+        return out
+    return ring.element([_random_formal(ring.base, rng) for _ in range(ring.rank)])
+
+
+def test_pushforward_is_the_segre_sum():
+    rng = random.Random(11)
+    for n in range(1, 6):
+        P = generic_tower(n)
+        for _ in range(10):
+            a = P.random_element(rng, 3)
+            assert P.pushforward(a) == _segre_pushforward(P, a)
+    E = FlopContext(2).E
+    for _ in range(10):
+        a = _random_formal(E, rng)
+        assert a.coeffs[-1]  # the top coefficient is exercised
+        assert E.pushforward(a) == _segre_pushforward(E, a)
+
+
 def test_projection_formula():
     P = generic_tower(3)
     rng = random.Random(1)
@@ -110,6 +146,34 @@ def test_tau_routes_agree_deep():
         P = generic_tower(n)
         rows = P.tau_rows(3 * (n - 1))  # raises ConsistencyError on mismatch
         assert len(rows) == 3 * (n - 1) + 1
+
+
+def test_tau_reduction_route_catches_a_dropped_relation_term(monkeypatch):
+    P = generic_tower(4)
+    n = P.rank
+
+    def reduce_without_top_chern(coeffs):
+        work = list(coeffs) + [P.base.zero] * max(0, n - len(coeffs))
+        for k in range(len(work) - 1, n - 1, -1):
+            for j in range(1, n):  # drops the c_n(F) term
+                work[k - j] = work[k - j] - P.bundle.c(j) * work[k]
+        return tuple(work[:n])
+
+    monkeypatch.setattr(P, "reduce", reduce_without_top_chern)
+    with pytest.raises(ConsistencyError):
+        P.tau_rows(6)
+
+
+def test_tau_rows_are_read_only_views():
+    P = generic_tower(3)
+    before = [[P.tau(i, j) for j in range(3)] for i in range(6)]
+    rows = P.tau_rows(5)
+    rows[4] = (P.base.one,) * 3
+    rows.append(None)
+    with pytest.raises(TypeError):
+        rows[2][0] = P.base.one
+    assert [[P.tau(i, j) for j in range(3)] for i in range(6)] == before
+    assert len(P.tau_rows(5)) == 6
 
 
 def test_tau_homogeneity():
