@@ -138,12 +138,6 @@ class BlowupRing:
         normalized = eps - self.cW * self.E.pullback(eta_push)
         return BlowupClass(self, self.data.push(eta_push), normalized)
 
-    def delta_decompose(self, a: "BlowupClass") -> PBElement:
-        """The unique eps with zero pushforward and j_*(eps) = a."""
-        if self.push(a):
-            raise ValueError("class does not push forward to zero")
-        return a.exceptional
-
     def mul(self, a: "BlowupClass", b: "BlowupClass") -> "BlowupClass":
         if a.ring is not self or b.ring is not self:
             raise ValueError("classes belong to a different blow-up")
@@ -216,9 +210,9 @@ def load_embedding(text: str) -> EmbeddingData:
     (required for the center: push must cover every center monomial);
     pull maps ambient generators to center expressions; push maps center
     monomials to ambient expressions; normal takes ``rank`` and ``c1``..``cr``.
-    Lines starting with ``#`` are ignored.
+    Lines starting with ``#`` are ignored; a repeated header or key raises.
     """
-    sections: dict[str, list[tuple[str, str]]] = {}
+    sections: dict[str, dict[str, str]] = {}
     current = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -226,25 +220,29 @@ def load_embedding(text: str) -> EmbeddingData:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            sections[current] = []
+            if current in sections:
+                raise ValueError(f"repeated section header [{current}]")
+            sections[current] = {}
             continue
         if current is None:
             raise ValueError(f"content before any section: {line!r}")
         for sep in (":", "="):
             if sep in line:
-                key, value = line.split(sep, 1)
-                sections[current].append((key.strip(), value.strip()))
+                key, value = (part.strip() for part in line.split(sep, 1))
+                if key in sections[current]:
+                    raise ValueError(f"duplicate key {key!r} in section [{current}]")
+                sections[current][key] = value
                 break
         else:
             raise ValueError(f"cannot parse line {line!r}")
 
-    def section(name: str) -> list[tuple[str, str]]:
+    def section(name: str) -> dict[str, str]:
         if name not in sections:
             raise ValueError(f"missing section [{name}]")
         return sections[name]
 
     def entry(name: str, key: str) -> str:
-        entries = dict(section(name))
+        entries = section(name)
         if key not in entries:
             raise ValueError(f"section [{name}] has no {key!r} entry")
         return entries[key]
@@ -258,9 +256,9 @@ def load_embedding(text: str) -> EmbeddingData:
             gens.append((gname.strip(), int(deg)))
         return GradedRing(gens, dim_bound=None if bound is None else int(bound))
 
-    ambient = build_ring("ambient", dict(section("ambient")).get("dim_bound"))
+    ambient = build_ring("ambient", section("ambient").get("dim_bound"))
     center = build_ring("center", entry("center", "dim_bound"))
-    pull_images = {k: center.parse(v) for k, v in section("pull")}
+    pull_images = {k: center.parse(v) for k, v in section("pull").items()}
     unknown = sorted(set(pull_images) - set(ambient.generator_names))
     missing = [g for g in ambient.generator_names if g not in pull_images]
     if unknown or missing:
@@ -269,11 +267,14 @@ def load_embedding(text: str) -> EmbeddingData:
             f"missing {missing}"
         )
     push_table = {}
-    for mono_str, value in section("push"):
+    for mono_str, value in section("push").items():
         mono = center.parse(mono_str)
         if len(mono.terms) != 1 or next(iter(mono.terms.values())) != 1:
             raise ValueError(f"push key must be a single monomial: {mono_str!r}")
-        push_table[next(iter(mono.terms))] = ambient.parse(value)
+        exps = next(iter(mono.terms))
+        if exps in push_table:  # the same monomial spelt two ways
+            raise ValueError(f"duplicate key {mono_str!r} in section [push]")
+        push_table[exps] = ambient.parse(value)
     wanted = center.monomials_up_to(center.dim_bound)
     missing = [center.monomial_str(m) for m in wanted if m not in push_table]
     if missing:

@@ -3,13 +3,15 @@
 A bundle is its rank plus the list c_1..c_rank of Chern classes living in
 some ring; everything here (Segre classes, duals, line-bundle twists, Chern
 character, Todd class, series square roots, Mukai vectors) is computed
-exactly from those classes.  The Chern character and the Todd class both go
-through the Newton power sums of the Chern roots.  The functions are generic
-over the coefficient ring: any ring handle exposing ``zero``/``one`` whose
-elements support ``+``, ``-``, ``*`` and ``grade_component`` works, so they
-apply equally to free graded rings and to projective-bundle Chow rings.
-The line class of :func:`tensor_by_line` also needs ``.ring``: its powers
-come from :func:`rings.powers`, which starts at ``x.ring.one``.
+exactly from those classes.  The Chern character and the Todd polynomials go
+through the Newton power sums of the Chern roots; :func:`todd_class`
+evaluates the polynomials at c_i(F) with ``GradedElement.substitute``.  The
+functions are generic over the coefficient ring: any ring handle exposing
+``zero``/``one`` whose elements support ``+``, ``-``, ``*`` and
+``grade_component`` works, so they apply equally to free graded rings and to
+projective-bundle Chow rings.  Powers of the line class of
+:func:`tensor_by_line` and of the Chern classes in :func:`todd_class` come
+from :func:`rings.powers`, which starts at ``x.ring.one``.
 """
 
 from __future__ import annotations
@@ -58,11 +60,6 @@ class BundleClass:
         for ci in self.chern:
             total = total + ci
         return total
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BundleClass):
-            return NotImplemented
-        return self.rank == other.rank and self.chern == other.chern
 
     def __repr__(self) -> str:
         return f"BundleClass(rank={self.rank}, c={list(self.chern)!r})"
@@ -217,21 +214,13 @@ def todd_universal(d: int) -> tuple:
 
 
 def todd_class(F: BundleClass, max_deg: int) -> CharClass:
-    """Todd class, the multiplicative genus of t / (1 - e^{-t})."""
+    """Todd class: each td_d of :func:`todd_universal` evaluated at c_i(F)."""
+    images = {f"c{i}": F.c(i) for i in range(1, max_deg + 1)}
     value = F.ring.one
     for d in range(1, max_deg + 1):
-        for mults, coeff in todd_universal(d):
-            term = F.ring.one * coeff
-            zero = False
-            for i, m in enumerate(mults):
-                if m:
-                    ci = F.c(i + 1)
-                    if not ci:
-                        zero = True
-                        break
-                    term = term * ci ** m
-            if not zero:
-                value = value + term
+        universal = GradedRing([(f"c{i}", i) for i in range(1, d + 1)])
+        td = universal.element(dict(todd_universal(d)))
+        value = value + td.substitute(images, F.ring)
     return CharClass(value, max_deg)
 
 

@@ -376,7 +376,7 @@ _KEYS = tuple(f.name for f in fields(SuiteConfig))
 _INT_KEYS = {"r", "r_max", "trials", "seed", "dim_bound"}
 
 
-def parse_config(argv: list[str]) -> SuiteConfig:
+def parse_config(argv: list[str] | None) -> SuiteConfig:
     args = build_parser().parse_args(argv)
     values: dict = {}
     if args.config:
@@ -399,8 +399,6 @@ def parse_config(argv: list[str]) -> SuiteConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         cfg = parse_config(argv)
         # opened before the run, so an unwritable path costs no checks

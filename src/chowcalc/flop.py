@@ -192,43 +192,35 @@ def verify_multiplicativity(ctx: FlopContext, sa: tuple, sb: tuple) -> Report:
     """Check that the three correction terms add up to the top sigma
     coefficient of the product, including every dual-route sub-claim."""
     report = Report()
-    box: dict[str, PBElement] = {}
-
-    def store(key, fn):
-        def run():
-            box[key] = fn(ctx, sa, sb)
-
-        return run
-
-    keys = ("rhs", "A", "B", "C")
+    box = {
+        "rhs": report.run(
+            "flop.sigma_top_cross_route",
+            "top sigma coefficient of a product, tau table vs direct product",
+            lambda: sigma_top_product(ctx, sa, sb),
+        ),
+        "A": report.run(
+            "flop.term_A_routes",
+            "pullback-product correction: pushforward expansion vs closed form",
+            lambda: term_A(ctx, sa, sb),
+        ),
+        "B": report.run(
+            "flop.term_B_routes",
+            "mixed-product correction: defining sums vs closed forms",
+            lambda: term_B(ctx, sa, sb),
+        ),
+        "C": report.run(
+            "flop.term_C_routes",
+            "self-intersection correction: expansion vs cotangent formula",
+            lambda: term_C(ctx, sa, sb),
+        ),
+    }
 
     def terms() -> list[PBElement]:
-        """The four stored terms, in the order of ``keys``."""
-        missing = [k for k in keys if k not in box]
+        """The four terms, in the order of ``box``."""
+        missing = [k for k, v in box.items() if v is None]
         if missing:
             raise ConsistencyError(f"prerequisite terms missing: {missing}")
-        return [box[k] for k in keys]
-
-    report.run(
-        "flop.sigma_top_cross_route",
-        "top sigma coefficient of a product, tau table vs direct product",
-        store("rhs", sigma_top_product),
-    )
-    report.run(
-        "flop.term_A_routes",
-        "pullback-product correction: pushforward expansion vs closed form",
-        store("A", term_A),
-    )
-    report.run(
-        "flop.term_B_routes",
-        "mixed-product correction: defining sums vs closed forms",
-        store("B", term_B),
-    )
-    report.run(
-        "flop.term_C_routes",
-        "self-intersection correction: expansion vs cotangent formula",
-        store("C", term_C),
-    )
+        return list(box.values())
 
     def t1_all():
         for j in range(ctx.r + 1):
@@ -253,8 +245,8 @@ def verify_multiplicativity(ctx: FlopContext, sa: tuple, sb: tuple) -> Report:
     )
 
     def homogeneity():
-        for key, value in zip(keys, terms()):
-            if not (value.is_homogeneous(ctx.r) or value.is_zero()):
+        for key, value in zip(box, terms()):
+            if not value.is_homogeneous(ctx.r):
                 raise ConsistencyError(f"term {key} is not homogeneous of degree r")
 
     report.run(

@@ -225,10 +225,7 @@ class PBElement(RingElement):
         return PBElement(self.ring, tuple(coeffs))
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(
-            c.is_homogeneous(d - k) or c.is_zero()
-            for k, c in enumerate(self.coeffs)
-        )
+        return all(c.is_homogeneous(d - k) for k, c in enumerate(self.coeffs))
 
     # ---------------------------------------------------------- arithmetic
 

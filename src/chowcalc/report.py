@@ -41,17 +41,18 @@ class Report:
         """Append the checks of ``other``, each name prefixed by ``prefix``."""
         self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
 
-    def run(self, name: str, anchor: str, fn) -> CheckResult:
-        """Run a check function; any exception it raises fails the check.
+    def run(self, name: str, anchor: str, fn):
+        """Run a check function, record it in ``checks``, return its value.
 
+        Any exception it raises fails the check, and ``run`` returns None.
         A ConsistencyError keeps its witness; any other exception is recorded
         as ``"<Type>: <msg>"``, so a bug in one check cannot crash a suite.
         """
         start = time.perf_counter()
-        witness = None
+        value = witness = None
         status = "pass"
         try:
-            fn()
+            value = fn()
         except ConsistencyError as exc:
             status = "fail"
             witness = exc.witness or str(exc)
@@ -59,16 +60,13 @@ class Report:
             status = "fail"
             witness = f"{type(exc).__name__}: {exc}"
         millis = (time.perf_counter() - start) * 1000.0
-        result = CheckResult(name, anchor, status, witness, millis)
-        self.checks.append(result)
-        return result
-
-    def to_dict(self, **extra) -> dict:
-        checks = sorted(self.checks, key=lambda c: c.name)
-        return {"ok": self.ok, "checks": [c.to_dict() for c in checks], **extra}
+        self.checks.append(CheckResult(name, anchor, status, witness, millis))
+        return value
 
     def to_json(self, **extra) -> str:
-        return json.dumps(self.to_dict(**extra), indent=2, sort_keys=True)
+        checks = sorted(self.checks, key=lambda c: c.name)
+        out = {"ok": self.ok, "checks": [c.to_dict() for c in checks], **extra}
+        return json.dumps(out, indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = []

@@ -27,9 +27,8 @@ def powers(x, n: int) -> list:
 
 
 class RingElement:
-    """Coercion, subtraction, powers, the zero test and repr, derived once
-    from a subclass's ``ring.one``, ``ring.scalar``, ``+``, unary ``-``,
-    ``*``, ``bool`` and ``str``."""
+    """Coercion, subtraction, powers and repr, derived once from a subclass's
+    ``ring.one``, ``ring.scalar``, ``+``, unary ``-``, ``*`` and ``str``."""
 
     __slots__ = ()
 
@@ -55,9 +54,6 @@ class RingElement:
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         return powers(self, n)[n]
-
-    def is_zero(self) -> bool:
-        return not self
 
     def __repr__(self) -> str:
         return f"<{self}>"
@@ -228,15 +224,7 @@ class GradedElement(RingElement):
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def degree(self) -> int:
-        """Max weighted degree of a term (0 for the zero element)."""
-        if not self.terms:
-            return 0
-        return max(self.ring.monomial_degree(e) for e in self.terms)
-
     def grade_component(self, d: int) -> "GradedElement":
-        if d < 0:
-            return self.ring.zero
         deg = self.ring.monomial_degree
         return GradedElement(
             self.ring, {e: c for e, c in self.terms.items() if deg(e) == d}
@@ -245,9 +233,6 @@ class GradedElement(RingElement):
     def is_homogeneous(self, d: int) -> bool:
         deg = self.ring.monomial_degree
         return all(deg(e) == d for e in self.terms)
-
-    def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
 
     # ---------------------------------------------------------- arithmetic
 
@@ -325,15 +310,13 @@ class GradedElement(RingElement):
 
     # ------------------------------------------------------- serialization
 
-    def _sorted_terms(self):
-        deg = self.ring.monomial_degree
-        return sorted(self.terms.items(), key=lambda kv: (deg(kv[0]), kv[0]), reverse=True)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        deg = self.ring.monomial_degree
+        ordered = sorted(self.terms.items(), key=lambda kv: (deg(kv[0]), kv[0]), reverse=True)
         parts = []
-        for exps, coeff in self._sorted_terms():
+        for exps, coeff in ordered:
             mono = self.ring.monomial_str(exps)
             parts.append(str(coeff) if mono == "1" else f"{coeff} * {mono}")
         return " + ".join(parts)

@@ -38,6 +38,7 @@ def test_usage_errors(capsys):
     assert main(["flop", "--r", "0"]) == 2
     assert main(["flop", "--mode", "numeric"]) == 2
     assert main(["projbundle", "--dim-bound", "-1"]) == 2
+    assert main(["flop", "--r-max", "0"]) == 2
     capsys.readouterr()
 
 
@@ -96,7 +97,7 @@ def test_r_runs_one_rank_and_r_max_runs_one_to_n(suite):
 
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg_file = tmp_path / "suite.cfg"
-    cfg_file.write_text("suite=flop\nr=1\nseed=5\nformat=json\n")
+    cfg_file.write_text("# a comment\n\nsuite=flop\nr=1\n\nseed=5\nformat=json\n")
     cfg = parse_config(["--config", str(cfg_file)])
     assert (cfg.suite, cfg.r, cfg.seed, cfg.fmt) == ("flop", 1, 5, "json")
     # flags override the file
@@ -104,10 +105,15 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert cfg.seed == 9
 
 
-def test_config_file_rejects_bad_lines(tmp_path):
+def test_config_file_rejects_bad_lines(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("this is not a key value pair\n")
-    assert main(["--config", str(cfg_file)]) == 2
+    for text, token in [
+        ("this is not a key value pair\n", "'this is not a key value pair'"),
+        ("suite=flop\ncolour=red\n", "'colour'"),  # unknown key
+    ]:
+        cfg_file.write_text(text)
+        assert main(["--config", str(cfg_file)]) == 2
+        assert token in capsys.readouterr().err
 
 
 def test_unwritable_out_exits_before_any_check(tmp_path, monkeypatch, capsys):
@@ -164,8 +170,8 @@ def _raise_assertion():
 )
 def test_unexpected_exception_becomes_failing_entry(check, witness):
     report = Report()
-    result = report.run("demo.crash", "a check with a bug in it", check)
-    assert report.checks == [result]
+    assert report.run("demo.crash", "a check with a bug in it", check) is None
+    [result] = report.checks
     assert result.status == "fail"
     assert result.witness == witness
 
@@ -183,7 +189,7 @@ def test_crashing_check_gives_failure_exit(monkeypatch):
     assert failed == [("r1.flop.t1_identity", "ZeroDivisionError: injected")]
 
 
-def test_route_failure_carries_the_difference(monkeypatch):
+def test_route_failure_carries_the_difference(monkeypatch, capsys):
     import chowcalc.blowup as bl_mod
 
     orig = bl_mod.BlowupRing.push
@@ -196,6 +202,35 @@ def test_route_failure_carries_the_difference(monkeypatch):
     assert status == 1
     failed = [(c.name, c.witness) for c in report.checks if c.status == "fail"]
     assert failed == [("blowup.pull_push_identity", "1")]
+    # the witness reaches both output formats
+    assert main(["blowup", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["witness"]) for c in checks if "witness" in c] == failed
+    assert main(["blowup"]) == 1
+    text = capsys.readouterr().out
+    assert "FAIL blowup.pull_push_identity" in text
+    assert "\n     witness: 1\n" in text
+
+
+def test_binomial_failure_lists_the_bad_sums(monkeypatch):
+    import chowcalc.projbundle as pb_mod
+
+    orig = pb_mod.binomial
+
+    def off_by_one(a, b):
+        return orig(a, b) + (a == b == 1)  # C(1, 1) = 2
+
+    monkeypatch.setattr(pb_mod, "binomial", off_by_one)
+    status, report = run_suite(SuiteConfig(suite="binomial", r=3))
+    assert status == 1
+    failed = [(c.name, c.witness) for c in report.checks if c.status == "fail"]
+    # the first three of five failing sums
+    witness = str([
+        "T^3_{3,1} = -2 != T^3_{2,0} = 1",
+        "T^3_{3,2} = 0 != T^3_{2,1} = -1",
+        "T^3_{3,0} = 5 != -1",
+    ])
+    assert failed == [("binomial.identity_r3", witness)]
 
 
 def test_charclass_failure_carries_the_difference(monkeypatch):

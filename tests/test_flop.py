@@ -183,6 +183,24 @@ def test_homogeneity_fails_on_ungraded_sigma():
     )
 
 
+def test_missing_term_fails_its_readers(monkeypatch):
+    import chowcalc.flop as flop_mod
+
+    def crash(ctx, sa, sb):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(flop_mod, "term_A", crash)
+    ctx = FlopContext(1)
+    report = verify_multiplicativity(ctx, *ctx.formal_sigmas())
+    failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
+    missing = "prerequisite terms missing: ['A']"
+    assert failed == {
+        "flop.term_A_routes": "ZeroDivisionError: injected",
+        "flop.homogeneity": missing,
+        "flop.final_cancellation": missing,
+    }
+
+
 def test_verify_foundations():
     for r in (1, 2, 3):
         report = verify_foundations(FlopContext(r))
@@ -198,7 +216,7 @@ def test_failure_reported_with_witness():
     c = term_C(ctx, sa, sb)
     wrong = sigma_top_product(ctx, sa, sa)  # sb swapped out
     diff = a + b + c - wrong
-    assert not diff.is_zero()
+    assert diff
 
 
 def test_corrupted_l_power_table_fails_every_reader():

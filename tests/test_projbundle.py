@@ -181,7 +181,7 @@ def test_tau_homogeneity():
     for i in range(10):
         for j in range(4):
             v = P.tau(i, j)
-            assert v.is_zero() or v.is_homogeneous(i - j)
+            assert v.is_homogeneous(i - j)
 
 
 def test_tau_out_of_range_columns():
