@@ -103,11 +103,11 @@ def _truncate(x, max_deg: int):
 # ----------------------------------------------------------- basic calculus
 
 
-def _inverse_unit_series(coeffs: list) -> list:
-    """Inverse of a power series with constant term 1, over any ring."""
+def _inverse_unit_series(coeffs: list, known=()) -> list:
+    """Inverse of a series with constant term 1 over any ring, extending ``known``."""
     assert coeffs[0] == 1
-    inv = [coeffs[0]]
-    for m in range(1, len(coeffs)):
+    inv = list(known) or [coeffs[0]]
+    for m in range(len(inv), len(coeffs)):
         inv.append(-sum(coeffs[i] * inv[m - i] for i in range(1, m + 1)))
     return inv
 
@@ -122,11 +122,12 @@ def _log_unit_series(coeffs: list[Fraction]) -> list[Fraction]:
     return log
 
 
-def segre_classes(F: BundleClass, k_max: int) -> list:
-    """Segre classes s_0..s_{k_max}, inverse of the total Chern class."""
+def segre_classes(F: BundleClass, k_max: int, known=()) -> list:
+    """Segre classes s_0..s_{k_max}, inverse of the total Chern class;
+    ``known``, a list s_0..s_m already computed, is extended."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    return _inverse_unit_series([F.c(i) for i in range(k_max + 1)])
+    return _inverse_unit_series([F.c(i) for i in range(k_max + 1)], known)
 
 
 def dual_bundle(F: BundleClass) -> BundleClass:

@@ -12,12 +12,17 @@ elements) are free generators, so a pass holds for every specialised base.
 Every intermediate identity of the multiplicativity computation is verified
 by two independent routes (a raw expansion through pushforward tables, and
 the closed form), and the headline check is that the three correction terms
-add up exactly to the top sigma coefficient of the product.
+add up exactly to the top sigma coefficient of the product.  The two lemma
+tables, the alternating Chern sums T1(j) and the eta'_* help sums, each have
+one owner on the context: the build checks every cell, and the raw routes
+of term_B and term_A read the stored values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from .chern import BundleClass, dual_bundle
 from .errors import ConsistencyError, require_equal
@@ -49,6 +54,48 @@ class FlopContext:
         self.G = BundleClass(self.Pdual, r, g_chern)
         self.E = ProjBundleRing(self.Pdual, self.G, hyperplane="H")
         self.H = self.E.h
+
+    # ------------------------------------------------------- checked tables
+
+    def _t1_table(self) -> tuple:
+        """T1(j) = sum_n c_{r-n}(G) . pull(tau_{n+j,r}) for j <= r, the sums
+        term_B reads; the build checks the generalized identity, the same sum
+        over tau_{n+j,r-q} against (-1)^j l^j c_q(G), at every j, q <= r."""
+        r, tau, pull = self.r, self.P.tau, self.Pdual.pullback
+        sums = []
+        for j in range(r + 1):
+            for q in range(r + 1):
+                lhs = self.Pdual.zero
+                for n in range(r + 1):
+                    lhs = lhs + self.G.c(r - n) * pull(tau(n + j, r - q))
+                rhs = self.lpow[j] * self.G.c(q) * (-1) ** j
+                require_equal(lhs, rhs, f"T1 identity fails at j={j}, q={q}")
+                if q == 0:
+                    sums.append(lhs)
+        return tuple(sums)
+
+    def _help_table(self) -> MappingProxyType:
+        """help(j, k) = sum_{i<j} (-1)^i l^i eta'_*(H^{k+j-i-1}) for j, k <= r,
+        the entries term_A reads; the build checks every k <= 2r - j against
+        pull(tau_{k+j,r}) - (-1)^j l^j pull(tau_{k,r})."""
+        r, tau, pull = self.r, self.P.tau, self.Pdual.pullback
+        push = self.E.pushforward_power  # eta'_*(H^k), through the Segre table of G
+        table = {}
+        for j in range(r + 1):
+            for k in range(2 * r - j + 1):
+                lhs = self.Pdual.zero
+                for i in range(j):
+                    lhs = lhs + self.lpow[i] * push(k + j - i - 1) * (-1) ** i
+                sign = (-1) ** (j + 1)
+                rhs = pull(tau(k + j, r)) + self.lpow[j] * pull(tau(k, r)) * sign
+                require_equal(lhs, rhs, f"help-sum identity fails at j={j}, k={k}")
+                if k <= r:
+                    table[j, k] = lhs
+        return MappingProxyType(table)
+
+    # each table is built, every cell checked, on first read, then kept
+    t1_sums = cached_property(_t1_table)
+    help_sums = cached_property(_help_table)
 
     # ------------------------------------------------------------- helpers
 
@@ -82,24 +129,6 @@ def sigma_top_product(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     return ctx.Pdual.pullback(top)
 
 
-def _help_sum(ctx: FlopContext, j: int, k: int) -> PBElement:
-    """sum_{i<j} (-1)^i l^i eta'_*(H^{k+j-i-1}), through the Segre table of G."""
-    out = ctx.Pdual.zero
-    for i in range(j):
-        out = out + ctx.lpow[i] * ctx.E.pushforward_power(k + j - i - 1) * (-1) ** i
-    return out
-
-
-def help_sum_check(ctx: FlopContext, j: int, k: int) -> None:
-    """Alternating pushforward sum vs its closed form in the tau table."""
-    lhs = _help_sum(ctx, j, k)
-    rhs = (
-        ctx.Pdual.pullback(ctx.P.tau(k + j, ctx.r))
-        + ctx.lpow[j] * ctx.Pdual.pullback(ctx.P.tau(k, ctx.r)) * (-1) ** (j + 1)
-    )
-    require_equal(lhs, rhs, f"help-sum identity fails at j={j}, k={k}")
-
-
 def term_A(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     """Correction term from the pure pullback products and the first mixed
     product, computed both raw (pushforward expansion) and in closed form."""
@@ -115,24 +144,9 @@ def term_A(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     raw = ctx.Pdual.zero
     for k in range(r + 1):
         for j in range(r + 1):
-            raw = raw + pull(sa[k] * sb[j]) * _help_sum(ctx, j, k)
+            raw = raw + pull(sa[k] * sb[j]) * ctx.help_sums[j, k]
     require_equal(raw, closed, "first correction term: raw and closed routes disagree")
     return closed
-
-
-def _t1_sum(ctx: FlopContext, j: int, col: int) -> PBElement:
-    """sum_n c_{r-n}(G) . pull(tau_{n+j, col}) in CH(P')."""
-    out = ctx.Pdual.zero
-    for n in range(ctx.r + 1):
-        out = out + ctx.G.c(ctx.r - n) * ctx.Pdual.pullback(ctx.P.tau(n + j, col))
-    return out
-
-
-def t1_check(ctx: FlopContext, j: int, q: int) -> None:
-    """The generalized alternating-sum identity for the G-Chern sums."""
-    lhs = _t1_sum(ctx, j, ctx.r - q)
-    rhs = ctx.lpow[j] * ctx.G.c(q) * (-1) ** j
-    require_equal(lhs, rhs, f"T1 identity fails at j={j}, q={q}")
 
 
 def term_B(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
@@ -146,7 +160,7 @@ def term_B(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
         t2_raw = t2_raw + ctx.lpow[n] * ctx.G.c(r - n) * (-1) ** (n + 1)
     raw = ctx.Pdual.zero
     for j in range(r + 1):
-        raw = raw + pull(sa[r] * sb[j]) * _t1_sum(ctx, j, r)
+        raw = raw + pull(sa[r] * sb[j]) * ctx.t1_sums[j]
     raw = raw + pull(sa[r] * sb[r]) * t2_raw
     # closed route
     t2_closed = -cotangent_top_expansion(ctx)
@@ -192,12 +206,24 @@ def verify_multiplicativity(ctx: FlopContext, sa: tuple, sb: tuple) -> Report:
     """Check that the three correction terms add up to the top sigma
     coefficient of the product, including every dual-route sub-claim."""
     report = Report()
+    rhs = report.run(
+        "flop.sigma_top_cross_route",
+        "top sigma coefficient of a product, tau table vs direct product",
+        lambda: sigma_top_product(ctx, sa, sb),
+    )
+    # tables built after sigma_top's direct product stay out of its peak memory
+    report.run(
+        "flop.t1_identity",
+        "generalized alternating Chern sum identity, all admissible indices",
+        lambda: ctx.t1_sums,
+    )
+    report.run(
+        "flop.help_sum_identity",
+        "alternating pushforward sums vs tau closed form",
+        lambda: ctx.help_sums,
+    )
     box = {
-        "rhs": report.run(
-            "flop.sigma_top_cross_route",
-            "top sigma coefficient of a product, tau table vs direct product",
-            lambda: sigma_top_product(ctx, sa, sb),
-        ),
+        "rhs": rhs,
         "A": report.run(
             "flop.term_A_routes",
             "pullback-product correction: pushforward expansion vs closed form",
@@ -221,28 +247,6 @@ def verify_multiplicativity(ctx: FlopContext, sa: tuple, sb: tuple) -> Report:
         if missing:
             raise ConsistencyError(f"prerequisite terms missing: {missing}")
         return list(box.values())
-
-    def t1_all():
-        for j in range(ctx.r + 1):
-            for q in range(ctx.r + 1):
-                t1_check(ctx, j, q)
-
-    report.run(
-        "flop.t1_identity",
-        "generalized alternating Chern sum identity, all admissible indices",
-        t1_all,
-    )
-
-    def help_sums():
-        for j in range(ctx.r + 1):
-            for k in range(2 * ctx.r - j + 1):
-                help_sum_check(ctx, j, k)
-
-    report.run(
-        "flop.help_sum_identity",
-        "alternating pushforward sums vs tau closed form",
-        help_sums,
-    )
 
     def homogeneity():
         for key, value in zip(box, terms()):
@@ -273,9 +277,10 @@ def verify_foundations(ctx: FlopContext) -> Report:
     r = ctx.r
 
     def eta_table():
+        hpow = powers(ctx.H, r)
         for k in range(r + 1):
             via_segre = ctx.E.pushforward_power(k)
-            via_reduce = ctx.E.pushforward(ctx.H ** k)
+            via_reduce = ctx.E.pushforward(hpow[k])
             require_equal(
                 via_segre,
                 via_reduce,
@@ -314,12 +319,10 @@ def verify_foundations(ctx: FlopContext) -> Report:
     )
 
     def twist_chern_routes():
+        via_tensor = ctx.Pdual.cotangent_twist_via_tensor()
         for i in range(r + 1):
-            closed = ctx.G.c(i)
-            tensor = ctx.Pdual.cotangent_twist_via_tensor(i)
-            require_equal(
-                closed, tensor, f"twisted cotangent Chern class c_{i} routes disagree"
-            )
+            message = f"twisted cotangent Chern class c_{i} routes disagree"
+            require_equal(ctx.G.c(i), via_tensor[i], message)
 
     report.run(
         "foundations.twist_chern_routes",

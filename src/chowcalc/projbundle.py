@@ -93,7 +93,7 @@ class ProjBundleRing:
         if k < 0:
             return self.base.zero
         if len(self._segre) <= k:
-            self._segre = segre_classes(self.bundle, k)
+            self._segre = segre_classes(self.bundle, k, self._segre)
         return self._segre[k]
 
     def pushforward(self, a: "PBElement"):
@@ -170,17 +170,11 @@ class ProjBundleRing:
                 coeffs[i - j] = coeffs[i - j] + cj * binomial(n - j, i - j)
         return self.element([c * (-1) ** i for c in coeffs])
 
-    def cotangent_chern_via_euler(self, i: int) -> "PBElement":
-        """Oracle route: c_i(pull(F dual) tensor O(-1)) from the Euler sequence."""
-        if i == 0:
-            return self.one
-        pulled_dual = BundleClass(
-            self,
-            self.rank,
-            [self.pullback(c) for c in dual_bundle(self.bundle).chern],
-        )
-        twisted = tensor_by_line(pulled_dual, -self.h)
-        return twisted.c(i)
+    def cotangent_chern_via_euler(self) -> BundleClass:
+        """Oracle route: the bundle pull(F dual) tensor O(-1) of the Euler
+        sequence, whose Chern classes are those of the relative cotangent."""
+        pulled = [self.pullback(c) for c in dual_bundle(self.bundle).chern]
+        return tensor_by_line(BundleClass(self, self.rank, pulled), -self.h)
 
     def cotangent_twist_chern(self, i: int) -> "PBElement":
         """c_i of the cotangent bundle twisted by O(1), in closed form."""
@@ -192,15 +186,15 @@ class ProjBundleRing:
             coeffs[m] = dual.c(i - m) * (-1) ** m
         return self.element(coeffs)
 
-    def cotangent_twist_via_tensor(self, i: int) -> "PBElement":
-        """Oracle route: twist the cotangent classes with tensor_by_line."""
+    def cotangent_twist_via_tensor(self) -> list:
+        """Oracle route: c_0..c_{n-1} of Omega(1), twisting the closed-form
+        cotangent classes with tensor_by_line."""
         n = self.rank
         if n == 1:
-            return self.one if i == 0 else self.zero
-        omega = BundleClass(
-            self, n - 1, [self.cotangent_chern(k) for k in range(1, n)]
-        )
-        return tensor_by_line(omega, self.h).c(i)
+            return [self.one]
+        omega = [self.cotangent_chern(k) for k in range(1, n)]
+        twisted = tensor_by_line(BundleClass(self, n - 1, omega), self.h)
+        return [twisted.c(i) for i in range(n)]
 
     def __repr__(self) -> str:
         return f"ProjBundleRing(rank={self.rank}, {self.hyperplane}, base={self.base!r})"

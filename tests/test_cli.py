@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -40,6 +41,17 @@ def test_usage_errors(capsys):
     assert main(["projbundle", "--dim-bound", "-1"]) == 2
     assert main(["flop", "--r-max", "0"]) == 2
     capsys.readouterr()
+    # an option the chosen suite does not read is rejected, not echoed
+    for argv, flag in [
+        (["flop", "--r", "1", "--case", "linear:3,0"], "--case"),
+        (["charclass", "--case", "linear:3,0"], "--case"),
+        (["flop", "--r", "1", "--dim-bound", "0"], "--dim-bound"),
+        (["blowup", "--dim-bound", "0"], "--dim-bound"),
+        (["binomial", "--dim-bound", "3"], "--dim-bound"),
+    ]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} does not apply to the {argv[0]} suite\n"
 
 
 def test_projbundle_passes_at_dim_bound_zero(capsys):
@@ -110,6 +122,9 @@ def test_config_file_rejects_bad_lines(tmp_path, capsys):
     for text, token in [
         ("this is not a key value pair\n", "'this is not a key value pair'"),
         ("suite=flop\ncolour=red\n", "'colour'"),  # unknown key
+        # options the suite does not read
+        ("suite=flop\ncase=linear:3,0\n", "--case does not apply to the flop suite"),
+        ("suite=blowup\ndim-bound=2\n", "--dim-bound does not apply to the blowup"),
     ]:
         cfg_file.write_text(text)
         assert main(["--config", str(cfg_file)]) == 2
@@ -179,14 +194,21 @@ def test_unexpected_exception_becomes_failing_entry(check, witness):
 def test_crashing_check_gives_failure_exit(monkeypatch):
     import chowcalc.flop as flop_mod
 
-    def crash(ctx, j, q):
+    def crash(ctx):
         raise ZeroDivisionError("injected")
 
-    monkeypatch.setattr(flop_mod, "t1_check", crash)
+    # the T1 table's build fails its own check and, read again, its reader
+    monkeypatch.setattr(flop_mod.FlopContext, "t1_sums", property(crash))
     status, report = run_suite(SuiteConfig(suite="flop", r=1))
     assert status == 1
     failed = [(c.name, c.witness) for c in report.checks if c.status == "fail"]
-    assert failed == [("r1.flop.t1_identity", "ZeroDivisionError: injected")]
+    missing = "prerequisite terms missing: ['B']"
+    assert sorted(failed) == [
+        ("r1.flop.final_cancellation", missing),
+        ("r1.flop.homogeneity", missing),
+        ("r1.flop.t1_identity", "ZeroDivisionError: injected"),
+        ("r1.flop.term_B_routes", "ZeroDivisionError: injected"),
+    ]
 
 
 def test_route_failure_carries_the_difference(monkeypatch, capsys):
@@ -210,6 +232,35 @@ def test_route_failure_carries_the_difference(monkeypatch, capsys):
     text = capsys.readouterr().out
     assert "FAIL blowup.pull_push_identity" in text
     assert "\n     witness: 1\n" in text
+
+
+def test_noncommutative_product_fails_ring_laws(monkeypatch):
+    import chowcalc.blowup as bl_mod
+
+    orig = bl_mod.BlowupRing.mul
+
+    def left_biased(self, a, b):
+        # a times the degree-0 part of b: associative but not commutative, so
+        # only the comparison of a * b with a separately computed b * a fails
+        return orig(self, a, self.pull(b.ambient.grade_component(0)))
+
+    monkeypatch.setattr(bl_mod.BlowupRing, "mul", left_biased)
+    data = bl_mod.linear_blowup(4, 1)
+    bl = bl_mod.BlowupRing(data)
+    rng = random.Random(0)
+
+    def sample():
+        eps = bl.E.random_element(rng, 4)
+        return bl.exc_push(eps) + bl.pull(data.ambient.random_element(rng, 4))
+
+    a, b, c = sample(), sample(), sample()
+    assert (a * b) * c == a * (b * c)
+    assert a * b != b * a
+    status, report = run_suite(SuiteConfig(suite="blowup"))
+    assert status == 1
+    failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
+    assert list(failed) == ["blowup.ring_laws"]
+    assert failed["blowup.ring_laws"] not in (None, "", "0")
 
 
 def test_binomial_failure_lists_the_bad_sums(monkeypatch):
@@ -259,6 +310,11 @@ def test_report_records_case_and_dim_bound(capsys):
     argv = ["projbundle", "--r-max", "1", "--dim-bound", "0", "--format", "json"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["dim_bound"] == 0
+    # "all" runs suites that read each option, so it takes and echoes both
+    argv = ["all", "--case", "linear:3,0", "--dim-bound", "0", "--format", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["case"], report["dim_bound"]) == ("linear:3,0", 0)
 
 
 def test_charclass_runs_at_dim_bound_zero(monkeypatch):
@@ -290,8 +346,13 @@ ROOT = Path(__file__).resolve().parent.parent
         ["--config", "BAD_CONFIG"],
         ["binomial", "--r-max", "1", "--out", "TMP_DIR"],
         ["flop", "--r", "2", "--r-max", "3"],
+        ["flop", "--r", "1", "--case", "linear:3,0"],
+        ["blowup", "--dim-bound", "0"],
     ],
-    ids=["dim-bound", "r", "trials", "case", "config", "out", "r-and-r-max"],
+    ids=[
+        "dim-bound", "r", "trials", "case", "config", "out", "r-and-r-max",
+        "case-unread", "dim-bound-unread",
+    ],
 )
 def test_child_process_usage_error_exits_two(argv, tmp_path):
     bad_config = tmp_path / "bad.cfg"

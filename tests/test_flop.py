@@ -1,5 +1,6 @@
 import functools
 import re
+from types import MappingProxyType
 
 import pytest
 
@@ -15,7 +16,7 @@ from chowcalc import (
     verify_foundations,
     verify_multiplicativity,
 )
-from chowcalc.flop import help_sum_check, t1_check
+from chowcalc.errors import ConsistencyError
 from chowcalc.rings import COEFF_RANGE
 
 try:
@@ -73,17 +74,52 @@ def test_sigma_top_product_routes():
 def test_help_sum_identity():
     for r in (1, 2, 3, 4):
         ctx = FlopContext(r)
-        for j in range(r + 1):
-            for k in range(2 * r - j + 1):
-                help_sum_check(ctx, j, k)
+        table = ctx.help_sums  # the build checks every j <= r, k <= 2r - j
+        assert set(table) == {(j, k) for j in range(r + 1) for k in range(r + 1)}
+        with pytest.raises(TypeError):
+            table[0, 0] = ctx.Pdual.zero  # stored read-only
 
 
 def test_t1_identity_all_indices():
     for r in (1, 2, 3):
         ctx = FlopContext(r)
+        # the build checks every j, q <= r; the kept q = 0 sums are (-1)^j l^j
+        assert ctx.t1_sums == tuple(ctx.lpow[j] * (-1) ** j for j in range(r + 1))
+
+
+def _failed(report) -> dict:
+    return {c.name: c.witness for c in report.checks if c.status == "fail"}
+
+
+def test_substituted_t1_sum_fails_term_b():
+    # term_B's raw route reads the stored T1(j); its closed route does not
+    ctx = FlopContext(1)
+    t1 = list(ctx.t1_sums)
+    t1[1] = t1[1] + ctx.l
+    ctx.t1_sums = tuple(t1)
+    failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
+    assert failed["flop.term_B_routes"] == "(1 * a1*b1) * l"
+    for r in (1, 2):
         for j in range(r + 1):
-            for q in range(r + 1):
-                t1_check(ctx, j, q)
+            ctx = FlopContext(r)
+            t1 = list(ctx.t1_sums)
+            t1[j] = t1[j] + ctx.lpow[j] * ctx.Pdual.pullback(ctx.F.c(1))
+            ctx.t1_sums = tuple(t1)
+            with pytest.raises(ConsistencyError, match="second correction term"):
+                term_B(ctx, *ctx.formal_sigmas())
+
+
+def test_substituted_help_sum_fails_term_a():
+    # term_A's raw route reads every stored help(j, k); its closed route none
+    for r in (1, 2):
+        for key in FlopContext(r).help_sums:
+            ctx = FlopContext(r)
+            table = dict(ctx.help_sums)
+            table[key] = table[key] + ctx.lpow[key[0]] * ctx.Pdual.pullback(ctx.F.c(1))
+            ctx.help_sums = MappingProxyType(table)
+            failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
+            assert failed.get("flop.term_A_routes") not in (None, "", "0"), (r, key)
+            assert "flop.help_sum_identity" not in failed  # read, not rebuilt
 
 
 def test_term_c_rank_one():
@@ -201,6 +237,22 @@ def test_missing_term_fails_its_readers(monkeypatch):
     }
 
 
+def test_off_by_one_segre_continuation_fails_eta_push_table(monkeypatch):
+    import chowcalc.chern as chern_mod
+
+    orig = chern_mod._inverse_unit_series
+
+    def shifted(coeffs, known=()):
+        # each entry past the known prefix takes its predecessor's value
+        out = orig(coeffs, known)
+        return out[: len(known)] + out[len(known) - 1 : -1] if known else out
+
+    monkeypatch.setattr(chern_mod, "_inverse_unit_series", shifted)
+    for r in (1, 2, 3):
+        failed = _failed(verify_foundations(FlopContext(r)))
+        assert failed.get("foundations.eta_push_table") not in (None, "", "0"), r
+
+
 def test_verify_foundations():
     for r in (1, 2, 3):
         report = verify_foundations(FlopContext(r))
@@ -249,9 +301,10 @@ def test_twist_chern_routes_detects_corrupted_tensor_route(monkeypatch):
     # independent one, so corrupting it alone must fail the check
     orig = ProjBundleRing.cotangent_twist_via_tensor
 
-    def bad(self, i):
-        value = orig(self, i)
-        return value + self.h if i == 1 else value  # still homogeneous
+    def bad(self):
+        value = orig(self)
+        value[1] = value[1] + self.h  # still homogeneous
+        return value
 
     monkeypatch.setattr(ProjBundleRing, "cotangent_twist_via_tensor", bad)
     ctx = FlopContext(2)

@@ -92,6 +92,24 @@ def _random_formal(ring, rng):
     return ring.element([_random_formal(ring.base, rng) for _ in range(ring.rank)])
 
 
+def test_segre_extends_its_cached_list(monkeypatch):
+    import chowcalc.projbundle as pb_mod
+
+    orig = pb_mod.segre_classes
+    prefixes = []
+
+    def recording(F, k_max, known=()):
+        prefixes.append((k_max, len(known)))
+        return orig(F, k_max, known)
+
+    monkeypatch.setattr(pb_mod, "segre_classes", recording)
+    P = generic_tower(3)
+    for k in (1, 2, 2, 5, 9):
+        assert P.segre(k) == orig(P.bundle, k)[k]
+    # each call starts from every class already held, and none repeats
+    assert prefixes == [(1, 1), (2, 2), (5, 3), (9, 6)]
+
+
 def test_pushforward_is_the_segre_sum():
     rng = random.Random(11)
     for n in range(1, 6):
@@ -193,15 +211,19 @@ def test_tau_out_of_range_columns():
 def test_cotangent_chern_against_euler_sequence():
     for n in range(2, 7):
         P = generic_tower(n)
+        euler = P.cotangent_chern_via_euler()
+        assert euler.rank == n
         for i in range(n):
-            assert P.cotangent_chern(i) == P.cotangent_chern_via_euler(i)
+            assert P.cotangent_chern(i) == euler.c(i)
 
 
 def test_cotangent_twist_against_tensor_formula():
     for n in range(1, 7):
         P = generic_tower(n)
+        twist = P.cotangent_twist_via_tensor()
+        assert len(twist) == n
         for i in range(n):
-            assert P.cotangent_twist_chern(i) == P.cotangent_twist_via_tensor(i)
+            assert P.cotangent_twist_chern(i) == twist[i]
 
 
 def test_binomial_identity_exhaustive():
