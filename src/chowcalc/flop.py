@@ -14,8 +14,8 @@ by two independent routes (a raw expansion through pushforward tables, and
 the closed form), and the headline check is that the three correction terms
 add up exactly to the top sigma coefficient of the product.  The two lemma
 tables, the alternating Chern sums T1(j) and the eta'_* help sums, each have
-one owner on the context: the build checks every cell, and the raw routes
-of term_B and term_A read the stored values.
+one owner on the context, swept row by row by a recurrence: the build checks
+every cell, and the raw routes of term_B and term_A read the stored values.
 """
 
 from __future__ import annotations
@@ -59,38 +59,43 @@ class FlopContext:
 
     def _t1_table(self) -> tuple:
         """T1(j) = sum_n c_{r-n}(G) . pull(tau_{n+j,r}) for j <= r, the sums
-        term_B reads; the build checks the generalized identity, the same sum
-        over tau_{n+j,r-q} against (-1)^j l^j c_q(G), at every j, q <= r."""
-        r, tau, pull = self.r, self.P.tau, self.Pdual.pullback
+        term_B reads.  Row j holds the same sums lhs(j, q) over tau_{n+j,r-q}
+        for q <= r, row 0 by definition and row j+1 by the tau recursion as
+        lhs(j, q+1) - pull(c_{q+1}(F)) . lhs(j, 0), where lhs(j, r+1) = 0.
+        Every cell is checked against (-1)^j l^j c_q(G)."""
+        r, tau, pull, zero = self.r, self.P.tau, self.Pdual.pullback, self.Pdual.zero
+        row = [
+            sum((self.G.c(r - n) * pull(tau(n, r - q)) for n in range(r + 1)), zero)
+            for q in range(r + 1)
+        ]
         sums = []
         for j in range(r + 1):
-            for q in range(r + 1):
-                lhs = self.Pdual.zero
-                for n in range(r + 1):
-                    lhs = lhs + self.G.c(r - n) * pull(tau(n + j, r - q))
+            for q, lhs in enumerate(row):
                 rhs = self.lpow[j] * self.G.c(q) * (-1) ** j
                 require_equal(lhs, rhs, f"T1 identity fails at j={j}, q={q}")
-                if q == 0:
-                    sums.append(lhs)
+            sums.append(row[0])
+            if j < r:
+                tail = [*row[1:], zero]
+                row = [t - pull(self.F.c(q + 1)) * row[0] for q, t in enumerate(tail)]
         return tuple(sums)
 
     def _help_table(self) -> MappingProxyType:
         """help(j, k) = sum_{i<j} (-1)^i l^i eta'_*(H^{k+j-i-1}) for j, k <= r,
-        the entries term_A reads; the build checks every k <= 2r - j against
-        pull(tau_{k+j,r}) - (-1)^j l^j pull(tau_{k,r})."""
+        the entries term_A reads.  Row j is swept from help(0, k) = 0 by
+        help(j+1, k) = eta'_*(H^{k+j}) - l . help(j, k), and every k <= 2r - j
+        is checked against pull(tau_{k+j,r}) - (-1)^j l^j pull(tau_{k,r})."""
         r, tau, pull = self.r, self.P.tau, self.Pdual.pullback
         push = self.E.pushforward_power  # eta'_*(H^k), through the Segre table of G
+        row = [self.Pdual.zero] * (2 * r + 1)
         table = {}
         for j in range(r + 1):
-            for k in range(2 * r - j + 1):
-                lhs = self.Pdual.zero
-                for i in range(j):
-                    lhs = lhs + self.lpow[i] * push(k + j - i - 1) * (-1) ** i
-                sign = (-1) ** (j + 1)
-                rhs = pull(tau(k + j, r)) + self.lpow[j] * pull(tau(k, r)) * sign
+            for k, lhs in enumerate(row):
+                rhs = pull(tau(k + j, r)) - self.lpow[j] * pull(tau(k, r)) * (-1) ** j
                 require_equal(lhs, rhs, f"help-sum identity fails at j={j}, k={k}")
                 if k <= r:
                     table[j, k] = lhs
+            if j < r:
+                row = [push(k + j) - self.l * row[k] for k in range(2 * r - j)]
         return MappingProxyType(table)
 
     # each table is built, every cell checked, on first read, then kept

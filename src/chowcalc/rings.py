@@ -1,21 +1,30 @@
 """Exact graded-commutative polynomial rings over the rationals.
 
-Elements are sparse polynomials in named generators with assigned degrees.
-Coefficients are `fractions.Fraction`, terms are kept in canonical form (no
-zero coefficients), and an optional dimension bound truncates everything of
-higher total degree after each operation.  All generators commute.
+Elements are sparse polynomials in named generators with assigned degrees,
+with `int` coefficients until a division makes a `fractions.Fraction` (whole
+inputs are stored as `int`).  Terms are kept in canonical form (no zero
+coefficients), an optional dimension bound truncates everything of higher
+total degree after each operation, and all generators commute.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction
 
 
 # Coefficients of sampled elements are drawn uniformly from this range.
 COEFF_RANGE = (-9, 9)
+
+
+def exact(c) -> Coefficient:
+    """The number c as a coefficient: an ``int`` when whole, else a ``Fraction``."""
+    c = c if isinstance(c, int) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def powers(x, n: int) -> list:
@@ -84,31 +93,28 @@ class GradedRing:
         self.nvars = len(gens)
         self._index = {name: i for i, name in enumerate(names)}
         self.zero = GradedElement(self, {})
-        self.one = GradedElement(self, {(0,) * self.nvars: Fraction(1)})
+        self.one = GradedElement(self, {(0,) * self.nvars: 1})
 
     # -------------------------------------------------------------- basics
 
     def gen(self, name: str) -> "GradedElement":
         i = self._index[name]
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return self._canonical({exps: Fraction(1)})
+        return self._canonical({exps: 1})
 
     def scalar(self, c) -> "GradedElement":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero
-        return GradedElement(self, {(0,) * self.nvars: c})
+        return self._canonical({(0,) * self.nvars: exact(c)})
 
     def element(self, terms: Mapping[Exponents, object]) -> "GradedElement":
         """Build an element from an exponents -> coefficient mapping."""
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, coeff in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps}")
-            coeff = Fraction(coeff)
+            coeff = exact(coeff)
             if coeff:
-                out[exps] = out.get(exps, Fraction(0)) + coeff
+                out[exps] = out.get(exps, 0) + coeff
         return self._canonical(out)
 
     def monomial_str(self, exps: Exponents) -> str:
@@ -120,7 +126,7 @@ class GradedRing:
     def monomial_degree(self, exps: Exponents) -> int:
         return sum(e * d for e, d in zip(exps, self.degrees))
 
-    def _canonical(self, terms: dict[Exponents, Fraction]) -> "GradedElement":
+    def _canonical(self, terms: dict[Exponents, Coefficient]) -> "GradedElement":
         bound = self.dim_bound
         clean = {
             exps: coeff
@@ -159,11 +165,11 @@ class GradedRing:
             yield from self.monomials_of_degree(k)
 
     def random_homogeneous(self, rng, degree: int) -> "GradedElement":
-        terms = {m: Fraction(rng.randint(*COEFF_RANGE)) for m in self.monomials_of_degree(degree)}
+        terms = {m: rng.randint(*COEFF_RANGE) for m in self.monomials_of_degree(degree)}
         return self._canonical(terms)
 
     def random_element(self, rng, max_degree: int) -> "GradedElement":
-        terms = {m: Fraction(rng.randint(*COEFF_RANGE)) for m in self.monomials_up_to(max_degree)}
+        terms = {m: rng.randint(*COEFF_RANGE) for m in self.monomials_up_to(max_degree)}
         return self._canonical(terms)
 
     # ------------------------------------------------------------- parsing
@@ -176,7 +182,7 @@ class GradedRing:
         text = text.strip()
         if text == "0":
             return self.zero
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Coefficient] = {}
         for chunk in text.split(" + "):
             chunk = chunk.strip()
             if " * " in chunk:
@@ -186,7 +192,7 @@ class GradedRing:
                 try:
                     coeff, mono_str = _parse_coefficient(chunk), None
                 except ValueError:
-                    coeff, mono_str = Fraction(1), chunk  # bare monomial
+                    coeff, mono_str = 1, chunk  # bare monomial
             if mono_str is None:
                 key = (0,) * self.nvars
             else:
@@ -199,13 +205,13 @@ class GradedRing:
                         raise ValueError(f"unknown generator {name!r} in {text!r}")
                     exps[self._index[name]] += int(exponent) if caret else 1
                 key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            terms[key] = terms.get(key, 0) + coeff
         return self._canonical(terms)
 
 
-def _parse_coefficient(token: str) -> Fraction:
+def _parse_coefficient(token: str) -> Coefficient:
     try:
-        return Fraction(token)
+        return exact(token)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad coefficient {token!r}") from None
 
@@ -215,7 +221,7 @@ class GradedElement(RingElement):
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: GradedRing, terms: dict[Exponents, Fraction]):
+    def __init__(self, ring: GradedRing, terms: dict[Exponents, Coefficient]):
         self.ring = ring
         self.terms = terms
 
@@ -242,7 +248,7 @@ class GradedElement(RingElement):
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            terms[e] = terms.get(e, 0) + c
         return self.ring._canonical(terms)
 
     __radd__ = __add__
@@ -252,9 +258,7 @@ class GradedElement(RingElement):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return self.ring.zero
+            c = exact(other)
             return self.ring._canonical({e: k * c for e, k in self.terms.items()})
         other = self._coerce(other)
         if other is None:
@@ -262,13 +266,14 @@ class GradedElement(RingElement):
         ring = self.ring
         bound = ring.dim_bound
         deg = ring.monomial_degree
-        terms: dict[Exponents, Fraction] = {}
+        add = operator.add
+        terms: dict[Exponents, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 if bound is not None and deg(e) > bound:
                     continue
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return ring._canonical(terms)
 
     __rmul__ = __mul__

@@ -1,9 +1,12 @@
 import functools
+import inspect
 import re
+import textwrap
 from types import MappingProxyType
 
 import pytest
 
+import chowcalc.flop as flop_mod
 from chowcalc import (
     FlopContext,
     GradedRing,
@@ -120,6 +123,61 @@ def test_substituted_help_sum_fails_term_a():
             failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
             assert failed.get("flop.term_A_routes") not in (None, "", "0"), (r, key)
             assert "flop.help_sum_identity" not in failed  # read, not rebuilt
+
+
+def _install_mutant(monkeypatch, table: str, old: str, new: str) -> None:
+    """Build ``FlopContext.<table>`` with a copy of its method whose source
+    has the one occurrence of ``old`` replaced by ``new``."""
+    method = vars(FlopContext)[table].func
+    source = textwrap.dedent(inspect.getsource(method))
+    assert source.count(old) == 1, old  # the mutated code is still there
+    namespace = {}
+    exec(source.replace(old, new), vars(flop_mod), namespace)
+    monkeypatch.setattr(FlopContext, table, property(namespace[method.__name__]))
+
+
+# (table, code in its sweep, mutant, checks that must fail)
+SWEEP_MUTANTS = {
+    "t1_without_c_term": (
+        "t1_sums",
+        "t - pull(self.F.c(q + 1)) * row[0] for",
+        "t for",
+        {"flop.t1_identity", "flop.term_B_routes"},
+    ),
+    "help_off_by_one": (
+        "help_sums",
+        "push(k + j)",
+        "push(k + j - 1)",
+        {"flop.help_sum_identity", "flop.term_A_routes"},
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SWEEP_MUTANTS))
+def test_sweep_mutant_fails_its_checks(monkeypatch, mutant):
+    table, old, new, readers = SWEEP_MUTANTS[mutant]
+    _install_mutant(monkeypatch, table, old, old)  # the harness alone passes
+    ctx = FlopContext(2)
+    assert verify_multiplicativity(ctx, *ctx.formal_sigmas()).ok
+    monkeypatch.undo()
+    _install_mutant(monkeypatch, table, old, new)
+    for r in (1, 2, 3):
+        ctx = FlopContext(r)
+        failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
+        assert readers <= {k for k, w in failed.items() if w not in ("", "0")}, r
+
+
+def test_corrupted_tau_row_fails_t1_identity():
+    # the T1 sweep reads every stored tau_P row i <= r, the rest by recursion
+    for r in (1, 2, 3):
+        for i in range(r + 1):
+            ctx = FlopContext(r)
+            rows = ctx.P.tau_rows(2 * r)  # built and checked before the corruption
+            row = list(rows[i])
+            row[i] = row[i] + 1  # h^i reduced as 2 h^i, still homogeneous
+            ctx.P._tau_rows[i] = tuple(row)
+            failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
+            assert failed.get("flop.t1_identity") not in (None, "", "0"), (r, i)
 
 
 def test_term_c_rank_one():

@@ -9,6 +9,7 @@ from chowcalc import (
     BlowupRing,
     BundleClass,
     ConsistencyError,
+    FlopContext,
     GradedRing,
     ProjBundleRing,
     linear_blowup,
@@ -169,6 +170,28 @@ if st is not None:
         assert ring.parse(text) == x
         assert str(ring.parse(text)) == text
 
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_int_and_whole_fraction_coefficients_agree(data):
+        # after a division, whole coefficients can be Fractions; they must
+        # mix with int ones exactly, in value and in print
+        bound = data.draw(st.none() | st.integers(0, 6))
+        ring = GradedRing([("x", 1), ("y", 2), ("z", 0)], dim_bound=bound)
+        exponents = st.tuples(*[st.integers(0, 3)] * 3)
+
+        def twins():
+            terms = data.draw(st.dictionaries(exponents, st.integers(-20, 20), max_size=6))
+            as_int = ring.element(terms)
+            as_fraction = as_int * Fraction(1, 2) * 2
+            assert all(type(c) is int for c in as_int.terms.values())
+            assert all(type(c) is Fraction for c in as_fraction.terms.values())
+            return as_int, as_fraction
+
+        a, b = twins(), twins()
+        values = [p * q + p - 3 * q for p in a for q in b]
+        assert all(v == values[0] for v in values)
+        assert len({str(v) for v in values}) == 1
+
 
 @pytest.mark.parametrize(
     "text, token",
@@ -189,6 +212,34 @@ def test_parse_rejects_malformed_text(ring, text, token):
 def test_rational_coefficients_allowed_by_default(ring):
     a = ring.gen("x") * Fraction(3, 7)
     assert any(c.denominator != 1 for c in a.terms.values())
+
+
+def _coefficients(x):
+    """Every base-ring coefficient of a graded, tower or blow-up element."""
+    if hasattr(x, "terms"):
+        return list(x.terms.values())
+    if hasattr(x, "coeffs"):
+        return [c for part in x.coeffs for c in _coefficients(part)]
+    return _coefficients(x.ambient) + _coefficients(x.exceptional)
+
+
+def test_products_without_division_keep_int_coefficients():
+    ctx = FlopContext(3)
+    entries = [entry for row in ctx.P.tau_rows(6) for entry in row]
+    bl, x = _blowup_class()
+    for value in [*entries, x * x, x * x * x, bl.xi * x.exceptional]:
+        assert all(type(c) is int for c in _coefficients(value)), value
+
+
+def test_whole_fractions_are_stored_as_int(ring):
+    for x in (
+        ring.scalar(Fraction(4, 2)),
+        ring.parse("2 * x"),
+        ring.element({(1, 0, 0): Fraction(4, 2)}),
+        ring.gen("x") * Fraction(4, 2),
+    ):
+        [c] = x.terms.values()
+        assert type(c) is int and c == 2, x
 
 
 def test_monomials_of_degree():

@@ -10,7 +10,7 @@ from chowcalc.cli import SuiteConfig, run_suite
 from chowcalc.projbundle import ProjBundleRing
 
 # ProjBundleRing.mul calls for FlopContext(4), foundations and multiplicativity
-FLOP_R4_TOWER_PRODUCTS = 378
+FLOP_R4_TOWER_PRODUCTS = 264
 # BlowupRing.mul calls for the blowup suite on linear:4,1
 BLOWUP_LINEAR_4_1_PRODUCTS = 1000
 
