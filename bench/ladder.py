@@ -7,8 +7,10 @@ Run it from any directory; it imports chowcalc from the ``src/`` of the
 checkout it sits in.  For r = 1, 2, ... it runs ``FlopContext(r)``,
 ``verify_foundations`` and ``verify_multiplicativity`` on the formal sigmas
 in a fresh child interpreter, timed inside the child from the context build
-to the last check.  It stops at the first r that goes over the budget or
-fails a check; the headline is the r before it.
+to the last check.  It stops at the first r that goes over the budget,
+fails a check or dies (a child may map at most 4 GiB; peak RSS grows about
+1.4x per rung near r = 25, where it passes 2 GB); the headline is the r
+before it.
 
 Before each r it samples perfbench's ``reference_kernel`` (imported from
 ``perfbench/run.py``, not copied), so that a time divided by the kernel's
@@ -38,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BUDGET_S = 60.0
 REFERENCE_SAMPLES = 3  # kernel calls before each r, about 0.25 s each
 GRACE_S = 10.0  # a child past the budget by this much is stopped
+CHILD_MEMORY = 4 << 30  # bytes of address space a child may map
 
 
 def _reference_kernel():
@@ -51,6 +54,7 @@ def _reference_kernel():
 
 def child(r: int) -> dict:
     """One rung, in this process: wall time, verdict, shares and counts."""
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
     sys.path.insert(0, str(ROOT / "src"))
     from chowcalc import FlopContext, verify_foundations, verify_multiplicativity
     from chowcalc.projbundle import ProjBundleRing
@@ -90,8 +94,9 @@ def rung(r: int, reference) -> dict:
         )
     except subprocess.TimeoutExpired:
         return {**row, "ok": False, "wall_s": None, "over_budget": True}
-    if proc.returncode != 0:
-        raise RuntimeError(f"child for r={r} failed:\n{proc.stderr}")
+    if proc.returncode != 0:  # MemoryError, or a crash: the rung does not count
+        error = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        return {**row, "ok": False, "wall_s": None, "over_budget": False, "error": error}
     row.update(json.loads(proc.stdout))
     row["wall_ref"] = round(row["wall_s"] / ref, 3)
     row["over_budget"] = row["wall_s"] > BUDGET_S
