@@ -53,12 +53,10 @@ class EmbeddingData:
 
     def push(self, gamma: GradedElement) -> GradedElement:
         """i_*: extend the monomial table linearly."""
-        out = self.ambient.zero
-        for exps, coeff in gamma.terms.items():
-            if exps not in self.push_table:
-                raise KeyError(f"pushforward table has no entry for monomial {exps}")
-            out = out + self.push_table[exps] * coeff
-        return out
+        missing = [e for e in gamma.terms if e not in self.push_table]
+        if missing:
+            raise KeyError(f"pushforward table has no entry for monomial {missing[0]}")
+        return self.ambient.sum(self.push_table[e] * c for e, c in gamma.terms.items())
 
 
 def embedding_validate(data: EmbeddingData, samples: int, seed: int = 0) -> None:
@@ -210,7 +208,7 @@ def load_embedding(text: str) -> EmbeddingData:
     (required for the center: push must cover every center monomial);
     pull maps ambient generators to center expressions; push maps center
     monomials to ambient expressions; normal takes ``rank`` and ``c1``..``cr``.
-    Lines starting with ``#`` are ignored; a repeated header or key raises.
+    Lines starting with ``#`` are ignored; a repeated or unknown header or key raises.
     """
     sections: dict[str, dict[str, str]] = {}
     current = None
@@ -236,9 +234,12 @@ def load_embedding(text: str) -> EmbeddingData:
         else:
             raise ValueError(f"cannot parse line {line!r}")
 
-    def section(name: str) -> dict[str, str]:
+    def section(name: str, keys=None) -> dict[str, str]:
         if name not in sections:
             raise ValueError(f"missing section [{name}]")
+        unknown = [k for k in sections[name] if keys is not None and k not in keys]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in section [{name}]")
         return sections[name]
 
     def entry(name: str, key: str) -> str:
@@ -254,18 +255,16 @@ def load_embedding(text: str) -> EmbeddingData:
             if not sep:
                 raise ValueError(f"generator {part.strip()!r} is not name:degree")
             gens.append((gname.strip(), int(deg)))
+        section(name, ("generators", "dim_bound"))  # a missing entry is named first
         return GradedRing(gens, dim_bound=None if bound is None else int(bound))
 
     ambient = build_ring("ambient", section("ambient").get("dim_bound"))
     center = build_ring("center", entry("center", "dim_bound"))
-    pull_images = {k: center.parse(v) for k, v in section("pull").items()}
-    unknown = sorted(set(pull_images) - set(ambient.generator_names))
-    missing = [g for g in ambient.generator_names if g not in pull_images]
-    if unknown or missing:
-        raise ValueError(
-            f"[pull] must map each ambient generator: unknown {unknown}, "
-            f"missing {missing}"
-        )
+    pull = section("pull", ambient.generator_names)
+    missing = [g for g in ambient.generator_names if g not in pull]
+    if missing:
+        raise ValueError(f"[pull] has no entry for ambient generators {missing}")
+    pull_images = {k: center.parse(v) for k, v in pull.items()}
     push_table = {}
     for mono_str, value in section("push").items():
         mono = center.parse(mono_str)
@@ -281,6 +280,10 @@ def load_embedding(text: str) -> EmbeddingData:
         raise ValueError(f"[push] has no entry for center monomials {missing}")
     rank = int(entry("normal", "rank"))
     chern = [center.parse(entry("normal", f"c{i}")) for i in range(1, rank + 1)]
+    section("normal", ["rank", *(f"c{i}" for i in range(1, rank + 1))])
+    unknown = sorted(set(sections) - {"ambient", "center", "pull", "push", "normal"})
+    if unknown:
+        raise ValueError(f"unknown section [{unknown[0]}]")
     return EmbeddingData(
         ambient, center, rank, pull_images, push_table, BundleClass(center, rank, chern)
     )

@@ -7,9 +7,10 @@ exactly from those classes.  The Chern character and the Todd polynomials go
 through the Newton power sums of the Chern roots; :func:`todd_class`
 evaluates the polynomials at c_i(F) with ``GradedElement.substitute``.  The
 functions are generic over the coefficient ring: any ring handle exposing
-``zero``/``one`` whose elements support ``+``, ``-``, ``*`` and
-``grade_component`` works, so they apply equally to free graded rings and to
-projective-bundle Chow rings.  Powers of the line class of
+``zero``, ``one`` and ``sum`` (every sum of more than two terms goes through
+it) whose elements support ``+``, ``-``, ``*`` and ``grade_component``
+works, so they apply equally to free graded rings and to projective-bundle
+Chow rings.  Powers of the line class of
 :func:`tensor_by_line` and of the Chern classes in :func:`todd_class` come
 from :func:`rings.powers`, which starts at ``x.ring.one``.
 """
@@ -56,10 +57,7 @@ class BundleClass:
         return self.ring.zero
 
     def total_chern(self):
-        total = self.ring.one
-        for ci in self.chern:
-            total = total + ci
-        return total
+        return self.ring.sum((self.ring.one, *self.chern))
 
     def __repr__(self) -> str:
         return f"BundleClass(rank={self.rank}, c={list(self.chern)!r})"
@@ -94,10 +92,7 @@ class CharClass:
 
 
 def _truncate(x, max_deg: int):
-    out = x.grade_component(0)
-    for d in range(1, max_deg + 1):
-        out = out + x.grade_component(d)
-    return out
+    return x.ring.sum(x.grade_component(d) for d in range(max_deg + 1))
 
 
 # ----------------------------------------------------------- basic calculus
@@ -143,24 +138,20 @@ def tensor_by_line(F: BundleClass, l) -> BundleClass:
         raise ValueError("line class must be homogeneous of degree 1")
     n = F.rank
     lpow = powers(l, n)
-    chern = []
-    for i in range(1, n + 1):
-        acc = F.ring.zero
-        for j in range(0, i + 1):
-            acc = acc + F.c(j) * lpow[i - j] * binomial(n - j, i - j)
-        chern.append(acc)
+    chern = [
+        F.ring.sum(F.c(j) * lpow[i - j] * binomial(n - j, i - j) for j in range(i + 1))
+        for i in range(1, n + 1)
+    ]
     return BundleClass(F.ring, n, chern)
 
 
 def whitney_sum(E: BundleClass, F: BundleClass) -> BundleClass:
     """Direct sum: ranks add, total Chern classes multiply."""
     rank = E.rank + F.rank
-    chern = []
-    for k in range(1, rank + 1):
-        acc = E.ring.zero
-        for i in range(0, k + 1):
-            acc = acc + E.c(i) * F.c(k - i)
-        chern.append(acc)
+    chern = [
+        E.ring.sum(E.c(i) * F.c(k - i) for i in range(k + 1))
+        for k in range(1, rank + 1)
+    ]
     return BundleClass(E.ring, rank, chern)
 
 
@@ -168,20 +159,16 @@ def power_sums(F: BundleClass, k_max: int) -> list:
     """Power sums of the Chern roots via Newton's identities (p_0 = rank)."""
     p = [F.ring.one * F.rank]
     for k in range(1, k_max + 1):
-        acc = F.c(k) * ((-1) ** (k - 1) * k)
-        for i in range(1, k):
-            acc = acc + F.c(i) * p[k - i] * ((-1) ** (i - 1))
-        p.append(acc)
+        mixed = (F.c(i) * p[k - i] * ((-1) ** (i - 1)) for i in range(1, k))
+        p.append(F.ring.sum((F.c(k) * ((-1) ** (k - 1) * k), *mixed)))
     return p
 
 
 def chern_character(F: BundleClass, max_deg: int) -> CharClass:
     """ch(F) = rank + sum_k p_k / k! up to ``max_deg``."""
     p = power_sums(F, max_deg)
-    value = F.ring.one * F.rank
-    for k in range(1, max_deg + 1):
-        value = value + p[k] * Fraction(1, math.factorial(k))
-    return CharClass(value, max_deg)
+    terms = (p[k] * Fraction(1, math.factorial(k)) for k in range(1, max_deg + 1))
+    return CharClass(F.ring.sum((p[0], *terms)), max_deg)
 
 
 # ----------------------------------------------------------------- genera
@@ -210,19 +197,19 @@ def todd_universal(d: int) -> tuple:
     td = [ring.one]
     for m in range(1, d + 1):
         terms = (p[k] * td[m - k] * (k * g[k]) for k in range(1, m + 1))
-        td.append(sum(terms, ring.zero) * Fraction(1, m))
+        td.append(ring.sum(terms) * Fraction(1, m))
     return tuple(td[d].terms.items())
 
 
 def todd_class(F: BundleClass, max_deg: int) -> CharClass:
     """Todd class: each td_d of :func:`todd_universal` evaluated at c_i(F)."""
     images = {f"c{i}": F.c(i) for i in range(1, max_deg + 1)}
-    value = F.ring.one
-    for d in range(1, max_deg + 1):
+
+    def td(d: int):
         universal = GradedRing([(f"c{i}", i) for i in range(1, d + 1)])
-        td = universal.element(dict(todd_universal(d)))
-        value = value + td.substitute(images, F.ring)
-    return CharClass(value, max_deg)
+        return universal.element(dict(todd_universal(d))).substitute(images, F.ring)
+
+    return CharClass(F.ring.sum([F.ring.one, *map(td, range(1, max_deg + 1))]), max_deg)
 
 
 def sqrt_one_series(a: CharClass) -> CharClass:
@@ -233,14 +220,9 @@ def sqrt_one_series(a: CharClass) -> CharClass:
         raise ValueError("degree-0 part must be 1")
     comps = [ring.one]
     for d in range(1, max_deg + 1):
-        acc = a.value.grade_component(d)
-        for i in range(1, d):
-            acc = acc - comps[i] * comps[d - i]
-        comps.append(acc * Fraction(1, 2))
-    value = ring.zero
-    for c in comps:
-        value = value + c
-    return CharClass(value, max_deg)
+        square = ring.sum(comps[i] * comps[d - i] for i in range(1, d))
+        comps.append((a.value.grade_component(d) - square) * Fraction(1, 2))
+    return CharClass(ring.sum(comps), max_deg)
 
 
 def mukai_vector(F: BundleClass, tangent: BundleClass, max_deg: int) -> CharClass:

@@ -237,11 +237,7 @@ def suite_charclass(cfg: SuiteConfig) -> Report:
     F = chern.BundleClass(S, 2, [S.gen("y1"), S.gen("y2")])
 
     def chern_segre():
-        total_c = E.total_chern()
-        total_s = S.zero
-        for k, s in enumerate(chern.segre_classes(E, 8)):
-            total_s = total_s + s
-        prod = total_c * total_s
+        prod = E.total_chern() * S.sum(chern.segre_classes(E, 8))
         for d in range(1, 9):
             part = prod.grade_component(d)
             require_equal(part, S.zero, f"c(E)s(E) has a nonzero degree-{d} part")
@@ -294,9 +290,7 @@ def suite_charclass(cfg: SuiteConfig) -> Report:
             line = S.random_homogeneous(rng, 1)
             lhs = chern.chern_character(chern.tensor_by_line(E, line), 6)
             lpow = powers(line, 6)
-            exp_l = lpow[0]
-            for k in range(1, 7):
-                exp_l = exp_l + lpow[k] * Fraction(1, math.factorial(k))
+            exp_l = S.sum(lpow[k] * Fraction(1, math.factorial(k)) for k in range(7))
             rhs = chern.chern_character(E, 6) * chern.CharClass(exp_l, 6)
             require_equal(lhs, rhs, "twist by a line bundle breaks ch")
 
@@ -342,16 +336,21 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, Report]:
 
 
 def _load_config_file(path: str) -> dict:
+    """Keys as field names (``-`` to ``_``, ``format`` to ``fmt``), each once."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
+            name, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = name.strip().replace("-", "_")
+            key = "fmt" if key == "format" else key
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {name.strip()!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -382,8 +381,6 @@ def parse_config(argv: list[str] | None) -> SuiteConfig:
     values: dict = {}
     if args.config:
         for key, value in _load_config_file(args.config).items():
-            if key == "format":
-                key = "fmt"
             if key in _INT_KEYS:
                 value = int(value)
             values[key] = value

@@ -49,10 +49,8 @@ class FlopContext:
         self.l = self.Pdual.h
         # l^0 .. l^r, the one table every sum over powers of l reads
         self.lpow = powers(self.l, r)
-        # G = Omega_{P'|S} tensor O_{P'}(1), rank r, via the twist formula
-        g_chern = [self.Pdual.cotangent_twist_chern(i) for i in range(1, r + 1)]
-        self.G = BundleClass(self.Pdual, r, g_chern)
-        self.E = ProjBundleRing(self.Pdual, self.G, hyperplane="H")
+        self.E = incidence(self.Pdual, "H")
+        self.G = self.E.bundle
         self.H = self.E.h
 
     # ------------------------------------------------------- checked tables
@@ -65,7 +63,7 @@ class FlopContext:
         Every cell is checked against (-1)^j l^j c_q(G)."""
         r, tau, pull, zero = self.r, self.P.tau, self.Pdual.pullback, self.Pdual.zero
         row = [
-            sum((self.G.c(r - n) * pull(tau(n, r - q)) for n in range(r + 1)), zero)
+            self.Pdual.sum(self.G.c(r - n) * pull(tau(n, r - q)) for n in range(r + 1))
             for q in range(r + 1)
         ]
         sums = []
@@ -118,18 +116,35 @@ class FlopContext:
         return sa, sb
 
 
+def incidence(pb: ProjBundleRing, hyperplane: str) -> ProjBundleRing:
+    """P(G) over pb = P(N), N of rank r + 1, for G = Omega_{pb|S} tensor O(1)
+    of rank r, with c_i(G) from the closed twist formula."""
+    r = pb.rank - 1
+    chern = [pb.cotangent_twist_chern(i) for i in range(1, r + 1)]
+    return ProjBundleRing(pb, BundleClass(pb, r, chern), hyperplane=hyperplane)
+
+
 # --------------------------------------------------------------- operations
+
+
+def tau_pairing(ctx: FlopContext, sa: tuple, sb: tuple):
+    """sum_{k,j} sigma_k sigma'_j tau_{k+j,r} in CH(S), from the tau table."""
+    ks = range(ctx.r + 1)
+    return ctx.S.sum(sa[k] * sb[j] * ctx.P.tau(k + j, ctx.r) for k in ks for j in ks)
+
+
+def l_pairing(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
+    """L = sum_j pull(sigma_r sigma'_j) (-1)^j l^j in CH(P')."""
+    pull, r = ctx.Pdual.pullback, ctx.r
+    terms = (pull(sa[r] * sb[j]) * ctx.lpow[j] * (-1) ** j for j in range(r + 1))
+    return ctx.Pdual.sum(terms)
 
 
 def sigma_top_product(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     """The top sigma coefficient of the product, cross-checked two ways."""
-    r = ctx.r
-    top = ctx.S.zero
-    for k in range(r + 1):
-        for j in range(r + 1):
-            top = top + sa[k] * sb[j] * ctx.P.tau(k + j, r)
+    top = tau_pairing(ctx, sa, sb)
     # independent route: multiply in CH(P) and read the top coefficient
-    direct = (PBElement(ctx.P, sa) * PBElement(ctx.P, sb)).coeffs[r]
+    direct = (PBElement(ctx.P, sa) * PBElement(ctx.P, sb)).coeffs[ctx.r]
     require_equal(top, direct, "top sigma coefficient routes disagree")
     return ctx.Pdual.pullback(top)
 
@@ -137,19 +152,11 @@ def sigma_top_product(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
 def term_A(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     """Correction term from the pure pullback products and the first mixed
     product, computed both raw (pushforward expansion) and in closed form."""
-    r = ctx.r
-    pull = ctx.Pdual.pullback
-    closed = ctx.Pdual.zero
-    for k in range(r + 1):
-        for j in range(r + 1):
-            closed = closed + pull(sa[k] * sb[j] * ctx.P.tau(k + j, r))
-    for j in range(r + 1):
-        closed = closed + pull(sa[r] * sb[j]) * ctx.lpow[j] * (-1) ** (j + 1)
+    ks, pull = range(ctx.r + 1), ctx.Pdual.pullback
+    closed = pull(tau_pairing(ctx, sa, sb)) - l_pairing(ctx, sa, sb)
     # raw route: the pre-simplification double sum through eta'_* tables
-    raw = ctx.Pdual.zero
-    for k in range(r + 1):
-        for j in range(r + 1):
-            raw = raw + pull(sa[k] * sb[j]) * ctx.help_sums[j, k]
+    raw_terms = (pull(sa[k] * sb[j]) * ctx.help_sums[j, k] for k in ks for j in ks)
+    raw = ctx.Pdual.sum(raw_terms)
     require_equal(raw, closed, "first correction term: raw and closed routes disagree")
     return closed
 
@@ -160,20 +167,14 @@ def term_B(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     r = ctx.r
     pull = ctx.Pdual.pullback
     # defining route
-    t2_raw = ctx.Pdual.zero
-    for n in range(r + 1):
-        t2_raw = t2_raw + ctx.lpow[n] * ctx.G.c(r - n) * (-1) ** (n + 1)
-    raw = ctx.Pdual.zero
-    for j in range(r + 1):
-        raw = raw + pull(sa[r] * sb[j]) * ctx.t1_sums[j]
-    raw = raw + pull(sa[r] * sb[r]) * t2_raw
+    t2_terms = (ctx.lpow[n] * ctx.G.c(r - n) * (-1) ** (n + 1) for n in range(r + 1))
+    t2_raw = ctx.Pdual.sum(t2_terms)
+    t1_terms = (pull(sa[r] * sb[j]) * ctx.t1_sums[j] for j in range(r + 1))
+    raw = ctx.Pdual.sum((*t1_terms, pull(sa[r] * sb[r]) * t2_raw))
     # closed route
     t2_closed = -cotangent_top_expansion(ctx)
     require_equal(t2_raw, t2_closed, "T2 closed form disagrees with its defining sum")
-    closed = ctx.Pdual.zero
-    for j in range(r + 1):
-        closed = closed + pull(sa[r] * sb[j]) * ctx.lpow[j] * (-1) ** j
-    closed = closed + pull(sa[r] * sb[r]) * t2_closed
+    closed = l_pairing(ctx, sa, sb) + pull(sa[r] * sb[r]) * t2_closed
     require_equal(
         raw, closed, "second correction term: raw and closed routes disagree"
     )
@@ -182,12 +183,9 @@ def term_B(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
 
 def cotangent_top_expansion(ctx: FlopContext) -> PBElement:
     """c_r of the relative cotangent bundle of P', in expanded form."""
-    out = ctx.Pdual.zero
-    for m in range(ctx.r + 1):
-        out = out + ctx.lpow[m] * ctx.Pdual.pullback(ctx.F.c(ctx.r - m)) * (
-            (-1) ** m * (m + 1)
-        )
-    return out
+    r, pull, c = ctx.r, ctx.Pdual.pullback, ctx.F.c
+    terms = (ctx.lpow[m] * pull(c(r - m)) * ((-1) ** m * (m + 1)) for m in range(r + 1))
+    return ctx.Pdual.sum(terms)
 
 
 def term_C(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
@@ -337,9 +335,7 @@ def verify_foundations(ctx: FlopContext) -> Report:
 
     def fibre_square():
         sa, _ = ctx.formal_sigmas()
-        acc = ctx.S.zero
-        for k in range(r + 1):
-            acc = acc + sa[k] * ctx.P.pushforward_power(k)
+        acc = ctx.S.sum(sa[k] * ctx.P.pushforward_power(k) for k in range(r + 1))
         lhs = ctx.Pdual.pullback(acc)
         rhs = ctx.Pdual.pullback(sa[r])
         require_equal(lhs, rhs, "fibre-square pushforward identity fails")
@@ -352,8 +348,7 @@ def verify_foundations(ctx: FlopContext) -> Report:
 
     def symmetry():
         # Mirror tower: E presented over P instead of P'.
-        gm_chern = [ctx.P.cotangent_twist_chern(i) for i in range(1, r + 1)]
-        Em = ProjBundleRing(ctx.P, BundleClass(ctx.P, r, gm_chern), hyperplane="L")
+        Em = incidence(ctx.P, "L")
         Em.check_push_table(ctx.P.h - ctx.P.pullback(dual_bundle(ctx.F).c(1)))
 
     report.run(

@@ -62,6 +62,14 @@ class ProjBundleRing:
         coeffs = [self.base.random_element(rng, max_degree) for _ in range(self.rank)]
         return PBElement(self, tuple(coeffs))
 
+    def sum(self, elements) -> "PBElement":
+        """Sum slot by slot, each slot through the base ring's ``sum``."""
+        elements = list(elements)
+        if any(getattr(x, "ring", None) is not self for x in elements):
+            raise ValueError("elements belong to different rings")
+        slots = (self.base.sum(x.coeffs[k] for x in elements) for k in range(self.rank))
+        return PBElement(self, slots)
+
     def reduce(self, coeffs: Sequence) -> tuple:
         """Reduce a coefficient list of any length to the length-n basis."""
         n = self.rank
@@ -162,13 +170,9 @@ class ProjBundleRing:
         """c_i of the relative cotangent bundle, in closed form."""
         if i < 0:
             raise ValueError("i must be >= 0")
-        n = self.rank
-        coeffs = [self.base.zero] * (i + 1)
-        for j in range(0, i + 1):
-            cj = self.bundle.c(j)
-            if cj:
-                coeffs[i - j] = coeffs[i - j] + cj * binomial(n - j, i - j)
-        return self.element([c * (-1) ** i for c in coeffs])
+        n, c, sign = self.rank, self.bundle.c, (-1) ** i
+        coeffs = [c(i - m) * (binomial(n - i + m, m) * sign) for m in range(i + 1)]
+        return self.element(coeffs)
 
     def cotangent_chern_via_euler(self) -> BundleClass:
         """Oracle route: the bundle pull(F dual) tensor O(-1) of the Euler

@@ -71,9 +71,8 @@ class Report:
     def to_text(self) -> str:
         lines = []
         for c in sorted(self.checks, key=lambda c: c.name):
-            line = f"{c.status.upper():4s} {c.name} ({c.millis:.1f} ms)"
+            lines.append(f"{c.status.upper():4s} {c.name} ({c.millis:.1f} ms)")
             if c.witness:
-                line += f"\n     witness: {c.witness}"
-            lines.append(line)
+                lines.append(f"     witness: {c.witness}")
         lines.append("all checks passed" if self.ok else "FAILURES present")
         return "\n".join(lines)

@@ -4,11 +4,13 @@ Elements are sparse polynomials in named generators with assigned degrees,
 with `int` coefficients until a division makes a `fractions.Fraction` (whole
 inputs are stored as `int`).  Terms are kept in canonical form (no zero
 coefficients), an optional dimension bound truncates everything of higher
-total degree after each operation, and all generators commute.
+total degree after each operation, and all generators commute.  ``+`` is the
+two-element case of ``GradedRing.sum``, which adds any number in one dict.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -125,6 +127,19 @@ class GradedRing:
 
     def monomial_degree(self, exps: Exponents) -> int:
         return sum(e * d for e, d in zip(exps, self.degrees))
+
+    def sum(self, elements: Iterable["GradedElement"]) -> "GradedElement":
+        """One dict for all summands, canonicalised once; empty gives ``zero``."""
+        terms: dict[Exponents, Coefficient] = {}
+        for x in elements:
+            if getattr(x, "ring", None) is not self:
+                raise ValueError("elements belong to different rings")
+            if terms:
+                for e, c in x.terms.items():
+                    terms[e] = terms.get(e, 0) + c
+            else:
+                terms = dict(x.terms)  # the first summand is copied whole
+        return self._canonical(terms)
 
     def _canonical(self, terms: dict[Exponents, Coefficient]) -> "GradedElement":
         bound = self.dim_bound
@@ -246,10 +261,7 @@ class GradedElement(RingElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return self.ring._canonical(terms)
+        return self.ring.sum((self, other))
 
     __radd__ = __add__
 
@@ -291,8 +303,8 @@ class GradedElement(RingElement):
 
         Images are required only for generators that actually occur; the
         result is canonical in the target ring.  ``target`` may be any ring
-        handle whose elements support addition and multiplication; each
-        image is an element of it, and its powers come from :func:`powers`.
+        handle with ``one`` and ``sum`` whose elements multiply; each image
+        is an element of it, and its powers come from :func:`powers`.
         """
         ring = self.ring
         table = {}  # generator index -> powers of its image
@@ -304,14 +316,11 @@ class GradedElement(RingElement):
                     raise KeyError(f"no image for generator {name!r}")
                 table[i] = powers(images[name], top)
 
-        result = target.zero
-        for exps, coeff in self.terms.items():
-            term = target.one * coeff
-            for i, pows in table.items():
-                if exps[i]:
-                    term = term * pows[exps[i]]
-            result = result + term
-        return result
+        def term(exps, coeff):
+            factors = (pows[exps[i]] for i, pows in table.items() if exps[i])
+            return functools.reduce(operator.mul, factors, target.one * coeff)
+
+        return target.sum(term(e, c) for e, c in self.terms.items())
 
     # ------------------------------------------------------- serialization
 

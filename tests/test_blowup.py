@@ -246,6 +246,11 @@ c2 = 0
         ("u = t^3", "u = t^3\nu = t^2", "'u' in section [push]"),
         ("u = t^3", "u = t^3\nu^1 = t^2", "'u^1' in section [push]"),
         ("[normal]", "[push]\n[normal]", "repeated section header [push]"),
+        # an unknown section or key is rejected, not silently ignored
+        ("dim_bound: 3", "dim_bond: 3", "'dim_bond' in section [ambient]"),
+        ("c2 = 0", "c2 = 0\nc3 = u", "'c3' in section [normal]"),
+        ("[normal]", "[extra]\nx = 1\n[normal]", "unknown section [extra]"),
+        ("generators: u:1", "generators: u:1\ngenerator: u:1", "'generator' in section"),
     ],
 )
 def test_load_embedding_names_the_bad_token(old, new, token):

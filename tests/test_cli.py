@@ -125,6 +125,9 @@ def test_config_file_rejects_bad_lines(tmp_path, capsys):
         # options the suite does not read
         ("suite=flop\ncase=linear:3,0\n", "--case does not apply to the flop suite"),
         ("suite=blowup\ndim-bound=2\n", "--dim-bound does not apply to the blowup"),
+        # a repeated key, under either spelling, is not silently overridden
+        ("suite=flop\nr=1\nr=2\n", ":3: duplicate key 'r'"),
+        ("suite=flop\nformat=json\nfmt=text\n", ":3: duplicate key 'fmt'"),
     ]:
         cfg_file.write_text(text)
         assert main(["--config", str(cfg_file)]) == 2

@@ -167,6 +167,40 @@ def test_sweep_mutant_fails_its_checks(monkeypatch, mutant):
         assert readers <= {k for k, w in failed.items() if w not in ("", "0")}, r
 
 
+# (shared formula, term added by the mutant, checks that must fail): each
+# formula is read by one route of each of its checks, never by both
+PAIRING_MUTANTS = {
+    "tau_pairing": (
+        lambda ctx, sa, sb: sa[0] * sb[ctx.r],
+        {"flop.sigma_top_cross_route", "flop.term_A_routes"},
+    ),
+    "l_pairing": (
+        lambda ctx, sa, sb: ctx.Pdual.pullback(sa[0] * sb[ctx.r]),
+        {"flop.term_A_routes", "flop.term_B_routes"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_MUTANTS))
+def test_pairing_mutant_fails_its_readers(monkeypatch, name):
+    extra, readers = PAIRING_MUTANTS[name]
+    original = getattr(flop_mod, name)
+    for scale in (0, 1):  # scale 0 is the harness alone, which passes
+
+        def mutant(ctx, sa, sb, scale=scale):
+            return original(ctx, sa, sb) + extra(ctx, sa, sb) * scale
+
+        monkeypatch.setattr(flop_mod, name, mutant)
+        for r in (1, 2, 3):
+            ctx = FlopContext(r)
+            failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
+            if scale:
+                witnessed = {k for k, w in failed.items() if w not in ("", "0")}
+                assert readers <= witnessed, (r, failed)
+            else:
+                assert not failed, r
+
+
 def test_corrupted_tau_row_fails_t1_identity():
     # the T1 sweep reads every stored tau_P row i <= r, the rest by recursion
     for r in (1, 2, 3):

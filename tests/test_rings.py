@@ -1,6 +1,7 @@
 import operator
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from chowcalc import (
     ConsistencyError,
     FlopContext,
     GradedRing,
+    PBElement,
     ProjBundleRing,
     linear_blowup,
 )
@@ -193,6 +195,32 @@ if st is not None:
         assert len({str(v) for v in values}) == 1
 
 
+    def _merged(term_dicts) -> Counter:
+        """The reference sum: every coefficient added into one Counter."""
+        merged = Counter()
+        for terms in term_dicts:
+            merged.update(terms)
+        return merged
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_sum_matches_the_merged_coefficient_dict(data):
+        # ring.sum against ring.element of the merged dict, with and without
+        # a dimension bound, and slot by slot in a projective bundle
+        bound = data.draw(st.none() | st.integers(0, 6))
+        S = GradedRing([("x", 1), ("y", 2), ("z", 0)], dim_bound=bound)
+        exponents = st.tuples(*[st.integers(0, 3)] * 3)
+        coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        element = st.dictionaries(exponents, coefficient, max_size=6).map(S.element)
+        xs = data.draw(st.lists(element, max_size=6))
+        assert S.sum(xs).terms == S.element(_merged(x.terms for x in xs)).terms
+        P = ProjBundleRing(S, BundleClass(S, 2, [S.gen("x"), S.gen("y")]))
+        pairs = data.draw(st.lists(st.tuples(element, element), max_size=6))
+        ys = [PBElement(P, pair) for pair in pairs]
+        slots = [S.element(_merged(y.coeffs[k].terms for y in ys)) for k in range(2)]
+        assert P.sum(ys).coeffs == tuple(slots)
+
+
 @pytest.mark.parametrize(
     "text, token",
     [
@@ -277,6 +305,12 @@ MAKERS = pytest.mark.parametrize(
 )
 
 
+# the two ring classes with an n-ary ``sum``
+MAKE_RINGS = pytest.mark.parametrize(
+    "make", [_graded_element, _projbundle_element], ids=["graded", "projbundle"]
+)
+
+
 @MAKERS
 def test_derived_operators(make):
     ring, x = make()
@@ -309,3 +343,15 @@ def test_coercion_protocol(make):
             op(x, foreign)
     with pytest.raises(TypeError):
         x + "a"
+
+
+@MAKE_RINGS
+def test_sum_of_nothing_is_zero_and_foreign_summands_raise(make):
+    ring, x = make()
+    _, y = make()  # same kind, second ring
+    assert ring.sum([]) == ring.zero
+    assert ring.sum(iter([x, x, -x])) == x
+    assert ring.sum([x, ring.one]) == x + 1
+    for summands in ([y], [x, y], [3]):  # the first summand is checked too
+        with pytest.raises(ValueError, match="different rings"):
+            ring.sum(summands)
