@@ -15,7 +15,16 @@ class ConsistencyError(Exception):
         self.witness = witness
 
 
+# Longest witness kept whole; a longer one keeps this many leading characters.
+WITNESS_LIMIT = 2000
+
+
 def require_equal(lhs, rhs, message: str) -> None:
-    """Compare two routes; on disagreement raise with ``lhs - rhs`` as witness."""
+    """Compare two routes; on disagreement raise with ``lhs - rhs`` as witness,
+    cut to its first ``WITNESS_LIMIT`` characters and the count of the rest."""
     if lhs != rhs:
-        raise ConsistencyError(message, witness=str(lhs - rhs))
+        witness = str(lhs - rhs)
+        if len(witness) > WITNESS_LIMIT:
+            cut = len(witness) - WITNESS_LIMIT
+            witness = f"{witness[:WITNESS_LIMIT]} ... ({cut} more characters)"
+        raise ConsistencyError(message, witness=witness)

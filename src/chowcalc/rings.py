@@ -2,10 +2,13 @@
 
 Elements are sparse polynomials in named generators with assigned degrees,
 with `int` coefficients until a division makes a `fractions.Fraction` (whole
-inputs are stored as `int`).  Terms are kept in canonical form (no zero
-coefficients), an optional dimension bound truncates everything of higher
-total degree after each operation, and all generators commute.  ``+`` is the
-two-element case of ``GradedRing.sum``, which adds any number in one dict.
+inputs are stored as `int`), and all generators commute.  Terms are kept in
+canonical form: nonzero, and of total degree at most an optional dimension
+bound.  The bound is applied to terms entering from outside (``element``,
+``parse``, ``gen``, the random draws) and in the product, which skips a pair
+whose degrees add up past it; ``sum`` and scalar ``*`` only drop zeros.  ``+``
+is the two-element case of ``GradedRing.sum``, which adds any number in one
+dict.  Each ring keeps the monomials of a degree once enumerated.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ class GradedRing:
         self.dim_bound = dim_bound
         self.nvars = len(gens)
         self._index = {name: i for i, name in enumerate(names)}
+        self._monomials: dict[int, tuple[Exponents, ...]] = {}
         self.zero = GradedElement(self, {})
         self.one = GradedElement(self, {(0,) * self.nvars: 1})
 
@@ -105,7 +109,7 @@ class GradedRing:
         return self._canonical({exps: 1})
 
     def scalar(self, c) -> "GradedElement":
-        return self._canonical({(0,) * self.nvars: exact(c)})
+        return self._nonzero({(0,) * self.nvars: exact(c)})
 
     def element(self, terms: Mapping[Exponents, object]) -> "GradedElement":
         """Build an element from an exponents -> coefficient mapping."""
@@ -139,9 +143,10 @@ class GradedRing:
                     terms[e] = terms.get(e, 0) + c
             else:
                 terms = dict(x.terms)  # the first summand is copied whole
-        return self._canonical(terms)
+        return self._nonzero(terms)
 
     def _canonical(self, terms: dict[Exponents, Coefficient]) -> "GradedElement":
+        """Terms from outside the ring: zeros and terms above the bound dropped."""
         bound = self.dim_bound
         clean = {
             exps: coeff
@@ -149,6 +154,10 @@ class GradedRing:
             if coeff and (bound is None or self.monomial_degree(exps) <= bound)
         }
         return GradedElement(self, clean)
+
+    def _nonzero(self, terms: dict[Exponents, Coefficient]) -> "GradedElement":
+        """Terms from canonical operands, so within the bound: zeros dropped."""
+        return GradedElement(self, {e: c for e, c in terms.items() if c})
 
     def __repr__(self) -> str:
         gens = ", ".join(
@@ -159,8 +168,11 @@ class GradedRing:
 
     # ------------------------------------------------------------ sampling
 
-    def monomials_of_degree(self, d: int) -> Iterator[Exponents]:
-        """All monomials of weighted degree exactly d (positive-degree rings)."""
+    def monomials_of_degree(self, d: int) -> tuple[Exponents, ...]:
+        """All monomials of weighted degree exactly d (positive-degree rings),
+        enumerated on the first call for d and kept by the ring."""
+        if d in self._monomials:
+            return self._monomials[d]
         if any(deg == 0 for deg in self.degrees):
             raise ValueError("monomial enumeration needs all generator degrees >= 1")
 
@@ -173,7 +185,8 @@ class GradedRing:
             for e in range(remaining // deg + 1):
                 yield from rec(i + 1, remaining - e * deg, prefix + (e,))
 
-        yield from rec(0, d, ())
+        self._monomials[d] = tuple(rec(0, d, ()))
+        return self._monomials[d]
 
     def monomials_up_to(self, d: int) -> Iterator[Exponents]:
         for k in range(d + 1):
@@ -224,6 +237,10 @@ class GradedRing:
         return self._canonical(terms)
 
 
+def _degree_zero(exps: Exponents) -> int:
+    return 0
+
+
 def _parse_coefficient(token: str) -> Coefficient:
     try:
         return exact(token)
@@ -271,22 +288,26 @@ class GradedElement(RingElement):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = exact(other)
-            return self.ring._canonical({e: k * c for e, k in self.terms.items()})
+            return self.ring._nonzero({e: k * c for e, k in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         ring = self.ring
         bound = ring.dim_bound
-        deg = ring.monomial_degree
+        if bound is None:  # no bound: every degree reads 0 and every pair is kept
+            deg, bound = _degree_zero, 0
+        else:
+            deg = ring.monomial_degree
         add = operator.add
         terms: dict[Exponents, Coefficient] = {}
+        right = [(deg(e2), e2, c2) for e2, c2 in other.terms.items()]
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                if bound is not None and deg(e) > bound:
-                    continue
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return ring._canonical(terms)
+            room = bound - deg(e1)
+            for d2, e2, c2 in right:
+                if d2 <= room:
+                    e = tuple(map(add, e1, e2))
+                    terms[e] = terms.get(e, 0) + c1 * c2
+        return ring._nonzero(terms)
 
     __rmul__ = __mul__
 

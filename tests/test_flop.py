@@ -19,7 +19,7 @@ from chowcalc import (
     verify_foundations,
     verify_multiplicativity,
 )
-from chowcalc.errors import ConsistencyError
+from chowcalc.errors import WITNESS_LIMIT, ConsistencyError
 from chowcalc.rings import COEFF_RANGE
 
 try:
@@ -361,6 +361,21 @@ def test_failure_reported_with_witness():
     wrong = sigma_top_product(ctx, sa, sa)  # sb swapped out
     diff = a + b + c - wrong
     assert diff
+
+
+def test_long_witness_keeps_its_leading_terms(monkeypatch):
+    # a doubled tau route at r = 8 leaves the whole pairing as the witness
+    ctx = FlopContext(8)
+    sa, sb = ctx.formal_sigmas()
+    full = str(flop_mod.tau_pairing(ctx, sa, sb))
+    assert len(full) > WITNESS_LIMIT
+    original = flop_mod.tau_pairing
+    monkeypatch.setattr(flop_mod, "tau_pairing", lambda *args: original(*args) * 2)
+    failed = _failed(verify_multiplicativity(ctx, sa, sb))
+    witness = failed["flop.sigma_top_cross_route"]
+    tail = f" ... ({len(full) - WITNESS_LIMIT} more characters)"
+    assert witness == full[:WITNESS_LIMIT] + tail
+    assert witness.startswith("1 * c1^8*a8*b8 + -1 * c1^7*a7*b8 + ")
 
 
 def test_corrupted_l_power_table_fails_every_reader():

@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 import re
@@ -221,6 +222,45 @@ if st is not None:
         assert P.sum(ys).coeffs == tuple(slots)
 
 
+    def _truncated(ring, counter) -> dict:
+        """The reference truncation: zeros and terms above the bound dropped,
+        with degrees summed here rather than by the ring."""
+        bound = ring.dim_bound
+        return {
+            e: c for e, c in counter.items()
+            if c and (bound is None or sum(map(operator.mul, e, ring.degrees)) <= bound)
+        }
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_bounded_kernel_matches_the_full_product_truncated(data):
+        # product, scalar product and sum against the full Counter result with
+        # zeros and terms above the bound dropped, on mixed degrees with one
+        # of degree 0, which the bound ignores
+        degrees = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+        bound = data.draw(st.none() | st.integers(0, 6))
+        ring = GradedRing(
+            [("z", 0), *((f"x{i}", d) for i, d in enumerate(degrees))], dim_bound=bound
+        )
+        exponents = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+        coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        raw = data.draw(st.lists(st.dictionaries(exponents, coefficient, max_size=6),
+                                 min_size=2, max_size=5))
+        xs = [ring.element(terms) for terms in raw]
+        full = Counter()
+        for e1, c1 in raw[0].items():
+            for e2, c2 in raw[1].items():
+                full[tuple(map(operator.add, e1, e2))] += c1 * c2
+        reference = ring.element(_truncated(ring, full))
+        assert (xs[0] * xs[1]).terms == reference.terms
+        c = data.draw(st.sampled_from([0, 1, -3]) | coefficient)
+        scaled = Counter({e: k * c for e, k in raw[0].items()})
+        reference = ring.element(_truncated(ring, scaled))
+        assert (xs[0] * c).terms == reference.terms
+        reference = ring.element(_truncated(ring, _merged(raw)))
+        assert ring.sum(xs).terms == reference.terms
+
+
 @pytest.mark.parametrize(
     "text, token",
     [
@@ -270,11 +310,33 @@ def test_whole_fractions_are_stored_as_int(ring):
         assert type(c) is int and c == 2, x
 
 
+def _enumerated(degrees, d) -> list:
+    """Monomials of degree d in lexicographic order, enumerated afresh."""
+    ranges = (range(d // deg + 1) for deg in degrees)
+    return [m for m in itertools.product(*ranges)
+            if sum(map(operator.mul, m, degrees)) == d]
+
+
 def test_monomials_of_degree():
     R = GradedRing([("x", 1), ("y", 2)])
     assert len(list(R.monomials_of_degree(4))) == 3  # x^4, x^2 y, y^2
-    with pytest.raises(ValueError):
-        list(GradedRing([("s", 0)]).monomials_of_degree(1))
+    Q = GradedRing([("x", 1), ("y", 1)])  # same names, other degrees
+    for d in range(6):
+        for ring in (R, Q, R):  # kept per ring, and read again whole
+            assert list(ring.monomials_of_degree(d)) == _enumerated(ring.degrees, d)
+    assert list(R.monomials_of_degree(2)) != list(Q.monomials_of_degree(2))
+    zero_degree = GradedRing([("s", 0)])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            list(zero_degree.monomials_of_degree(1))
+
+
+def test_seeded_draws_are_unchanged():
+    # degree-3 monomials are drawn, consuming the generator, then truncated
+    R = GradedRing([("x", 1), ("y", 2), ("z", 1)], dim_bound=2)
+    expected = "9 * x^2 + 6 * x*z + 2 * y + -5 * z^2 + 8 * x + 9 * z + -2"
+    for _ in range(2):
+        assert str(R.random_element(random.Random(3), 3)) == expected
 
 
 def test_consistency_error_carries_witness():

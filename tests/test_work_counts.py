@@ -1,18 +1,32 @@
-"""Work-count gate: tower and blow-up products stay within recorded bounds.
+"""Work-count gate: tower and blow-up products, and the monomial degrees the
+graded kernel computes, stay within recorded bounds.
 
 Counts are deterministic, so unlike wall time they do not drift between
 machines.  A change that lowers a count lowers its bound here as well.
+``perfbench/child.py`` is loaded by path and only read.
 """
 
-from chowcalc import FlopContext, verify_foundations, verify_multiplicativity
+import importlib.util
+from pathlib import Path
+
+from chowcalc import FlopContext, chern, verify_foundations, verify_multiplicativity
 from chowcalc.blowup import BlowupRing
 from chowcalc.cli import SuiteConfig, run_suite
 from chowcalc.projbundle import ProjBundleRing
+from chowcalc.rings import GradedRing
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 # ProjBundleRing.mul calls for FlopContext(4), foundations and multiplicativity
 FLOP_R4_TOWER_PRODUCTS = 264
 # BlowupRing.mul calls for the blowup suite on linear:4,1
 BLOWUP_LINEAR_4_1_PRODUCTS = 1000
+# GradedRing.monomial_degree calls.  The product computes one degree per
+# operand term, not per term pair, and sum and scalar products compute none;
+# the unbounded rings of the flop compute none in products at all.
+MUKAI_VECTOR_DEGREES = 7322  # mukai_vector(E, T, 8) on charclass_inputs(1)
+BLOWUP_LINEAR_4_1_DEGREES = 95434
+FLOP_R4_DEGREES = 195
 
 
 def _count_mul(monkeypatch, cls) -> list[int]:
@@ -28,17 +42,65 @@ def _count_mul(monkeypatch, cls) -> list[int]:
     return calls
 
 
-def test_flop_tower_products_at_r4(monkeypatch):
-    calls = _count_mul(monkeypatch, ProjBundleRing)
+def _count_degrees(monkeypatch) -> list[int]:
+    """Wrap ``GradedRing.monomial_degree`` so that each call bumps the counter."""
+    calls = [0]
+    orig = GradedRing.monomial_degree
+
+    def counted(self, exps):
+        calls[0] += 1
+        return orig(self, exps)
+
+    monkeypatch.setattr(GradedRing, "monomial_degree", counted)
+    return calls
+
+
+def _flop_r4() -> None:
     ctx = FlopContext(4)
     report = verify_foundations(ctx)
     report.extend(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
     assert report.ok, report.to_text()
+
+
+def _blowup_linear_4_1() -> None:
+    status, report = run_suite(SuiteConfig(suite="blowup", case="linear:4,1"))
+    assert status == 0, report.to_text()
+
+
+def test_flop_tower_products_at_r4(monkeypatch):
+    calls = _count_mul(monkeypatch, ProjBundleRing)
+    _flop_r4()
     assert 0 < calls[0] <= FLOP_R4_TOWER_PRODUCTS
 
 
 def test_blowup_products_on_linear_4_1(monkeypatch):
     calls = _count_mul(monkeypatch, BlowupRing)
-    status, report = run_suite(SuiteConfig(suite="blowup", case="linear:4,1"))
-    assert status == 0, report.to_text()
+    _blowup_linear_4_1()
     assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_PRODUCTS
+
+
+def _charclass_inputs(seed: int):
+    spec = importlib.util.spec_from_file_location("chowcalc_bench_child", CHILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.charclass_inputs(seed)
+
+
+def test_monomial_degrees_of_mukai_vector(monkeypatch):
+    _, E, T = _charclass_inputs(1)
+    chern.todd_universal.cache_clear()  # cold, whatever ran before
+    calls = _count_degrees(monkeypatch)
+    chern.mukai_vector(E, T, 8)
+    assert 0 < calls[0] <= MUKAI_VECTOR_DEGREES
+
+
+def test_monomial_degrees_of_blowup_linear_4_1(monkeypatch):
+    calls = _count_degrees(monkeypatch)
+    _blowup_linear_4_1()
+    assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_DEGREES
+
+
+def test_monomial_degrees_of_flop_at_r4(monkeypatch):
+    calls = _count_degrees(monkeypatch)
+    _flop_r4()
+    assert 0 < calls[0] <= FLOP_R4_DEGREES
