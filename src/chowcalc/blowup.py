@@ -53,10 +53,11 @@ class EmbeddingData:
 
     def push(self, gamma: GradedElement) -> GradedElement:
         """i_*: extend the monomial table linearly."""
-        missing = [e for e in gamma.terms if e not in self.push_table]
+        rows = [(self.center.exponents(e), c) for e, c in gamma.terms.items()]
+        missing = [e for e, _ in rows if e not in self.push_table]
         if missing:
             raise KeyError(f"pushforward table has no entry for monomial {missing[0]}")
-        return self.ambient.sum(self.push_table[e] * c for e, c in gamma.terms.items())
+        return self.ambient.sum(self.push_table[e] * c for e, c in rows)
 
 
 def embedding_validate(data: EmbeddingData, samples: int, seed: int = 0) -> None:
@@ -270,7 +271,7 @@ def load_embedding(text: str) -> EmbeddingData:
         mono = center.parse(mono_str)
         if len(mono.terms) != 1 or next(iter(mono.terms.values())) != 1:
             raise ValueError(f"push key must be a single monomial: {mono_str!r}")
-        exps = next(iter(mono.terms))
+        exps = center.exponents(next(iter(mono.terms)))
         if exps in push_table:  # the same monomial spelt two ways
             raise ValueError(f"duplicate key {mono_str!r} in section [push]")
         push_table[exps] = ambient.parse(value)

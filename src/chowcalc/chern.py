@@ -198,7 +198,7 @@ def todd_universal(d: int) -> tuple:
     for m in range(1, d + 1):
         terms = (p[k] * td[m - k] * (k * g[k]) for k in range(1, m + 1))
         td.append(ring.sum(terms) * Fraction(1, m))
-    return tuple(td[d].terms.items())
+    return tuple((ring.exponents(e), c) for e, c in td[d].terms.items())
 
 
 def todd_class(F: BundleClass, max_deg: int) -> CharClass:

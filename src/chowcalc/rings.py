@@ -4,11 +4,18 @@ Elements are sparse polynomials in named generators with assigned degrees,
 with `int` coefficients until a division makes a `fractions.Fraction` (whole
 inputs are stored as `int`), and all generators commute.  Terms are kept in
 canonical form: nonzero, and of total degree at most an optional dimension
-bound.  The bound is applied to terms entering from outside (``element``,
-``parse``, ``gen``, the random draws) and in the product, which skips a pair
-whose degrees add up past it; ``sum`` and scalar ``*`` only drop zeros.  ``+``
+bound.  Every element is built through ``GradedRing._canonical``, which drops
+zeros and terms above the bound with one comparison per key; the product
+also skips a pair whose degrees add up past the bound.  ``+``
 is the two-element case of ``GradedRing.sum``, which adds any number in one
 dict.  Each ring keeps the monomials of a degree once enumerated.
+
+Each monomial is one ``int`` key, made by ``GradedRing.pack`` (the one way
+in) and read by ``GradedRing.exponents`` (the one way out): the weighted
+degree above ``FIELD_BITS``-wide exponent fields, first generator most
+significant.  A product adds keys, int order is (degree, exponents) order,
+and a field's top bit is a guard: ``pack`` and the product raise
+``ValueError`` on an exponent that reaches it.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ Coefficient = int | Fraction
 
 # Coefficients of sampled elements are drawn uniformly from this range.
 COEFF_RANGE = (-9, 9)
+
+# Width of one exponent field of a packed key; its top bit is the guard.
+FIELD_BITS = 16
 
 
 def exact(c) -> Coefficient:
@@ -98,30 +108,50 @@ class GradedRing:
         self.nvars = len(gens)
         self._index = {name: i for i, name in enumerate(names)}
         self._monomials: dict[int, tuple[Exponents, ...]] = {}
+        self._degree_shift = FIELD_BITS * self.nvars
+        self._shifts = tuple(range(self._degree_shift - FIELD_BITS, -1, -FIELD_BITS))
+        self._guard = sum(1 << FIELD_BITS - 1 << s for s in self._shifts)
+        # keys e1 + e2 < _limit are kept; unbounded, it tops any two guarded keys
+        top = sum(self.degrees) << FIELD_BITS if dim_bound is None else dim_bound
+        self._limit = top + 1 << self._degree_shift
         self.zero = GradedElement(self, {})
-        self.one = GradedElement(self, {(0,) * self.nvars: 1})
+        self.one = GradedElement(self, {0: 1})
 
     # -------------------------------------------------------------- basics
 
     def gen(self, name: str) -> "GradedElement":
         i = self._index[name]
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return self._canonical({exps: 1})
+        return self._canonical({self.pack(exps): 1})
 
     def scalar(self, c) -> "GradedElement":
-        return self._nonzero({(0,) * self.nvars: exact(c)})
+        return self._canonical({0: exact(c)})
 
     def element(self, terms: Mapping[Exponents, object]) -> "GradedElement":
         """Build an element from an exponents -> coefficient mapping."""
-        out: dict[Exponents, Coefficient] = {}
+        out: dict[int, Coefficient] = {}
         for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent tuple {exps}")
+            key = self.pack(tuple(int(e) for e in exps))
             coeff = exact(coeff)
             if coeff:
-                out[exps] = out.get(exps, 0) + coeff
+                out[key] = out.get(key, 0) + coeff
         return self._canonical(out)
+
+    def pack(self, exps: Exponents) -> int:
+        """The key of the monomial with exponent tuple ``exps``."""
+        if len(exps) != self.nvars or not all(0 <= e < 1 << FIELD_BITS - 1 for e in exps):
+            raise ValueError(
+                f"bad exponent tuple {exps}: {self.nvars} in [0, 2**{FIELD_BITS - 1}) needed"
+            )
+        key = self.monomial_degree(exps)
+        for e in exps:
+            key = key << FIELD_BITS | e
+        return key
+
+    def exponents(self, key: int) -> Exponents:
+        """The exponent tuple of a packed key; inverse of ``pack``."""
+        mask = (1 << FIELD_BITS) - 1
+        return tuple(key >> s & mask for s in self._shifts)
 
     def monomial_str(self, exps: Exponents) -> str:
         """A monomial as ``str`` writes it, with ``"1"`` for the constant one."""
@@ -134,7 +164,7 @@ class GradedRing:
 
     def sum(self, elements: Iterable["GradedElement"]) -> "GradedElement":
         """One dict for all summands, canonicalised once; empty gives ``zero``."""
-        terms: dict[Exponents, Coefficient] = {}
+        terms: dict[int, Coefficient] = {}
         for x in elements:
             if getattr(x, "ring", None) is not self:
                 raise ValueError("elements belong to different rings")
@@ -143,21 +173,12 @@ class GradedRing:
                     terms[e] = terms.get(e, 0) + c
             else:
                 terms = dict(x.terms)  # the first summand is copied whole
-        return self._nonzero(terms)
+        return self._canonical(terms)
 
-    def _canonical(self, terms: dict[Exponents, Coefficient]) -> "GradedElement":
-        """Terms from outside the ring: zeros and terms above the bound dropped."""
-        bound = self.dim_bound
-        clean = {
-            exps: coeff
-            for exps, coeff in terms.items()
-            if coeff and (bound is None or self.monomial_degree(exps) <= bound)
-        }
-        return GradedElement(self, clean)
-
-    def _nonzero(self, terms: dict[Exponents, Coefficient]) -> "GradedElement":
-        """Terms from canonical operands, so within the bound: zeros dropped."""
-        return GradedElement(self, {e: c for e, c in terms.items() if c})
+    def _canonical(self, terms: dict[int, Coefficient]) -> "GradedElement":
+        """The element with these terms, zeros and terms above the bound dropped."""
+        limit = self._limit
+        return GradedElement(self, {e: c for e, c in terms.items() if c and e < limit})
 
     def __repr__(self) -> str:
         gens = ", ".join(
@@ -193,11 +214,11 @@ class GradedRing:
             yield from self.monomials_of_degree(k)
 
     def random_homogeneous(self, rng, degree: int) -> "GradedElement":
-        terms = {m: rng.randint(*COEFF_RANGE) for m in self.monomials_of_degree(degree)}
+        terms = {self.pack(m): rng.randint(*COEFF_RANGE) for m in self.monomials_of_degree(degree)}
         return self._canonical(terms)
 
     def random_element(self, rng, max_degree: int) -> "GradedElement":
-        terms = {m: rng.randint(*COEFF_RANGE) for m in self.monomials_up_to(max_degree)}
+        terms = {self.pack(m): rng.randint(*COEFF_RANGE) for m in self.monomials_up_to(max_degree)}
         return self._canonical(terms)
 
     # ------------------------------------------------------------- parsing
@@ -210,7 +231,7 @@ class GradedRing:
         text = text.strip()
         if text == "0":
             return self.zero
-        terms: dict[Exponents, Coefficient] = {}
+        terms: dict[int, Coefficient] = {}
         for chunk in text.split(" + "):
             chunk = chunk.strip()
             if " * " in chunk:
@@ -221,24 +242,17 @@ class GradedRing:
                     coeff, mono_str = _parse_coefficient(chunk), None
                 except ValueError:
                     coeff, mono_str = 1, chunk  # bare monomial
-            if mono_str is None:
-                key = (0,) * self.nvars
-            else:
-                exps = [0] * self.nvars
-                for factor in mono_str.split("*"):
-                    name, caret, exponent = factor.strip().partition("^")
-                    if caret and not exponent.isdigit():
-                        raise ValueError(f"bad exponent {exponent!r} in {factor!r}")
-                    if name not in self._index:
-                        raise ValueError(f"unknown generator {name!r} in {text!r}")
-                    exps[self._index[name]] += int(exponent) if caret else 1
-                key = tuple(exps)
+            exps = [0] * self.nvars
+            for factor in mono_str.split("*") if mono_str else ():
+                name, caret, exponent = factor.strip().partition("^")
+                if caret and not exponent.isdigit():
+                    raise ValueError(f"bad exponent {exponent!r} in {factor!r}")
+                if name not in self._index:
+                    raise ValueError(f"unknown generator {name!r} in {text!r}")
+                exps[self._index[name]] += int(exponent) if caret else 1
+            key = self.pack(tuple(exps))
             terms[key] = terms.get(key, 0) + coeff
         return self._canonical(terms)
-
-
-def _degree_zero(exps: Exponents) -> int:
-    return 0
 
 
 def _parse_coefficient(token: str) -> Coefficient:
@@ -253,7 +267,7 @@ class GradedElement(RingElement):
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: GradedRing, terms: dict[Exponents, Coefficient]):
+    def __init__(self, ring: GradedRing, terms: dict[int, Coefficient]):
         self.ring = ring
         self.terms = terms
 
@@ -263,14 +277,14 @@ class GradedElement(RingElement):
         return bool(self.terms)
 
     def grade_component(self, d: int) -> "GradedElement":
-        deg = self.ring.monomial_degree
+        shift = self.ring._degree_shift
         return GradedElement(
-            self.ring, {e: c for e, c in self.terms.items() if deg(e) == d}
+            self.ring, {e: c for e, c in self.terms.items() if e >> shift == d}
         )
 
     def is_homogeneous(self, d: int) -> bool:
-        deg = self.ring.monomial_degree
-        return all(deg(e) == d for e in self.terms)
+        shift = self.ring._degree_shift
+        return all(e >> shift == d for e in self.terms)
 
     # ---------------------------------------------------------- arithmetic
 
@@ -288,26 +302,22 @@ class GradedElement(RingElement):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = exact(other)
-            return self.ring._nonzero({e: k * c for e, k in self.terms.items()})
+            return self.ring._canonical({e: k * c for e, k in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         ring = self.ring
-        bound = ring.dim_bound
-        if bound is None:  # no bound: every degree reads 0 and every pair is kept
-            deg, bound = _degree_zero, 0
-        else:
-            deg = ring.monomial_degree
-        add = operator.add
-        terms: dict[Exponents, Coefficient] = {}
-        right = [(deg(e2), e2, c2) for e2, c2 in other.terms.items()]
+        terms: dict[int, Coefficient] = {}
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            room = bound - deg(e1)
-            for d2, e2, c2 in right:
-                if d2 <= room:
-                    e = tuple(map(add, e1, e2))
+            room = ring._limit - e1
+            for e2, c2 in right:
+                if e2 < room:
+                    e = e1 + e2
                     terms[e] = terms.get(e, 0) + c1 * c2
-        return ring._nonzero(terms)
+        if terms and ring._guard & functools.reduce(operator.or_, terms):
+            raise ValueError(f"exponent overflow past 2**{FIELD_BITS - 1} in {ring!r}")
+        return ring._canonical(terms)
 
     __rmul__ = __mul__
 
@@ -328,9 +338,10 @@ class GradedElement(RingElement):
         is an element of it, and its powers come from :func:`powers`.
         """
         ring = self.ring
+        rows = [(ring.exponents(key), c) for key, c in self.terms.items()]
         table = {}  # generator index -> powers of its image
         for i in range(ring.nvars):
-            top = max((e[i] for e in self.terms), default=0)
+            top = max((e[i] for e, _ in rows), default=0)
             if top:
                 name = ring.generator_names[i]
                 if name not in images:
@@ -341,17 +352,16 @@ class GradedElement(RingElement):
             factors = (pows[exps[i]] for i, pows in table.items() if exps[i])
             return functools.reduce(operator.mul, factors, target.one * coeff)
 
-        return target.sum(term(e, c) for e, c in self.terms.items())
+        return target.sum(term(e, c) for e, c in rows)
 
     # ------------------------------------------------------- serialization
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        deg = self.ring.monomial_degree
-        ordered = sorted(self.terms.items(), key=lambda kv: (deg(kv[0]), kv[0]), reverse=True)
+        ring = self.ring
         parts = []
-        for exps, coeff in ordered:
-            mono = self.ring.monomial_str(exps)
+        for key, coeff in sorted(self.terms.items(), reverse=True):  # keys are distinct
+            mono = ring.monomial_str(ring.exponents(key))
             parts.append(str(coeff) if mono == "1" else f"{coeff} * {mono}")
         return " + ".join(parts)

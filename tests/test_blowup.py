@@ -140,11 +140,12 @@ def graded_rank(bl, data, degree, rng, samples=40):
         eps = bl.E.random_element(rng, degree).grade_component(degree - 1)
         cls = bl.pull(alpha) + bl.exc_push(eps)
         # coordinates: ambient coefficient + exceptional basis coefficients
-        coords = [cls.ambient.terms.get((degree,), Fraction(0))]
+        coords = [cls.ambient.terms.get(data.ambient.pack((degree,)), Fraction(0))]
         for k in range(bl.E.rank):
-            base_deg = degree - 1 - k
+            base_deg = degree - 1 - k  # -1 has no monomial: its coordinate is 0
             coeff = cls.exceptional.coeffs[k]
-            coords.append(coeff.terms.get((base_deg,), Fraction(0)))
+            key = data.center.pack((base_deg,)) if base_deg >= 0 else None
+            coords.append(coeff.terms.get(key, Fraction(0)))
         vectors.append(coords)
     # Gaussian elimination over Fraction
     rank = 0

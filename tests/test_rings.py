@@ -17,7 +17,8 @@ from chowcalc import (
     ProjBundleRing,
     linear_blowup,
 )
-from chowcalc.rings import powers
+from chowcalc.report import Report
+from chowcalc.rings import FIELD_BITS, powers
 
 try:
     from hypothesis import given, settings
@@ -74,6 +75,47 @@ def test_truncation_by_dim_bound():
     Z = GradedRing([("t", 1)], dim_bound=0)
     assert Z.gen("t") == Z.gen("t") * 1 == Z.zero
     assert str(Z.gen("t")) == "0"
+
+
+# the largest exponent a packed key holds; one more sets the field's guard bit
+TOP_EXPONENT = 2 ** (FIELD_BITS - 1) - 1
+
+
+def test_pack_rejects_an_exponent_at_the_guard_bit():
+    R = GradedRing([("x", 1), ("s", 0)])
+    for exps in [(TOP_EXPONENT + 1, 0), (0, TOP_EXPONENT + 1), (-1, 0)]:
+        with pytest.raises(ValueError, match=re.escape(str(exps))):
+            R.pack(exps)
+        with pytest.raises(ValueError, match=re.escape(str(exps))):
+            R.element({exps: 1})
+    assert R.exponents(R.pack((TOP_EXPONENT, TOP_EXPONENT))) == (TOP_EXPONENT, TOP_EXPONENT)
+
+
+def test_product_past_the_guard_bit_raises():
+    half = (TOP_EXPONENT + 1) // 2
+    R = GradedRing([("x", 1)])
+    x = R.element({(half,): 1})
+    with pytest.raises(ValueError, match="overflow"):
+        x * x
+    assert x * R.element({(half - 1,): 1}) == R.element({(TOP_EXPONENT,): 1})
+    # in either field, and on a bounded ring through a degree-0 generator
+    for exps in [(half, 0), (0, half)]:
+        for bound in (None, 3):
+            y = GradedRing([("s", 0), ("t", 0)], dim_bound=bound).element({exps: 1})
+            with pytest.raises(ValueError, match="overflow"):
+                y * y
+
+
+def test_guard_trip_inside_a_check_is_a_failed_entry():
+    R = GradedRing([("x", 1)])
+    x = R.element({((TOP_EXPONENT + 1) // 2,): 1})
+    with pytest.raises(ValueError) as raised:
+        x * x
+    report = Report()
+    assert report.run("overflow", "x^(2^14) squared", lambda: x * x) is None
+    [entry] = report.checks
+    assert entry.status == "fail"
+    assert entry.witness == f"ValueError: {raised.value}"
 
 
 def test_grade_components_resum(ring):
@@ -196,6 +238,35 @@ if st is not None:
         assert len({str(v) for v in values}) == 1
 
 
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_packed_keys_keep_exponents_degree_order_and_grades(data):
+        # round trip, key order against (degree, exponents) order, and
+        # grade_component against a filter by degrees summed here, on mixed
+        # degrees with one of degree 0, exponents up to the guard bit
+        degrees = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+        bound = data.draw(st.none() | st.integers(0, 6))
+        ring = GradedRing(
+            [("z", 0), *((f"x{i}", d) for i, d in enumerate(degrees))], dim_bound=bound
+        )
+        exponent = st.integers(0, 3) | st.integers(0, TOP_EXPONENT)
+        exps = data.draw(st.lists(st.tuples(*[exponent] * ring.nvars), max_size=8, unique=True))
+        keys = [ring.pack(e) for e in exps]
+        assert [ring.exponents(k) for k in keys] == exps
+        assert [ring.exponents(k) for k in sorted(keys)] == sorted(
+            exps, key=lambda e: (ring.monomial_degree(e), e)
+        )
+        summed = {e: sum(map(operator.mul, e, ring.degrees)) for e in exps}
+        x = ring.element({e: 1 for e in exps})
+        for d in {*summed.values(), data.draw(st.integers(0, 10))}:
+            wanted = {e for e, deg in summed.items() if deg == d and (bound is None or d <= bound)}
+            assert {ring.exponents(k) for k in x.grade_component(d).terms} == wanted
+            assert x.grade_component(d).is_homogeneous(d)
+
+    def _tuple_terms(x) -> dict:
+        """The terms of x keyed by exponent tuples, as ``element`` takes them."""
+        return {x.ring.exponents(key): c for key, c in x.terms.items()}
+
     def _merged(term_dicts) -> Counter:
         """The reference sum: every coefficient added into one Counter."""
         merged = Counter()
@@ -214,11 +285,11 @@ if st is not None:
         coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=12)
         element = st.dictionaries(exponents, coefficient, max_size=6).map(S.element)
         xs = data.draw(st.lists(element, max_size=6))
-        assert S.sum(xs).terms == S.element(_merged(x.terms for x in xs)).terms
+        assert S.sum(xs).terms == S.element(_merged(map(_tuple_terms, xs))).terms
         P = ProjBundleRing(S, BundleClass(S, 2, [S.gen("x"), S.gen("y")]))
         pairs = data.draw(st.lists(st.tuples(element, element), max_size=6))
         ys = [PBElement(P, pair) for pair in pairs]
-        slots = [S.element(_merged(y.coeffs[k].terms for y in ys)) for k in range(2)]
+        slots = [S.element(_merged(_tuple_terms(y.coeffs[k]) for y in ys)) for k in range(2)]
         assert P.sum(ys).coeffs == tuple(slots)
 
 

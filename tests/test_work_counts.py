@@ -21,12 +21,12 @@ CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 FLOP_R4_TOWER_PRODUCTS = 264
 # BlowupRing.mul calls for the blowup suite on linear:4,1
 BLOWUP_LINEAR_4_1_PRODUCTS = 1000
-# GradedRing.monomial_degree calls.  The product computes one degree per
-# operand term, not per term pair, and sum and scalar products compute none;
-# the unbounded rings of the flop compute none in products at all.
-MUKAI_VECTOR_DEGREES = 7322  # mukai_vector(E, T, 8) on charclass_inputs(1)
-BLOWUP_LINEAR_4_1_DEGREES = 95434
-FLOP_R4_DEGREES = 195
+# GradedRing.monomial_degree calls.  Only GradedRing.pack computes a degree,
+# once per monomial entering from outside; products, sums and grade reads
+# take it from the key's top field.
+MUKAI_VECTOR_DEGREES = 92  # mukai_vector(E, T, 8) on charclass_inputs(1)
+BLOWUP_LINEAR_4_1_DEGREES = 12079
+FLOP_R4_DEGREES = 25
 
 
 def _count_mul(monkeypatch, cls) -> list[int]:
