@@ -8,17 +8,19 @@ checkout it sits in.  For r = 1, 2, ... it runs ``FlopContext(r)``,
 ``verify_foundations`` and ``verify_multiplicativity`` on the formal sigmas
 in a fresh child interpreter, timed inside the child from the context build
 to the last check.  It stops at the first r that goes over the budget,
-fails a check or dies (a child may map at most 4 GiB; peak RSS grows about
-1.4x per rung near r = 25, where it passes 2 GB); the headline is the r
+fails a check or dies (a child may map at most 4 GiB); the headline is the r
 before it.
 
-Before each r it samples perfbench's ``reference_kernel`` (imported from
-``perfbench/run.py``, not copied), so that a time divided by the kernel's
-mean compares across sessions on a shared host where raw wall time drifts.
+Before and after each r it samples perfbench's ``reference_kernel``
+(imported from ``perfbench/run.py``, not copied) three times, so that a time
+divided by the median sample compares across sessions on a shared host where
+raw wall time drifts, and one burst of load on either side does not move it.
 The parent and its children are pinned to one CPU, as perfbench pins its
 units.  The JSON written to ``--out`` holds ``env`` (Python, the git rev
-with ``-dirty`` if tracked files differ from it, nproc), one row per r (wall time, reference-normalised time, check shares,
-the ``ProjBundleRing.mul`` call count and the child's peak RSS) and
+with ``-dirty`` if tracked files differ from it, nproc), one row per r (wall
+time, reference-normalised time, check shares, the ``ProjBundleRing.mul``
+call count, the child's peak RSS and, on a failed rung, ``failed_checks``:
+each failing check's name with the first line of its witness) and
 ``headline_r``.  Standard library only.
 """
 
@@ -38,7 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUDGET_S = 60.0
-REFERENCE_SAMPLES = 3  # kernel calls before each r, about 0.25 s each
+REFERENCE_SAMPLES = 3  # kernel calls before and again after each r, about 0.25 s each
 GRACE_S = 10.0  # a child past the budget by this much is stopped
 CHILD_MEMORY = 4 << 30  # bytes of address space a child may map
 
@@ -71,28 +73,44 @@ def child(r: int) -> dict:
     ctx = FlopContext(r)
     report = verify_foundations(ctx)
     report.extend(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
-    wall = time.perf_counter() - start
-    return {
+    return summary(report, time.perf_counter() - start, calls[0])
+
+
+def summary(report, wall: float, mul_calls: int) -> dict:
+    """A rung's row from its report; a failed rung also names each failing
+    check with the first line of its witness, as ``failed_checks``."""
+    row = {
         "ok": report.ok,
         "wall_s": round(wall, 4),
         "check_shares": {
             c.name: round(c.millis / 1000 / wall, 4) for c in report.checks
         },
-        "projbundle_mul_calls": calls[0],
+        "projbundle_mul_calls": mul_calls,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
+    if not report.ok:
+        row["failed_checks"] = {
+            c.name: (c.witness or "").partition("\n")[0]
+            for c in report.checks if c.status != "pass"
+        }
+    return row
 
 
 def rung(r: int, reference) -> dict:
-    """Time r in a fresh child, with the reference kernel sampled beside it."""
-    ref = round(statistics.fmean(reference() for _ in range(REFERENCE_SAMPLES)), 4)
-    row = {"r": r, "ref_s": ref}
+    """Time r in a fresh child; ``ref_s`` is the median of the reference
+    kernel sampled before and after it."""
+    samples = [reference() for _ in range(REFERENCE_SAMPLES)]
     try:
         proc = subprocess.run(
             [sys.executable, __file__, "--child", str(r)],
             capture_output=True, text=True, timeout=BUDGET_S + GRACE_S,
         )
     except subprocess.TimeoutExpired:
+        proc = None
+    samples += [reference() for _ in range(REFERENCE_SAMPLES)]
+    ref = round(statistics.median(samples), 4)
+    row = {"r": r, "ref_s": ref}
+    if proc is None:
         return {**row, "ok": False, "wall_s": None, "over_budget": True}
     if proc.returncode != 0:  # MemoryError, or a crash: the rung does not count
         error = (proc.stderr.strip().splitlines() or ["no output"])[-1]

@@ -143,8 +143,8 @@ def l_pairing(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
 def sigma_top_product(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     """The top sigma coefficient of the product, cross-checked two ways."""
     top = tau_pairing(ctx, sa, sb)
-    # independent route: multiply in CH(P) and read the top coefficient
-    direct = (PBElement(ctx.P, sa) * PBElement(ctx.P, sb)).coeffs[ctx.r]
+    # independent route: p_* of the product in CH(P), its top coefficient
+    direct = ctx.P.pushforward_of_product(PBElement(ctx.P, sa), PBElement(ctx.P, sb))
     require_equal(top, direct, "top sigma coefficient routes disagree")
     return ctx.Pdual.pullback(top)
 

@@ -2,19 +2,24 @@
 
 For a bundle F of rank n over a base S, CH(P(F)) is represented as the free
 module with basis 1, h, ..., h^{n-1} over CH(S), where h is the relative
-hyperplane class.  Products are reduced via the defining relation
-h^n = -sum_j pull(c_j(F)) h^{n-j}.  Since p_*(h^k) = s_{k-n+1}(F) vanishes
-for k < n-1 and is 1 at k = n-1, the pushforward of a reduced element is its
-top coefficient; the Segre classes give p_*(h^k) directly as the second
-route.  The one table of h-powers, tau_{i,j} (the coefficients of reduced
-h^i), is built by the c_j(F) recursion and checked row by row against the
-reduction of h * h^{i-1}.  The base may itself be another projective-bundle
-ring, which is how towers of bundles (e.g. the exceptional divisor of a
-blow-up over a projective bundle) are modelled.
+hyperplane class.  ``ProjBundleRing.dot`` is the one product kernel: the base
+products of every pair go into the 2n-1 convolution slots, one ``base.dot``
+per slot, and ``reduce`` then forms each slot once, from the top down, by the
+defining relation h^n = -sum_j pull(c_j(F)) h^{n-j}.  Since
+p_*(h^k) = s_{k-n+1}(F) vanishes for k < n-1 and is 1 at k = n-1, the
+pushforward of a reduced element is its top coefficient, and
+``pushforward_of_product`` forms only the slots that reach it; the Segre
+classes give p_*(h^k) directly as the second route.  The one table of
+h-powers, tau_{i,j} (the coefficients of reduced h^i), is built by the c_j(F)
+recursion and checked row by row against the reduction of h * h^{i-1}.  The
+base may itself be another projective-bundle ring, which is how towers of
+bundles (e.g. the exceptional divisor of a blow-up over a projective bundle)
+are modelled.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,6 +45,7 @@ class ProjBundleRing:
         self.one = PBElement(
             self, tuple(base.one if k == 0 else base.zero for k in range(n))
         )
+        self._minus_c = [-bundle.c(j) for j in range(n + 1)]  # -c_j(F) at index j
         self.h = self.element([base.zero, base.one])
         self._segre: list = [base.one]
         self._tau_rows: list[tuple] = [self.one.coeffs]
@@ -70,29 +76,46 @@ class ProjBundleRing:
         slots = (self.base.sum(x.coeffs[k] for x in elements) for k in range(self.rank))
         return PBElement(self, slots)
 
-    def reduce(self, coeffs: Sequence) -> tuple:
-        """Reduce a coefficient list of any length to the length-n basis."""
-        n = self.rank
-        work = list(coeffs) + [self.base.zero] * max(0, n - len(coeffs))
-        for k in range(len(work) - 1, n - 1, -1):
-            top = work[k]
-            if top:
-                for j in range(1, n + 1):
-                    work[k - j] = work[k - j] - self.bundle.c(j) * top
-        return tuple(work[:n])
+    def reduce(self, coeffs: Sequence, stop: int = 0) -> tuple:
+        """Basis slots stop..n-1 of any coefficient list: each slot t >= stop, top down,
+        gets -c_{s-t}(F)·slot s over t < s <= t + n, s >= n, in one ``base.dot``."""
+        n, minus_c = self.rank, self._minus_c
+        work = list(coeffs)
+        while len(work) > n and not work[-1]:
+            work.pop()
+        work += [self.base.zero] * (n - len(work))
+        for t in range(len(work) - 2, stop - 1, -1):
+            pulled = range(max(t + 1, n), min(t + n, len(work) - 1) + 1)
+            pairs = [(minus_c[s - t], work[s]) for s in pulled if work[s]]
+            if pairs:
+                work[t] = self.base.dot(pairs, work[t])
+        return tuple(work[stop:n])
+
+    def dot(self, pairs, start: "PBElement | None" = None) -> "PBElement":
+        """``start`` + Σ a·b over ``pairs`` (``start`` enters as start·1), reduced once."""
+        pairs = pairs if start is None else (*pairs, (start, self.one))
+        return PBElement(self, self._dot(pairs))
 
     def mul(self, a: "PBElement", b: "PBElement") -> "PBElement":
-        if a.ring is not self or b.ring is not self:
-            raise ValueError("elements belong to a different projective-bundle ring")
-        n = self.rank
-        prod = [self.base.zero] * (2 * n - 1)
-        for i, ai in enumerate(a.coeffs):
-            if not ai:
-                continue
-            for j, bj in enumerate(b.coeffs):
-                if bj:
-                    prod[i + j] = prod[i + j] + ai * bj
-        return PBElement(self, self.reduce(prod))
+        return self.dot(((a, b),))
+
+    def pushforward_of_product(self, a: "PBElement", b: "PBElement"):
+        """p_*(a·b), the top slot of a·b: only slots n-1..2n-2 are formed and reduced."""
+        return self._dot(((a, b),), stop=self.rank - 1)[0]
+
+    def _dot(self, pairs, stop: int = 0) -> tuple:
+        """Coefficients stop..n-1 of Σ a·b, one ``base.dot`` per slot from ``stop`` up."""
+        base, slots = self.base, [[] for _ in range(2 * self.rank - 1)]
+        for a, b in pairs:
+            if a.ring is not self or b.ring is not self:
+                raise ValueError("elements belong to a different projective-bundle ring")
+            right = [(j, y) for j, y in enumerate(b.coeffs) if y]
+            for i, x in enumerate(a.coeffs):
+                if x:
+                    for j, y in right:
+                        if i + j >= stop:
+                            slots[i + j].append((x, y))
+        return self.reduce([base.dot(p) if p else base.zero for p in slots], stop)
 
     # ------------------------------------------------- pushforward / Segre
 
@@ -232,15 +255,19 @@ class PBElement(RingElement):
             return self.ring.pullback(other)
         return super()._coerce(other)
 
-    def __add__(self, other):
+    def _zip(self, other, op):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return PBElement(
-            self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return PBElement(self.ring, tuple(map(op, self.coeffs, other.coeffs)))
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
 
     def __neg__(self):
         return PBElement(self.ring, tuple(-c for c in self.coeffs))

@@ -5,10 +5,11 @@ with `int` coefficients until a division makes a `fractions.Fraction` (whole
 inputs are stored as `int`), and all generators commute.  Terms are kept in
 canonical form: nonzero, and of total degree at most an optional dimension
 bound.  Every element is built through ``GradedRing._canonical``, which drops
-zeros and terms above the bound with one comparison per key; the product
-also skips a pair whose degrees add up past the bound.  ``+``
-is the two-element case of ``GradedRing.sum``, which adds any number in one
-dict.  Each ring keeps the monomials of a degree once enumerated.
+zeros and terms above the bound with one comparison per key.  The one product
+kernel, ``GradedRing.dot``, adds Σ x·y into one dict, skipping a pair whose
+degrees add up past the bound; ``*`` is its one-pair case.  ``+`` is the
+two-element case of ``GradedRing.sum``, and ``-`` subtracts in one pass.
+Each ring keeps the monomials of a degree once enumerated.
 
 Each monomial is one ``int`` key, made by ``GradedRing.pack`` (the one way
 in) and read by ``GradedRing.exponents`` (the one way out): the weighted
@@ -175,6 +176,27 @@ class GradedRing:
                 terms = dict(x.terms)  # the first summand is copied whole
         return self._canonical(terms)
 
+    def dot(self, pairs: Iterable[tuple], start=None) -> "GradedElement":
+        """``start`` + Σ x·y over ``pairs`` in one dict, canonicalised once; a
+        guard bit reached by a product key raises ``ValueError``."""
+        if start is not None and start.ring is not self:
+            raise ValueError("elements belong to different rings")
+        terms = {} if start is None else dict(start.terms)
+        limit = self._limit
+        for x, y in pairs:
+            if x.ring is not self or y.ring is not self:
+                raise ValueError("elements belong to different rings")
+            right = y.terms.items()
+            for e1, c1 in x.terms.items():
+                room = limit - e1
+                for e2, c2 in right:
+                    if e2 < room:
+                        e = e1 + e2
+                        terms[e] = terms.get(e, 0) + c1 * c2
+        if terms and self._guard & functools.reduce(operator.or_, terms):
+            raise ValueError(f"exponent overflow past 2**{FIELD_BITS - 1} in {self!r}")
+        return self._canonical(terms)
+
     def _canonical(self, terms: dict[int, Coefficient]) -> "GradedElement":
         """The element with these terms, zeros and terms above the bound dropped."""
         limit = self._limit
@@ -299,6 +321,13 @@ class GradedElement(RingElement):
     def __neg__(self):
         return GradedElement(self.ring, {e: -c for e, c in self.terms.items()})
 
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        terms = {e: self.terms.get(e, 0) - c for e, c in other.terms.items()}
+        return self.ring._canonical({**self.terms, **terms})
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = exact(other)
@@ -306,18 +335,7 @@ class GradedElement(RingElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ring = self.ring
-        terms: dict[int, Coefficient] = {}
-        right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            room = ring._limit - e1
-            for e2, c2 in right:
-                if e2 < room:
-                    e = e1 + e2
-                    terms[e] = terms.get(e, 0) + c1 * c2
-        if terms and ring._guard & functools.reduce(operator.or_, terms):
-            raise ValueError(f"exponent overflow past 2**{FIELD_BITS - 1} in {ring!r}")
-        return ring._canonical(terms)
+        return self.ring.dot(((self, other),))
 
     __rmul__ = __mul__
 

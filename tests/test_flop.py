@@ -2,6 +2,7 @@ import functools
 import inspect
 import re
 import textwrap
+import types
 from types import MappingProxyType
 
 import pytest
@@ -125,15 +126,20 @@ def test_substituted_help_sum_fails_term_a():
             assert "flop.help_sum_identity" not in failed  # read, not rebuilt
 
 
-def _install_mutant(monkeypatch, table: str, old: str, new: str) -> None:
-    """Build ``FlopContext.<table>`` with a copy of its method whose source
-    has the one occurrence of ``old`` replaced by ``new``."""
-    method = vars(FlopContext)[table].func
-    source = textwrap.dedent(inspect.getsource(method))
+def _mutated(function, old: str, new: str):
+    """A copy of ``function`` whose source has the one occurrence of ``old``
+    replaced by ``new``, compiled in the namespace of its module."""
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, old  # the mutated code is still there
     namespace = {}
-    exec(source.replace(old, new), vars(flop_mod), namespace)
-    monkeypatch.setattr(FlopContext, table, property(namespace[method.__name__]))
+    exec(source.replace(old, new), vars(inspect.getmodule(function)), namespace)
+    return namespace[function.__name__]
+
+
+def _install_mutant(monkeypatch, table: str, old: str, new: str) -> None:
+    """Build ``FlopContext.<table>`` from a mutated copy of its method."""
+    method = vars(FlopContext)[table].func
+    monkeypatch.setattr(FlopContext, table, property(_mutated(method, old, new)))
 
 
 # (table, code in its sweep, mutant, checks that must fail)
@@ -199,6 +205,31 @@ def test_pairing_mutant_fails_its_readers(monkeypatch, name):
                 assert readers <= witnessed, (r, failed)
             else:
                 assert not failed, r
+
+
+# (code in ProjBundleRing.reduce, mutant): the direct route of sigma_top
+# reduces product slots r+1..2r into slot r through it
+DIRECT_ROUTE_MUTANTS = {
+    "drops_the_c1_term": ("max(t + 1, n)", "max(t + 2, n)"),
+    "stops_one_slot_early": ("stop - 1, -1)", "stop, -1)"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(DIRECT_ROUTE_MUTANTS))
+def test_direct_route_mutant_fails_sigma_top(monkeypatch, mutant):
+    old, new = DIRECT_ROUTE_MUTANTS[mutant]
+    for code in (old, new):  # the harness alone passes
+        for r in (1, 2, 3):
+            ctx = FlopContext(r)
+            ctx.P.tau_rows(2 * r)  # the tau route's rows, built and checked first
+            reduce = types.MethodType(_mutated(ProjBundleRing.reduce, old, code), ctx.P)
+            monkeypatch.setattr(ctx.P, "reduce", reduce)
+            failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
+            if code == old:
+                assert not failed, r
+                continue
+            # the witness is the nonzero difference of the two routes
+            assert failed.get("flop.sigma_top_cross_route") not in (None, "", "0"), r
 
 
 def test_corrupted_tau_row_fails_t1_identity():

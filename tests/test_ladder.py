@@ -1,11 +1,23 @@
-"""Smoke test of the headline ladder tool, on its first two rungs."""
+"""The headline ladder tool: a smoke test on its first two rungs, its
+reference sampling, and the row of a failed rung on a synthetic report."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+from chowcalc.errors import ConsistencyError
+from chowcalc.report import Report
+
 LADDER = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
+
+
+def _load_ladder():
+    spec = importlib.util.spec_from_file_location("chowcalc_ladder", LADDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_ladder_writes_rows_and_headline(tmp_path):
@@ -24,3 +36,40 @@ def test_ladder_writes_rows_and_headline(tmp_path):
         assert row["wall_ref"] == round(row["wall_s"] / row["ref_s"], 3)
         assert row["projbundle_mul_calls"] > 0
         assert len(row["check_shares"]) == 14
+        assert "failed_checks" not in row
+
+
+def test_reference_is_the_median_of_samples_before_and_after():
+    ladder = _load_ladder()
+    # a burst of load before the rung: the median ignores it
+    samples = iter([9.0, 9.0, 9.0, 0.25, 0.5, 0.75])
+    calls = []
+
+    def reference():
+        calls.append(1)
+        return next(samples)
+
+    row = ladder.rung(1, reference)
+    assert len(calls) == 2 * ladder.REFERENCE_SAMPLES
+    assert row["ok"] and row["ref_s"] == 4.875
+    assert row["wall_ref"] == round(row["wall_s"] / 4.875, 3)
+
+
+def test_failed_rung_names_each_failing_check():
+    def mismatch():
+        raise ConsistencyError("top sigma coefficient routes disagree\n  lhs: 1\n  rhs: 2")
+
+    def out_of_memory():
+        raise MemoryError()
+
+    report = Report()
+    report.run("flop.passes", "passes", lambda: None)
+    report.run("flop.sigma_top_cross_route", "fails", mismatch)
+    report.run("flop.homogeneity", "dies", out_of_memory)
+    row = _load_ladder().summary(report, 2.0, 7)
+    assert not row["ok"] and row["projbundle_mul_calls"] == 7
+    assert row["failed_checks"] == {
+        "flop.sigma_top_cross_route": "top sigma coefficient routes disagree",
+        "flop.homogeneity": "MemoryError: ",
+    }
+    assert set(row["check_shares"]) == {c.name for c in report.checks}

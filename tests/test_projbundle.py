@@ -1,8 +1,12 @@
+import inspect
 import random
+import textwrap
 import time
+import types
 
 import pytest
 
+import chowcalc.projbundle as pb_mod
 from chowcalc import (
     BundleClass,
     ConsistencyError,
@@ -12,6 +16,12 @@ from chowcalc import (
     binomial_identity_sum,
 )
 from chowcalc.flop import FlopContext
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # without hypothesis only the property tests are left out
+    st = None
 
 
 def generic_tower(n: int, dim_bound=None) -> ProjBundleRing:
@@ -41,19 +51,64 @@ def test_defining_relation():
     assert lhs == rhs
 
 
+def _push_form_reduce(P, coeffs) -> tuple:
+    """The reference reduction: each slot k >= n, from the top down, pushes
+    -c_j(F) * slot k into slot k - j for j = 1..n."""
+    n = P.rank
+    work = list(coeffs) + [P.base.zero] * max(0, n - len(coeffs))
+    for k in range(len(work) - 1, n - 1, -1):
+        for j in range(1, n + 1):
+            work[k - j] = work[k - j] - P.bundle.c(j) * work[k]
+    return tuple(work[:n])
+
+
+def _brute_force_product(P, a, b) -> tuple:
+    """The reference product: every raw convolution slot, then one reduction."""
+    raw = [P.base.zero] * (2 * P.rank - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            raw[i + j] = raw[i + j] + ai * bj
+    return _push_form_reduce(P, raw)
+
+
+def _two_level_tower() -> ProjBundleRing:
+    """A rank-2 bundle over P(F), F of rank 3: products in it run ``dot`` on
+    a projective-bundle base."""
+    P = generic_tower(3)
+    G = BundleClass(P, 2, [P.h + P.pullback(P.bundle.c(1)), P.h * P.h])
+    return ProjBundleRing(P, G, hyperplane="k")
+
+
 def test_mul_matches_brute_force_reduction():
     P = generic_tower(4)
     rng = random.Random(7)
     for _ in range(20):
         a = P.random_element(rng, 3)
         b = P.random_element(rng, 3)
-        # brute force: raw convolution, then reduce once
-        n = P.rank
-        raw = [P.base.zero] * (2 * n - 1)
-        for i, ai in enumerate(a.coeffs):
-            for j, bj in enumerate(b.coeffs):
-                raw[i + j] = raw[i + j] + ai * bj
-        assert (a * b).coeffs == P.reduce(raw)
+        assert (a * b).coeffs == _brute_force_product(P, a, b)
+
+
+if st is not None:
+
+    TOWERS = {f"rank {n}": (lambda n=n: generic_tower(n)) for n in range(2, 7)}
+    TOWERS["two-level"] = _two_level_tower
+
+    @pytest.mark.parametrize("tower", sorted(TOWERS))
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32), stop=st.integers(0, 5), length=st.integers(0, 13))
+    def test_tower_kernel_matches_the_push_form_reference(tower, seed, stop, length):
+        # mul against the raw convolution and the old push-form reduction,
+        # p_* of a product against its top slot, and reduce(c, stop) against
+        # the tail of the full reduction, on random elements of each tower
+        P, rng = TOWERS[tower](), random.Random(seed)
+        a, b = P.random_element(rng, 2), P.random_element(rng, 2)
+        product = (a * b).coeffs
+        assert product == _brute_force_product(P, a, b)
+        assert P.pushforward_of_product(a, b) == product[-1]
+        coeffs = [P.base.random_element(rng, 2) for _ in range(length)]
+        stop = min(stop, P.rank - 1)
+        assert P.reduce(coeffs, stop) == P.reduce(coeffs)[stop:]
+        assert P.reduce(coeffs) == _push_form_reduce(P, coeffs)
 
 
 def test_pushforward_table():
@@ -166,20 +221,27 @@ def test_tau_routes_agree_deep():
         assert len(rows) == 3 * (n - 1) + 1
 
 
+def _mutated_reduce(old: str, new: str):
+    """A copy of ``ProjBundleRing.reduce`` whose source has its one ``old``
+    replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(ProjBundleRing.reduce))
+    assert source.count(old) == 1, old  # the mutated code is still there
+    namespace = {}
+    exec(source.replace(old, new), vars(pb_mod), namespace)
+    return namespace["reduce"]
+
+
 def test_tau_reduction_route_catches_a_dropped_relation_term(monkeypatch):
-    P = generic_tower(4)
-    n = P.rank
-
-    def reduce_without_top_chern(coeffs):
-        work = list(coeffs) + [P.base.zero] * max(0, n - len(coeffs))
-        for k in range(len(work) - 1, n - 1, -1):
-            for j in range(1, n):  # drops the c_n(F) term
-                work[k - j] = work[k - j] - P.bundle.c(j) * work[k]
-        return tuple(work[:n])
-
-    monkeypatch.setattr(P, "reduce", reduce_without_top_chern)
-    with pytest.raises(ConsistencyError):
-        P.tau_rows(6)
+    # the pull-form reduce without its s = t + n term, -c_n(F) * slot t + n
+    old = "min(t + n, len(work) - 1)"
+    for new in (old, "min(t + n - 1, len(work) - 1)"):  # the harness alone passes
+        P = generic_tower(4)
+        monkeypatch.setattr(P, "reduce", types.MethodType(_mutated_reduce(old, new), P))
+        if new == old:
+            assert len(P.tau_rows(6)) == 7
+            continue
+        with pytest.raises(ConsistencyError, match="recursion/reduction mismatch"):
+            P.tau_rows(6)
 
 
 def test_tau_rows_are_read_only_views():

@@ -104,6 +104,12 @@ def test_product_past_the_guard_bit_raises():
             y = GradedRing([("s", 0), ("t", 0)], dim_bound=bound).element({exps: 1})
             with pytest.raises(ValueError, match="overflow"):
                 y * y
+            # dot, whichever pair overflows and whatever it starts from
+            ring = y.ring
+            with pytest.raises(ValueError, match="overflow"):
+                ring.dot([(ring.one, y), (y, y)], start=ring.one)
+    with pytest.raises(ValueError, match="overflow"):
+        R.dot([(x, x), (R.one, R.one)])
 
 
 def test_guard_trip_inside_a_check_is_a_failed_entry():
@@ -330,6 +336,23 @@ if st is not None:
         assert (xs[0] * c).terms == reference.terms
         reference = ring.element(_truncated(ring, _merged(raw)))
         assert ring.sum(xs).terms == reference.terms
+
+    @pytest.mark.parametrize("bound", [None, 4])
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_dot_is_start_plus_the_sum_of_products(bound, data):
+        # the fused kernel against start + ring.sum of one product per pair,
+        # on a free ring and on a dim_bound ring
+        ring = GradedRing([("z", 0), ("x", 1), ("y", 2)], dim_bound=bound)
+        exponents = st.tuples(*[st.integers(0, 3)] * 3)
+        coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        element = st.dictionaries(exponents, coefficient, max_size=6).map(ring.element)
+        pairs = data.draw(st.lists(st.tuples(element, element), max_size=5))
+        start = data.draw(st.none() | element)
+        products = ring.sum(x * y for x, y in pairs)
+        expected = products if start is None else start + products
+        assert ring.dot(pairs, start).terms == expected.terms
+        assert ring.dot(iter(pairs), start).terms == expected.terms  # one pass
 
 
 @pytest.mark.parametrize(

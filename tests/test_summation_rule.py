@@ -1,10 +1,11 @@
-"""One summation rule: every Σ in ``src/chowcalc`` goes through ``ring.sum``.
+"""One summation rule: every Σ in ``src/chowcalc`` goes through ``ring.sum``,
+or through ``ring.dot`` when it is a Σ of products.
 
 A loop that rebinds a name to itself plus or minus a term (``acc = acc + x``,
 ``acc += x``) copies the growing sum once per step, and a builtin
 ``sum(terms, zero)`` does the same.  This walks each module's syntax tree with
-the standard library's ``ast``.  Subscript targets (the per-slot updates of
-``ProjBundleRing.mul`` and ``reduce``) are outside its scope.
+the standard library's ``ast``.  Subscript targets (the one dict that
+``GradedRing.sum`` and ``GradedRing.dot`` add into) are outside its scope.
 """
 
 import ast

@@ -18,7 +18,7 @@ from chowcalc.rings import GradedRing
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 # ProjBundleRing.mul calls for FlopContext(4), foundations and multiplicativity
-FLOP_R4_TOWER_PRODUCTS = 264
+FLOP_R4_TOWER_PRODUCTS = 231
 # BlowupRing.mul calls for the blowup suite on linear:4,1
 BLOWUP_LINEAR_4_1_PRODUCTS = 1000
 # GradedRing.monomial_degree calls.  Only GradedRing.pack computes a degree,
