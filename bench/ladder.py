@@ -17,16 +17,18 @@ divided by the median sample compares across sessions on a shared host where
 raw wall time drifts, and one burst of load on either side does not move it.
 The parent and its children are pinned to one CPU, as perfbench pins its
 units.  The JSON written to ``--out`` holds ``env`` (Python, the git rev
-with ``-dirty`` if tracked files differ from it, nproc), one row per r (wall
-time, reference-normalised time, check shares, the ``ProjBundleRing.mul``
-call count, the child's peak RSS and, on a failed rung, ``failed_checks``:
-each failing check's name with the first line of its witness) and
-``headline_r``.  Standard library only.
+with ``-dirty`` if tracked files differ from it, ``diff_sha256``, the sha256
+of ``git diff HEAD --binary`` for such a tree or null for a clean one, and
+nproc), one row per r (wall time, reference-normalised time, check shares,
+the ``ProjBundleRing.mul`` call count, the child's peak RSS and, on a failed
+rung, ``failed_checks``: each failing check's name with the first line of its
+witness) and ``headline_r``.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -132,6 +134,19 @@ def git_rev() -> str | None:
     return proc.stdout.strip()
 
 
+def diff_sha256(root: Path = ROOT) -> str | None:
+    """sha256 of ``git diff HEAD --binary`` in ``root``: which edits a dirty
+    tree carries.  None for a clean tree, or outside a git checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(root), "diff", "HEAD", "--binary"],
+            capture_output=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return hashlib.sha256(proc.stdout).hexdigest() if proc.stdout else None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path)
@@ -158,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         "env": {
             "python": platform.python_version(),
             "git_rev": git_rev(),
+            "diff_sha256": diff_sha256(),
             "nproc": os.cpu_count(),
         },
         "budget_s": BUDGET_S,

@@ -43,9 +43,9 @@ class EmbeddingData:
         if self.codim < 1:
             raise ValueError(f"codimension must be >= 1, got {self.codim}")
         if self.normal.rank != self.codim:
-            raise ValueError("normal bundle rank must equal the codimension")
+            raise ValueError(f"normal bundle rank {self.normal.rank} != codimension {self.codim}")
         if self.normal.ring is not self.center:
-            raise ValueError("normal bundle must live over the center ring")
+            raise ValueError(f"normal bundle must live over the center, not {self.normal.ring}")
 
     def pull(self, alpha: GradedElement) -> GradedElement:
         """i^*: restrict an ambient class to the center."""
@@ -67,7 +67,8 @@ def embedding_validate(data: EmbeddingData, samples: int, seed: int = 0) -> None
     amb_deg = data.ambient.dim_bound
     cen_deg = data.center.dim_bound
     if amb_deg is None or cen_deg is None:
-        raise ValueError("validation sampling needs dimension-bounded rings")
+        unbounded = data.ambient if amb_deg is None else data.center
+        raise ValueError(f"validation sampling needs dimension-bounded rings, not {unbounded}")
     c_top = data.normal.c(data.codim)
 
     def law(name: str, lhs, rhs):
@@ -137,24 +138,27 @@ class BlowupRing:
         normalized = eps - self.cW * self.E.pullback(eta_push)
         return BlowupClass(self, self.data.push(eta_push), normalized)
 
+    def sum(self, elements) -> "BlowupClass":
+        """Ambient and exceptional parts, each through its own ring's ``sum``."""
+        elements = list(elements)
+        if any(getattr(x, "ring", None) is not self for x in elements):
+            raise ValueError("elements belong to different rings")
+        ambient = self.data.ambient.sum(x.ambient for x in elements)
+        return BlowupClass(self, ambient, self.E.sum(x.exceptional for x in elements))
+
     def mul(self, a: "BlowupClass", b: "BlowupClass") -> "BlowupClass":
         if a.ring is not self or b.ring is not self:
             raise ValueError("classes belong to a different blow-up")
         restrict_a = self.E.pullback(self.data.pull(a.ambient))
         restrict_b = self.E.pullback(self.data.pull(b.ambient))
         # phi^*a.phi^*b + mixed projection-formula terms + E self-intersection
-        exc = (
-            restrict_a * b.exceptional
-            + restrict_b * a.exceptional
-            - self.xi * a.exceptional * b.exceptional
-        )
+        ea, eb = a.exceptional, b.exceptional
+        exc = self.E.dot(((restrict_a, eb), (restrict_b, ea), (-self.xi * ea, eb)))
         mixed = self.exc_push(exc)
-        return BlowupClass(
-            self, a.ambient * b.ambient + mixed.ambient, mixed.exceptional
-        )
+        return BlowupClass(self, a.ambient * b.ambient + mixed.ambient, mixed.exceptional)
 
 
-@dataclass(repr=False)
+@dataclass(repr=False, eq=False)
 class BlowupClass(RingElement):
     """phi^*(ambient) + j_*(exceptional), with eta_*(exceptional) = 0."""
 
@@ -162,34 +166,14 @@ class BlowupClass(RingElement):
     ambient: GradedElement
     exceptional: PBElement
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return BlowupClass(
-            self.ring,
-            self.ambient + other.ambient,
-            self.exceptional + other.exceptional,
-        )
+    def _state(self) -> tuple:
+        return (self.ambient, self.exceptional)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ring.mul(self, other)
-
-    __rmul__ = __mul__
+    def _scaled(self, c) -> "BlowupClass":
+        return BlowupClass(self.ring, self.ambient * c, self.exceptional * c)
 
     def __neg__(self) -> "BlowupClass":
         return BlowupClass(self.ring, -self.ambient, -self.exceptional)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ambient == other.ambient and self.exceptional == other.exceptional
 
     def __bool__(self) -> bool:
         return bool(self.ambient) or bool(self.exceptional)

@@ -7,12 +7,13 @@ exactly from those classes.  The Chern character and the Todd polynomials go
 through the Newton power sums of the Chern roots; :func:`todd_class`
 evaluates the polynomials at c_i(F) with ``GradedElement.substitute``.  The
 functions are generic over the coefficient ring: any ring handle exposing
-``zero``, ``one`` and ``sum`` (every sum of more than two terms goes through
-it) whose elements support ``+``, ``-``, ``*`` and ``grade_component``
-works, so they apply equally to free graded rings and to projective-bundle
-Chow rings.  Powers of the line class of
-:func:`tensor_by_line` and of the Chern classes in :func:`todd_class` come
-from :func:`rings.powers`, which starts at ``x.ring.one``.
+``zero``, ``one``, ``sum`` and ``dot`` (every Σ of more than two terms goes
+through one of them, ``dot`` when it is a Σ of products) whose elements
+support ``+``, ``-``, ``*`` and ``grade_component`` works, so they apply
+equally to free graded rings and to projective-bundle Chow rings.  Powers
+of the line class of :func:`tensor_by_line` and of the Chern classes in
+:func:`todd_class` come from :func:`rings.powers`, which starts at
+``x.ring.one``.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def segre_classes(F: BundleClass, k_max: int, known=()) -> list:
     """Segre classes s_0..s_{k_max}, inverse of the total Chern class;
     ``known``, a list s_0..s_m already computed, is extended."""
     if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     return _inverse_unit_series([F.c(i) for i in range(k_max + 1)], known)
 
 
@@ -139,7 +140,7 @@ def tensor_by_line(F: BundleClass, l) -> BundleClass:
     n = F.rank
     lpow = powers(l, n)
     chern = [
-        F.ring.sum(F.c(j) * lpow[i - j] * binomial(n - j, i - j) for j in range(i + 1))
+        F.ring.dot((F.c(j) * binomial(n - j, i - j), lpow[i - j]) for j in range(i + 1))
         for i in range(1, n + 1)
     ]
     return BundleClass(F.ring, n, chern)
@@ -149,7 +150,7 @@ def whitney_sum(E: BundleClass, F: BundleClass) -> BundleClass:
     """Direct sum: ranks add, total Chern classes multiply."""
     rank = E.rank + F.rank
     chern = [
-        E.ring.sum(E.c(i) * F.c(k - i) for i in range(k + 1))
+        E.ring.dot((E.c(i), F.c(k - i)) for i in range(k + 1))
         for k in range(1, rank + 1)
     ]
     return BundleClass(E.ring, rank, chern)
@@ -159,8 +160,8 @@ def power_sums(F: BundleClass, k_max: int) -> list:
     """Power sums of the Chern roots via Newton's identities (p_0 = rank)."""
     p = [F.ring.one * F.rank]
     for k in range(1, k_max + 1):
-        mixed = (F.c(i) * p[k - i] * ((-1) ** (i - 1)) for i in range(1, k))
-        p.append(F.ring.sum((F.c(k) * ((-1) ** (k - 1) * k), *mixed)))
+        mixed = ((F.c(i) * (-1) ** (i - 1), p[k - i]) for i in range(1, k))
+        p.append(F.ring.dot(mixed, F.c(k) * ((-1) ** (k - 1) * k)))
     return p
 
 
@@ -196,8 +197,7 @@ def todd_universal(d: int) -> tuple:
     g = _log_unit_series(todd_series(d))
     td = [ring.one]
     for m in range(1, d + 1):
-        terms = (p[k] * td[m - k] * (k * g[k]) for k in range(1, m + 1))
-        td.append(ring.sum(terms) * Fraction(1, m))
+        td.append(ring.dot((p[k] * (k * g[k] / m), td[m - k]) for k in range(1, m + 1)))
     return tuple((ring.exponents(e), c) for e, c in td[d].terms.items())
 
 
@@ -220,7 +220,7 @@ def sqrt_one_series(a: CharClass) -> CharClass:
         raise ValueError("degree-0 part must be 1")
     comps = [ring.one]
     for d in range(1, max_deg + 1):
-        square = ring.sum(comps[i] * comps[d - i] for i in range(1, d))
+        square = ring.dot((comps[i], comps[d - i]) for i in range(1, d))
         comps.append((a.value.grade_component(d) - square) * Fraction(1, 2))
     return CharClass(ring.sum(comps), max_deg)
 

@@ -63,7 +63,7 @@ class FlopContext:
         Every cell is checked against (-1)^j l^j c_q(G)."""
         r, tau, pull, zero = self.r, self.P.tau, self.Pdual.pullback, self.Pdual.zero
         row = [
-            self.Pdual.sum(self.G.c(r - n) * pull(tau(n, r - q)) for n in range(r + 1))
+            self.Pdual.dot((self.G.c(r - n), pull(tau(n, r - q))) for n in range(r + 1))
             for q in range(r + 1)
         ]
         sums = []
@@ -130,14 +130,13 @@ def incidence(pb: ProjBundleRing, hyperplane: str) -> ProjBundleRing:
 def tau_pairing(ctx: FlopContext, sa: tuple, sb: tuple):
     """sum_{k,j} sigma_k sigma'_j tau_{k+j,r} in CH(S), from the tau table."""
     ks = range(ctx.r + 1)
-    return ctx.S.sum(sa[k] * sb[j] * ctx.P.tau(k + j, ctx.r) for k in ks for j in ks)
+    return ctx.S.dot((sa[k] * sb[j], ctx.P.tau(k + j, ctx.r)) for k in ks for j in ks)
 
 
 def l_pairing(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     """L = sum_j pull(sigma_r sigma'_j) (-1)^j l^j in CH(P')."""
     pull, r = ctx.Pdual.pullback, ctx.r
-    terms = (pull(sa[r] * sb[j]) * ctx.lpow[j] * (-1) ** j for j in range(r + 1))
-    return ctx.Pdual.sum(terms)
+    return ctx.Pdual.dot((pull(sa[r] * sb[j] * (-1) ** j), ctx.lpow[j]) for j in range(r + 1))
 
 
 def sigma_top_product(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
@@ -155,8 +154,7 @@ def term_A(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     ks, pull = range(ctx.r + 1), ctx.Pdual.pullback
     closed = pull(tau_pairing(ctx, sa, sb)) - l_pairing(ctx, sa, sb)
     # raw route: the pre-simplification double sum through eta'_* tables
-    raw_terms = (pull(sa[k] * sb[j]) * ctx.help_sums[j, k] for k in ks for j in ks)
-    raw = ctx.Pdual.sum(raw_terms)
+    raw = ctx.Pdual.dot((pull(sa[k] * sb[j]), ctx.help_sums[j, k]) for k in ks for j in ks)
     require_equal(raw, closed, "first correction term: raw and closed routes disagree")
     return closed
 
@@ -167,10 +165,10 @@ def term_B(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     r = ctx.r
     pull = ctx.Pdual.pullback
     # defining route
-    t2_terms = (ctx.lpow[n] * ctx.G.c(r - n) * (-1) ** (n + 1) for n in range(r + 1))
-    t2_raw = ctx.Pdual.sum(t2_terms)
-    t1_terms = (pull(sa[r] * sb[j]) * ctx.t1_sums[j] for j in range(r + 1))
-    raw = ctx.Pdual.sum((*t1_terms, pull(sa[r] * sb[r]) * t2_raw))
+    t2_pairs = ((ctx.lpow[n] * (-1) ** (n + 1), ctx.G.c(r - n)) for n in range(r + 1))
+    t2_raw = ctx.Pdual.dot(t2_pairs)
+    t1_pairs = ((pull(sa[r] * sb[j]), ctx.t1_sums[j]) for j in range(r + 1))
+    raw = ctx.Pdual.dot((*t1_pairs, (pull(sa[r] * sb[r]), t2_raw)))
     # closed route
     t2_closed = -cotangent_top_expansion(ctx)
     require_equal(t2_raw, t2_closed, "T2 closed form disagrees with its defining sum")
@@ -184,8 +182,8 @@ def term_B(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
 def cotangent_top_expansion(ctx: FlopContext) -> PBElement:
     """c_r of the relative cotangent bundle of P', in expanded form."""
     r, pull, c = ctx.r, ctx.Pdual.pullback, ctx.F.c
-    terms = (ctx.lpow[m] * pull(c(r - m)) * ((-1) ** m * (m + 1)) for m in range(r + 1))
-    return ctx.Pdual.sum(terms)
+    pairs = ((ctx.lpow[m], pull(c(r - m) * ((-1) ** m * (m + 1)))) for m in range(r + 1))
+    return ctx.Pdual.dot(pairs)
 
 
 def term_C(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
@@ -335,7 +333,7 @@ def verify_foundations(ctx: FlopContext) -> Report:
 
     def fibre_square():
         sa, _ = ctx.formal_sigmas()
-        acc = ctx.S.sum(sa[k] * ctx.P.pushforward_power(k) for k in range(r + 1))
+        acc = ctx.S.dot((sa[k], ctx.P.pushforward_power(k)) for k in range(r + 1))
         lhs = ctx.Pdual.pullback(acc)
         rhs = ctx.Pdual.pullback(sa[r])
         require_equal(lhs, rhs, "fibre-square pushforward identity fails")

@@ -20,7 +20,6 @@ are modelled.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import Sequence
 
 from .chern import BundleClass, binomial, dual_bundle, segre_classes, tensor_by_line
@@ -73,8 +72,8 @@ class ProjBundleRing:
         elements = list(elements)
         if any(getattr(x, "ring", None) is not self for x in elements):
             raise ValueError("elements belong to different rings")
-        slots = (self.base.sum(x.coeffs[k] for x in elements) for k in range(self.rank))
-        return PBElement(self, slots)
+        coeffs = [x.coeffs for x in elements] or [self.zero.coeffs]
+        return PBElement(self, map(self.base.sum, zip(*coeffs)))
 
     def reduce(self, coeffs: Sequence, stop: int = 0) -> tuple:
         """Basis slots stop..n-1 of any coefficient list: each slot t >= stop, top down,
@@ -192,7 +191,7 @@ class ProjBundleRing:
     def cotangent_chern(self, i: int) -> "PBElement":
         """c_i of the relative cotangent bundle, in closed form."""
         if i < 0:
-            raise ValueError("i must be >= 0")
+            raise ValueError(f"i must be >= 0, got {i}")
         n, c, sign = self.rank, self.bundle.c, (-1) ** i
         coeffs = [c(i - m) * (binomial(n - i + m, m) * sign) for m in range(i + 1)]
         return self.element(coeffs)
@@ -206,7 +205,7 @@ class ProjBundleRing:
     def cotangent_twist_chern(self, i: int) -> "PBElement":
         """c_i of the cotangent bundle twisted by O(1), in closed form."""
         if i < 0:
-            raise ValueError("i must be >= 0")
+            raise ValueError(f"i must be >= 0, got {i}")
         dual = dual_bundle(self.bundle)
         coeffs = [self.base.zero] * (i + 1)
         for m in range(0, i + 1):
@@ -255,38 +254,20 @@ class PBElement(RingElement):
             return self.ring.pullback(other)
         return super()._coerce(other)
 
-    def _zip(self, other, op):
+    def _state(self) -> tuple:
+        return self.coeffs
+
+    def _scaled(self, c) -> "PBElement":
+        return PBElement(self.ring, tuple(x * c for x in self.coeffs))
+
+    def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return PBElement(self.ring, tuple(map(op, self.coeffs, other.coeffs)))
-
-    def __add__(self, other):
-        return self._zip(other, operator.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._zip(other, operator.sub)
+        return PBElement(self.ring, map(operator.sub, self.coeffs, other.coeffs))
 
     def __neg__(self):
         return PBElement(self.ring, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PBElement(self.ring, tuple(c * other for c in self.coeffs))
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self.ring.mul(self, coerced)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     def __str__(self) -> str:
         h = self.ring.hyperplane
@@ -322,7 +303,7 @@ def binomial_identity_check(r: int) -> tuple[bool, list[str]]:
     """Check T^r_{i,k} = (-1)^{i+k} for 0 <= k <= i <= r, plus the recursion
     step T^r_{i+1,k+1} = T^r_{i,k} for i < r.  Returns (ok, failures)."""
     if r < 0:
-        raise ValueError("r must be >= 0")
+        raise ValueError(f"r must be >= 0, got {r}")
     failures = []
     for i in range(r + 1):
         for k in range(i + 1):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 import re
 from fractions import Fraction
@@ -99,6 +101,32 @@ def test_exceptional_self_intersection(bl41):
         lhs = bl41.exc_push(e1) * bl41.exc_push(e2)
         rhs = bl41.exc_push(-bl41.xi * e1 * e2)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("identity", ["vanishing", "degree", "self_intersection"])
+@pytest.mark.parametrize("n, m", [(2, 0), (3, 0), (3, 1), (4, 1), (5, 2), (6, 0)])
+def test_linear_blowup_closed_forms(n, m, identity):
+    """Closed forms on the blow-up of P^n along a linear P^m, an oracle that
+    does not restate ``BlowupRing.mul``.  H is the pulled-back hyperplane, E
+    the exceptional divisor and the integral the t^n coefficient of the
+    pushforward to P^n.  H - E pulls back the hyperplane of P^{n-m-1} under
+    the projection from P^m, so (H - E)^{n-m} = 0 and the degree of
+    (H - E)^{n-m-1} H^{m+1} is 1; E^n integrates to (-1)^{n-1} s_m(N) over
+    P^m, with N = O(1)^{n-m} and s_m(N) = (-1)^m C(n-1, m)."""
+    bl = BlowupRing(linear_blowup(n, m))
+    H, E = bl.pull(bl.data.ambient.gen("t")), bl.exc_push(bl.E.one)
+
+    def integral(x) -> int:
+        pushed = bl.push(x)
+        assert pushed.is_homogeneous(n)
+        return pushed.terms.get(bl.data.ambient.pack((n,)), 0)
+
+    if identity == "vanishing":
+        assert (H - E) ** (n - m) == bl.zero
+    elif identity == "degree":
+        assert integral((H - E) ** (n - m - 1) * H ** (m + 1)) == 1
+    else:
+        assert integral(E ** n) == (-1) ** (n - 1) * (-1) ** m * math.comb(n - 1, m)
 
 
 def test_mul_matches_pullback_on_ambient_classes(bl41, data41):
@@ -252,6 +280,9 @@ c2 = 0
         ("c2 = 0", "c2 = 0\nc3 = u", "'c3' in section [normal]"),
         ("[normal]", "[extra]\nx = 1\n[normal]", "unknown section [extra]"),
         ("generators: u:1", "generators: u:1\ngenerator: u:1", "'generator' in section"),
+        ("t = u", "t = u\nstray", "cannot parse line 'stray'"),
+        ("generators: t:1", "generators: t:1, s:1", "ambient generators ['s']"),
+        ("u = t^3", "2 * u = t^3", "single monomial: '2 * u'"),
     ],
 )
 def test_load_embedding_names_the_bad_token(old, new, token):
@@ -263,3 +294,35 @@ def test_load_embedding_names_the_bad_token(old, new, token):
 def test_load_embedding_rejects_garbage():
     with pytest.raises(ValueError):
         load_embedding("stray line before any section")
+
+
+def _normal_over_ambient(data):
+    t = data.ambient.gen("t")
+    return BundleClass(data.ambient, data.codim, [t ** i for i in range(1, data.codim + 1)])
+
+
+@pytest.mark.parametrize(
+    "reject, token",
+    [
+        (lambda data, bl: dataclasses.replace(data, codim=0), "got 0"),
+        (lambda data, bl: dataclasses.replace(data, codim=2), "rank 3 != codimension 2"),
+        (
+            lambda data, bl: dataclasses.replace(data, normal=_normal_over_ambient(data)),
+            "not GradedRing(t:1, dim<=4)",
+        ),
+        (
+            lambda data, bl: embedding_validate(
+                dataclasses.replace(data, ambient=GradedRing([("t", 1)])), samples=1
+            ),
+            "not GradedRing(t:1)",
+        ),
+        (
+            lambda data, bl: bl.mul(bl.one, BlowupRing(linear_blowup(4, 1)).one),
+            "different blow-up",
+        ),
+    ],
+    ids=["codim", "normal-rank", "normal-ring", "unbounded", "foreign-class"],
+)
+def test_blowup_inputs_are_rejected_by_name(reject, token, data41, bl41):
+    with pytest.raises(ValueError, match=re.escape(token)):
+        reject(data41, bl41)

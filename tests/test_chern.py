@@ -247,3 +247,9 @@ def test_ch_of_twist_is_ch_times_exp(bundle, ring):
         power = power * l
         exp_l = exp_l + power * Fraction(1, math.factorial(k))
     assert lhs == chern_character(bundle, 6) * CharClass(exp_l, 6)
+
+
+@pytest.mark.parametrize("k_max", [-1, -4])
+def test_segre_classes_reject_a_negative_degree_by_name(bundle, k_max):
+    with pytest.raises(ValueError, match=f"got {k_max}"):
+        segre_classes(bundle, k_max)

@@ -73,6 +73,14 @@ def test_case_out_of_range_is_usage_error(case, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("case", ["linear:4", "linear:4,1,2", "linear:four,1", "linear:"])
+def test_bad_case_syntax_names_the_case(case, capsys):
+    with pytest.raises(ValueError, match=re.escape(f"bad case syntax {case!r}")):
+        SuiteConfig(suite="blowup", case=case)
+    assert main(["blowup", "--case", case]) == 2
+    assert case in capsys.readouterr().err
+
+
 def test_json_schema(capsys):
     assert main(["binomial", "--r-max", "3", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -1,8 +1,10 @@
 """The headline ladder tool: a smoke test on its first two rungs, its
-reference sampling, and the row of a failed rung on a synthetic report."""
+reference sampling, the row of a failed rung on a synthetic report, and the
+diff hash that identifies a dirty tree."""
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +30,7 @@ def test_ladder_writes_rows_and_headline(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
-    assert set(result["env"]) == {"python", "git_rev", "nproc"}
+    assert set(result["env"]) == {"python", "git_rev", "diff_sha256", "nproc"}
     assert result["headline_r"] == 2
     assert [row["r"] for row in result["rows"]] == [1, 2]
     for row in result["rows"]:
@@ -73,3 +75,24 @@ def test_failed_rung_names_each_failing_check():
         "flop.homogeneity": "MemoryError: ",
     }
     assert set(row["check_shares"]) == {c.name for c in report.checks}
+
+
+def test_dirty_tree_records_a_hash_of_its_diff(tmp_path):
+    def git(*args):
+        subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            capture_output=True, check=True,
+        )
+
+    tracked = tmp_path / "tracked.txt"
+    tracked.write_text("one\n")
+    git("init", "-q")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "seed")
+    diff_sha256 = _load_ladder().diff_sha256
+    assert diff_sha256(tmp_path) is None
+    tracked.write_text("two\n")
+    first = diff_sha256(tmp_path)
+    assert re.fullmatch("[0-9a-f]{64}", first)
+    tracked.write_text("three\n")
+    assert diff_sha256(tmp_path) not in (None, first)

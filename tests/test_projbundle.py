@@ -331,3 +331,18 @@ def test_nested_tower():
         b = Q.random_element(rng, 2)
         assert a * b == b * a
         assert Q.pushforward(Q.pullback(P.h) * a) == P.h * Q.pushforward(a)
+
+
+@pytest.mark.parametrize(
+    "reject, token",
+    [
+        (lambda P, Q: P.dot([(P.h, P.h), (P.h, Q.h)]), "different projective-bundle ring"),
+        (lambda P, Q: P.cotangent_chern(-1), "got -1"),
+        (lambda P, Q: P.cotangent_twist_chern(-2), "got -2"),
+        (lambda P, Q: binomial_identity_check(-1), "got -1"),
+    ],
+    ids=["dot-pair", "cotangent", "cotangent-twist", "binomial"],
+)
+def test_projbundle_inputs_are_rejected_by_name(reject, token):
+    with pytest.raises(ValueError, match=token):
+        reject(generic_tower(3), generic_tower(3))

@@ -18,9 +18,13 @@ from chowcalc.rings import GradedRing
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 # ProjBundleRing.mul calls for FlopContext(4), foundations and multiplicativity
-FLOP_R4_TOWER_PRODUCTS = 231
+FLOP_R4_TOWER_PRODUCTS = 136
 # BlowupRing.mul calls for the blowup suite on linear:4,1
 BLOWUP_LINEAR_4_1_PRODUCTS = 1000
+# ProjBundleRing.mul calls in CH(E) for the same suite: two per blow-up product
+# (-xi times one exceptional part, and the cW twist of exc_push); the other
+# exceptional terms go into one ProjBundleRing.dot
+BLOWUP_LINEAR_4_1_TOWER_PRODUCTS = 2604
 # GradedRing.monomial_degree calls.  Only GradedRing.pack computes a degree,
 # once per monomial entering from outside; products, sums and grade reads
 # take it from the key's top field.
@@ -77,6 +81,12 @@ def test_blowup_products_on_linear_4_1(monkeypatch):
     calls = _count_mul(monkeypatch, BlowupRing)
     _blowup_linear_4_1()
     assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_PRODUCTS
+
+
+def test_tower_products_on_blowup_linear_4_1(monkeypatch):
+    calls = _count_mul(monkeypatch, ProjBundleRing)
+    _blowup_linear_4_1()
+    assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_TOWER_PRODUCTS
 
 
 def _charclass_inputs(seed: int):
