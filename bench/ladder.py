@@ -12,17 +12,26 @@ fails a check or dies (a child may map at most 4 GiB); the headline is the r
 before it.
 
 Before and after each r it samples perfbench's ``reference_kernel``
-(imported from ``perfbench/run.py``, not copied) three times, so that a time
-divided by the median sample compares across sessions on a shared host where
-raw wall time drifts, and one burst of load on either side does not move it.
+(imported from ``perfbench/run.py``, not copied) three times.  Two ratios
+come from these samples:
+
+- ``wall_ref`` divides a rung's wall time by the median of its own six
+  samples (``ref_s``).  It compares sessions: the same rung of two runs on a
+  shared host whose speed drifts between them.
+- ``wall_session_ref`` divides it by the median of every sample of the
+  session (``env.session_ref_s``), one divisor for all rows, set after the
+  last rung.  It compares rungs: within a session it grows with wall time,
+  which ``wall_ref`` need not, since the kernel's speed over minutes does
+  not track the flop's.
+
 The parent and its children are pinned to one CPU, as perfbench pins its
 units.  The JSON written to ``--out`` holds ``env`` (Python, the git rev
 with ``-dirty`` if tracked files differ from it, ``diff_sha256``, the sha256
-of ``git diff HEAD --binary`` for such a tree or null for a clean one, and
-nproc), one row per r (wall time, reference-normalised time, check shares,
-the ``ProjBundleRing.mul`` call count, the child's peak RSS and, on a failed
-rung, ``failed_checks``: each failing check's name with the first line of its
-witness) and ``headline_r``.  Standard library only.
+of ``git diff HEAD --binary`` for such a tree or null for a clean one,
+nproc and ``session_ref_s``), one row per r (wall time, both ratios, check
+shares, the ``ProjBundleRing.mul`` call count, the child's peak RSS and, on
+a failed rung, ``failed_checks``: each failing check's name with the first
+line of its witness) and ``headline_r``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -123,6 +132,19 @@ def rung(r: int, reference) -> dict:
     return row
 
 
+def session_normalise(rows: list[dict], samples: list[float]) -> float | None:
+    """The median of every reference sample of the session (None for no
+    sample); each row with a wall time gets ``wall_session_ref``, its wall
+    time over that median."""
+    if not samples:
+        return None
+    session_ref = round(statistics.median(samples), 4)
+    for row in rows:
+        if row["wall_s"] is not None:
+            row["wall_session_ref"] = round(row["wall_s"] / session_ref, 3)
+    return session_ref
+
+
 def git_rev() -> str | None:
     try:
         proc = subprocess.run(
@@ -159,7 +181,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.out is None:
         parser.error("--out is required")
-    reference = _reference_kernel()
+    kernel, samples = _reference_kernel(), []
+
+    def reference() -> float:
+        samples.append(kernel())
+        return samples[-1]
+
     rows, headline, r = [], 0, 1
     while args.r_max is None or r <= args.r_max:
         row = rung(r, reference)
@@ -175,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             "git_rev": git_rev(),
             "diff_sha256": diff_sha256(),
             "nproc": os.cpu_count(),
+            "session_ref_s": session_normalise(rows, samples),
         },
         "budget_s": BUDGET_S,
         "rows": rows,

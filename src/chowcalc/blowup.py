@@ -2,8 +2,9 @@
 
 A blow-up of X along P is described by an :class:`EmbeddingData`: ring
 models for CH(X) and CH(P), the restriction i^* (generator images), the
-pushforward i_* (a table on monomials), and the normal bundle N.  Classes on
-the blown-up space are stored as a pair (ambient part, exceptional part),
+pushforward i_* (a table on monomials), and the normal bundle N; i^* keeps
+a table on monomials too, each entry substituted once, on first use.
+Classes on the blown-up space are stored as a pair (ambient part, exceptional part),
 where the exceptional part lives in CH(E) = CH(P(N)) and is normalized to
 have zero pushforward to the center.  The normal bundle of E is O_{P(N)}(-1),
 so the exceptional self-intersection multiplies by -xi.
@@ -12,7 +13,7 @@ so the exceptional self-intersection multiplies by -xi.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .chern import BundleClass, binomial
 from .errors import ConsistencyError, require_equal
@@ -38,6 +39,10 @@ class EmbeddingData:
     pull_images: dict[str, GradedElement]
     push_table: dict[tuple[int, ...], GradedElement]
     normal: BundleClass
+    # i^* of each ambient monomial, by packed key; a cache that ``pull`` fills
+    pull_table: dict[int, GradedElement] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.codim < 1:
@@ -48,8 +53,13 @@ class EmbeddingData:
             raise ValueError(f"normal bundle must live over the center, not {self.normal.ring}")
 
     def pull(self, alpha: GradedElement) -> GradedElement:
-        """i^*: restrict an ambient class to the center."""
-        return alpha.substitute(self.pull_images, self.center)
+        """i^*: ``pull_table`` extended linearly, each new monomial substituted once."""
+        if alpha.ring is not self.ambient:
+            raise ValueError("elements belong to different rings")
+        table = self.pull_table
+        for e in alpha.terms.keys() - table.keys():
+            table[e] = GradedElement(self.ambient, {e: 1}).substitute(self.pull_images, self.center)
+        return self.center.sum(table[e] * c for e, c in alpha.terms.items())
 
     def push(self, gamma: GradedElement) -> GradedElement:
         """i_*: extend the monomial table linearly."""

@@ -5,6 +5,7 @@ Usage examples::
     chow-verify flop --r 2
     chow-verify binomial --r-max 12
     chow-verify blowup --case linear:4,1
+    chow-verify blowup --case file:embedding.txt
     chow-verify all --format json --out report.json
 
 ``--r N`` runs rank N alone and ``--r-max N`` runs ranks 1..N, in every
@@ -22,7 +23,7 @@ import contextlib
 import math
 import random
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import blowup as bl_mod
@@ -49,6 +50,10 @@ class SuiteConfig:
     case: str | None = None
     fmt: str = "text"
     out: str | None = None
+    # the blow-up --case names, built here so that a bad file is a usage error
+    embedding: bl_mod.EmbeddingData | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.suite not in SUITES:
@@ -71,7 +76,8 @@ class SuiteConfig:
         readers = ("projbundle", "charclass", "all")
         if self.dim_bound is not None and self.suite not in readers:
             raise ValueError(f"--dim-bound does not apply to the {self.suite} suite")
-        _parse_case(self.case)  # syntax-checked up front
+        if self.suite in ("blowup", "all"):
+            self.embedding = _blowup_case(self.case)
 
 
 # ------------------------------------------------------------------ suites
@@ -150,10 +156,19 @@ def suite_projbundle(cfg: SuiteConfig) -> Report:
     return report
 
 
-def _parse_case(case: str | None) -> tuple[int, int]:
-    if case is None:
-        return 4, 1
-    kind, _, rest = case.partition(":")
+def _blowup_case(case: str | None) -> bl_mod.EmbeddingData:
+    """``--case``: ``linear:n,m`` (``linear:4,1`` when unset), or ``file:PATH``,
+    a ``load_embedding`` text whose ambient ring has a ``dim_bound``."""
+    kind, _, rest = (case or "linear:4,1").partition(":")
+    if kind == "file":
+        try:
+            with open(rest) as fh:
+                data = bl_mod.load_embedding(fh.read())
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"bad case {case!r}: {exc}") from None
+        if data.ambient.dim_bound is None:
+            raise ValueError(f"bad case {case!r}: the ambient ring needs a dim_bound")
+        return data
     if kind != "linear":
         raise ValueError(f"unknown blow-up case {case!r}")
     try:
@@ -163,13 +178,13 @@ def _parse_case(case: str | None) -> tuple[int, int]:
         raise ValueError(f"bad case syntax {case!r}, expected linear:n,m") from None
     if not 0 <= m < n:
         raise ValueError(f"bad case {case!r}: need 0 <= m < n")
-    return n, m
+    return bl_mod.linear_blowup(n, m)
 
 
 def suite_blowup(cfg: SuiteConfig) -> Report:
     report = Report()
-    n, m = _parse_case(cfg.case)
-    data = bl_mod.linear_blowup(n, m)
+    data = cfg.embedding
+    n, m = data.ambient.dim_bound, data.center.dim_bound
     bl = bl_mod.BlowupRing(data)
     rng = random.Random(cfg.seed)
 
@@ -372,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_KEYS = tuple(f.name for f in fields(SuiteConfig))
+_KEYS = tuple(f.name for f in fields(SuiteConfig) if f.init)
 _INT_KEYS = {"r", "r_max", "trials", "seed", "dim_bound"}
 
 

@@ -10,7 +10,9 @@ kernel, ``GradedRing.dot``, adds Σ x·y into one dict, skipping a pair whose
 degrees add up past the bound; ``GradedRing.mul`` is its one-pair case.
 ``RingElement`` owns ``+`` (the ring's ``sum``), ``*`` (its ``mul``) and
 ``==`` for every element class; ``-`` on a graded element subtracts in one
-pass.  Each ring keeps the monomials of a degree once enumerated.
+pass.  Each ring keeps the monomials of a degree once enumerated, as
+exponent tuples and as packed keys in the same order; seeded draws read
+the keys.
 
 Each monomial is one ``int`` key, made by ``GradedRing.pack`` (the one way
 in) and read by ``GradedRing.exponents`` (the one way out): the weighted
@@ -135,6 +137,7 @@ class GradedRing:
         self.nvars = len(gens)
         self._index = {name: i for i, name in enumerate(names)}
         self._monomials: dict[int, tuple[Exponents, ...]] = {}
+        self._keys: dict[int, tuple[int, ...]] = {}  # the same, packed
         self._degree_shift = FIELD_BITS * self.nvars
         self._shifts = tuple(range(self._degree_shift - FIELD_BITS, -1, -FIELD_BITS))
         self._guard = sum(1 << FIELD_BITS - 1 << s for s in self._shifts)
@@ -264,13 +267,19 @@ class GradedRing:
         for k in range(d + 1):
             yield from self.monomials_of_degree(k)
 
+    def _keys_of_degree(self, d: int) -> tuple[int, ...]:
+        """The packed keys of ``monomials_of_degree(d)``, in its order."""
+        if d not in self._keys:
+            self._keys[d] = tuple(map(self.pack, self.monomials_of_degree(d)))
+        return self._keys[d]
+
     def random_homogeneous(self, rng, degree: int) -> "GradedElement":
-        terms = {self.pack(m): rng.randint(*COEFF_RANGE) for m in self.monomials_of_degree(degree)}
+        terms = {e: rng.randint(*COEFF_RANGE) for e in self._keys_of_degree(degree)}
         return self._canonical(terms)
 
     def random_element(self, rng, max_degree: int) -> "GradedElement":
-        terms = {self.pack(m): rng.randint(*COEFF_RANGE) for m in self.monomials_up_to(max_degree)}
-        return self._canonical(terms)
+        keys = (e for d in range(max_degree + 1) for e in self._keys_of_degree(d))
+        return self._canonical({e: rng.randint(*COEFF_RANGE) for e in keys})
 
     # ------------------------------------------------------------- parsing
 

@@ -17,6 +17,13 @@ from chowcalc import (
     linear_blowup,
     load_embedding,
 )
+from chowcalc.cli import SuiteConfig, run_suite
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # without hypothesis only the property test is left out
+    st = None
 
 
 @pytest.fixture
@@ -60,6 +67,109 @@ def test_corrupted_push_table_rejected(data41):
         embedding_validate(bad, samples=25, seed=0)
     assert exc.value.witness.startswith("projection formula fails: diff ")
     assert "diff 0" not in exc.value.witness
+
+
+# A weighted ambient ring (s of degree 2) around a weighted center: push is
+# multiplication by w = t^2 + s and c_2(N) = i^*w, which satisfies the
+# projection and self-intersection formulas.
+WEIGHTED = """
+[ambient]
+generators: t:1, s:2
+dim_bound: 4
+[center]
+generators: u:1, v:2
+dim_bound: 2
+[pull]
+t = u
+s = v
+[push]
+1 = t^2 + s
+u = t^3 + t*s
+u^2 = t^4 + t^2*s
+v = t^2*s + s^2
+[normal]
+rank = 2
+c1 = 2 * u
+c2 = u^2 + v
+"""
+
+EMBEDDINGS = {
+    f"linear:{n},{m}": (lambda n=n, m=m: linear_blowup(n, m))
+    for n, m in [(2, 0), (3, 1), (4, 1), (5, 2), (6, 0)]
+}
+EMBEDDINGS["weighted"] = lambda: load_embedding(WEIGHTED)
+
+
+def test_weighted_embedding_validates():
+    embedding_validate(load_embedding(WEIGHTED), samples=25, seed=0)
+
+
+if st is not None:
+
+    @pytest.mark.parametrize("embedding", sorted(EMBEDDINGS))
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32), count=st.integers(1, 4))
+    def test_pull_table_matches_substitution(embedding, seed, count):
+        # i^* read from the table equals substituting the generator images,
+        # on a cold table and again once the first pass has filled it
+        data, rng = EMBEDDINGS[embedding](), random.Random(seed)
+        bound = data.ambient.dim_bound
+        alphas = [
+            data.ambient.random_element(rng, rng.randint(0, bound)) for _ in range(count)
+        ]
+        assert not data.pull_table
+        for alpha in alphas + alphas:
+            assert data.pull(alpha) == alpha.substitute(data.pull_images, data.center)
+        assert data.pull_table.keys() == set().union(*(a.terms for a in alphas))
+
+
+def test_pull_on_an_unbounded_ambient_ring():
+    data = load_embedding(WEIGHTED.replace("dim_bound: 4\n", ""))
+    t, s = data.ambient.gen("t"), data.ambient.gen("s")
+    alpha = t ** 9 * s + 3 * s - 2 * t + 5
+    assert data.ambient.dim_bound is None
+    assert str(data.pull(alpha)) == "3 * v + -2 * u + 5"
+    assert data.pull(alpha) == alpha.substitute(data.pull_images, data.center)
+    with pytest.raises(ValueError, match="different rings"):
+        data.pull(data.center.one)
+
+
+@pytest.mark.parametrize(
+    "case, exps, law",
+    [
+        (None, (0,), "i^* not multiplicative"),
+        # the first sample's b has no t term, so i^*(ab) = i^*(a) i^*(b) there
+        ("linear:5,2", (2,), "projection formula fails"),
+    ],
+    ids=["linear:4,1 at 1", "linear:5,2 at t^2"],
+)
+def test_doubled_pull_table_entry_is_caught(case, exps, law, monkeypatch):
+    # i^* of one monomial doubled (on P^1, u^2 = 0, so there the entry of 1
+    # is doubled): i^* is no longer multiplicative, embedding validation
+    # rejects it with a nonzero witness, and so does the blow-up suite
+    import chowcalc.blowup as bl_mod
+
+    n, m = (4, 1) if case is None else (5, 2)
+    orig = bl_mod.linear_blowup
+
+    def corrupted(n, m):
+        data = orig(n, m)
+        monomial = data.ambient.element({exps: 1})
+        data.pull_table[data.ambient.pack(exps)] = data.pull(monomial) * 2
+        return data
+
+    data = corrupted(n, m)
+    root = data.ambient.element({tuple(e // 2 for e in exps): 1})  # 1, or t
+    assert data.pull(root * root) != data.pull(root) * data.pull(root)
+    with pytest.raises(ConsistencyError) as exc:
+        embedding_validate(data, samples=5, seed=0)
+    assert exc.value.witness.startswith(f"{law}: diff ")
+    assert "diff 0" not in exc.value.witness
+    monkeypatch.setattr(bl_mod, "linear_blowup", corrupted)
+    status, report = run_suite(SuiteConfig(suite="blowup", case=case))
+    failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
+    assert status == 1
+    assert failed["blowup.embedding_valid"] == exc.value.witness
 
 
 def test_cw_rank_one_is_one():

@@ -81,6 +81,84 @@ def test_bad_case_syntax_names_the_case(case, capsys):
     assert case in capsys.readouterr().err
 
 
+# linear:4,1 (a line in P^4) as an embedding file
+LINEAR_4_1 = """
+[ambient]
+generators: t:1
+dim_bound: 4
+[center]
+generators: u:1
+dim_bound: 1
+[pull]
+t = u
+[push]
+1 = t^3
+u = t^4
+[normal]
+rank = 3
+c1 = 3 * u
+c2 = 0
+c3 = 0
+"""
+
+
+def test_file_case_reports_as_its_linear_case(tmp_path, monkeypatch, capsys):
+    import chowcalc.blowup as bl_mod
+
+    path = tmp_path / "line-in-p4.txt"
+    path.write_text(LINEAR_4_1)
+
+    def reports():
+        texts = []
+        for case in ("linear:4,1", f"file:{path}"):
+            main(["blowup", "--case", case, "--seed", "5", "--format", "json"])
+            text = re.sub(r'"millis": [0-9.e+-]+', '"millis": 0', capsys.readouterr().out)
+            texts.append(text.replace(json.dumps(case), json.dumps("CASE")))
+        return texts
+
+    first, second = reports()
+    assert json.loads(first)["ok"] and first == second
+    # with the ring laws broken, the witnesses come from the seeded draws
+    orig = bl_mod.BlowupRing.mul
+
+    def left_biased(self, a, b):
+        return orig(self, a, self.pull(b.ambient.grade_component(0)))
+
+    monkeypatch.setattr(bl_mod.BlowupRing, "mul", left_biased)
+    first, second = reports()
+    assert '"witness": "ambient: ' in first and first == second
+
+
+@pytest.mark.parametrize(
+    "old, new, token",
+    [
+        ("dim_bound: 4\n", "", "the ambient ring needs a dim_bound"),
+        ("t = u", "t = v", "unknown generator 'v'"),
+        ("c3 = 0", "", "has no 'c3' entry"),
+    ],
+    ids=["unbounded-ambient", "unknown-generator", "missing-chern-class"],
+)
+def test_bad_file_case_is_usage_error(old, new, token, tmp_path, capsys):
+    path = tmp_path / "embedding.txt"
+    path.write_text(LINEAR_4_1.replace(old, new, 1))
+    case = f"file:{path}"
+    with pytest.raises(ValueError, match=re.escape(token)):
+        SuiteConfig(suite="blowup", case=case)
+    assert main(["all", "--case", case]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: bad case {case!r}: ")
+    assert token in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["missing.txt", "."], ids=["missing", "directory"])
+def test_unreadable_file_case_names_the_path(name, tmp_path, capsys):
+    case = f"file:{tmp_path / name}"
+    with pytest.raises(ValueError, match=re.escape(case)):
+        SuiteConfig(suite="blowup", case=case)
+    assert main(["blowup", "--case", case]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 def test_json_schema(capsys):
     assert main(["binomial", "--r-max", "3", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -1,6 +1,6 @@
 """The headline ladder tool: a smoke test on its first two rungs, its
-reference sampling, the row of a failed rung on a synthetic report, and the
-diff hash that identifies a dirty tree."""
+reference sampling and session normalisation, the row of a failed rung on a
+synthetic report, and the diff hash that identifies a dirty tree."""
 
 import importlib.util
 import json
@@ -30,12 +30,14 @@ def test_ladder_writes_rows_and_headline(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
-    assert set(result["env"]) == {"python", "git_rev", "diff_sha256", "nproc"}
+    env = result["env"]
+    assert set(env) == {"python", "git_rev", "diff_sha256", "nproc", "session_ref_s"}
     assert result["headline_r"] == 2
     assert [row["r"] for row in result["rows"]] == [1, 2]
     for row in result["rows"]:
         assert row["ok"] and not row["over_budget"]
         assert row["wall_ref"] == round(row["wall_s"] / row["ref_s"], 3)
+        assert row["wall_session_ref"] == round(row["wall_s"] / env["session_ref_s"], 3)
         assert row["projbundle_mul_calls"] > 0
         assert len(row["check_shares"]) == 14
         assert "failed_checks" not in row
@@ -55,6 +57,22 @@ def test_reference_is_the_median_of_samples_before_and_after():
     assert len(calls) == 2 * ladder.REFERENCE_SAMPLES
     assert row["ok"] and row["ref_s"] == 4.875
     assert row["wall_ref"] == round(row["wall_s"] / 4.875, 3)
+
+
+def test_session_ratio_grows_with_wall_time():
+    # the kernel slowed between rungs 2 and 3, so wall_ref falls while the
+    # wall time grows; one session-wide divisor keeps the rungs in order
+    rows = [
+        {"r": 1, "wall_s": 1.0, "ref_s": 0.3, "wall_ref": 3.333},
+        {"r": 2, "wall_s": 2.0, "ref_s": 0.3, "wall_ref": 6.667},
+        {"r": 3, "wall_s": 2.5, "ref_s": 0.5, "wall_ref": 5.0},
+        {"r": 4, "wall_s": None, "ref_s": 0.5},  # timed out: no ratio
+    ]
+    samples = [0.3] * 12 + [0.5] * 12
+    assert _load_ladder().session_normalise(rows, samples) == 0.4
+    assert [row.get("wall_session_ref") for row in rows] == [2.5, 5.0, 6.25, None]
+    assert [row["wall_ref"] for row in rows[:3]] == [3.333, 6.667, 5.0]
+    assert _load_ladder().session_normalise([], []) is None
 
 
 def test_failed_rung_names_each_failing_check():

@@ -432,6 +432,24 @@ def test_seeded_draws_are_unchanged():
     expected = "9 * x^2 + 6 * x*z + 2 * y + -5 * z^2 + 8 * x + 9 * z + -2"
     for _ in range(2):
         assert str(R.random_element(random.Random(3), 3)) == expected
+    # mixed generator degrees, both samplers, draws above the bound: the
+    # strings a ring that packed every monomial on every draw printed
+    R = GradedRing([("x", 1), ("y", 2), ("z", 3)], dim_bound=5)
+    expected = [
+        "5 * x^4 + 5 * x^2*y + 8 * x*z + 5 * y^2",
+        "5 * x^5 + 3 * x^3*y + -8 * x^2*z + 8 * x*y^2 + -7 * y*z + -5 * x^4"
+        " + 5 * x*z + -6 * y^2 + -4 * x^3 + 6 * x*y + 7 * z + -4 * x^2 + -3 * y"
+        " + 9 * x + 7",
+        "5 * x^5 + 1 * x^3*y + 5 * x^2*z + -9 * x*y^2 + -2 * y*z",
+    ]
+    for _ in range(2):
+        rng = random.Random(11)
+        drawn = [
+            R.random_homogeneous(rng, 4),
+            R.random_element(rng, 6),
+            R.random_homogeneous(rng, 5),
+        ]
+        assert [str(x) for x in drawn] == expected
 
 
 def test_consistency_error_carries_witness():

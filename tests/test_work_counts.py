@@ -1,5 +1,6 @@
-"""Work-count gate: tower and blow-up products, and the monomial degrees the
-graded kernel computes, stay within recorded bounds.
+"""Work-count gate: tower and blow-up products, the monomial degrees the
+graded kernel computes, and the polynomial substitutions of the blow-up
+restriction stay within recorded bounds.
 
 Counts are deterministic, so unlike wall time they do not drift between
 machines.  A change that lowers a count lowers its bound here as well.
@@ -13,7 +14,7 @@ from chowcalc import FlopContext, chern, verify_foundations, verify_multiplicati
 from chowcalc.blowup import BlowupRing
 from chowcalc.cli import SuiteConfig, run_suite
 from chowcalc.projbundle import ProjBundleRing
-from chowcalc.rings import GradedRing
+from chowcalc.rings import GradedElement, GradedRing
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -27,35 +28,26 @@ BLOWUP_LINEAR_4_1_PRODUCTS = 1000
 BLOWUP_LINEAR_4_1_TOWER_PRODUCTS = 2604
 # GradedRing.monomial_degree calls.  Only GradedRing.pack computes a degree,
 # once per monomial entering from outside; products, sums and grade reads
-# take it from the key's top field.
+# take it from the key's top field, and seeded draws read keys each ring
+# packed once per degree.
 MUKAI_VECTOR_DEGREES = 92  # mukai_vector(E, T, 8) on charclass_inputs(1)
-BLOWUP_LINEAR_4_1_DEGREES = 12079
+BLOWUP_LINEAR_4_1_DEGREES = 12
 FLOP_R4_DEGREES = 25
+# GradedElement.substitute calls for the blowup suite on linear:4,1: i^* reads
+# a table on ambient monomials, and substitutes each of t^0..t^4 once
+BLOWUP_LINEAR_4_1_SUBSTITUTIONS = 5
 
 
-def _count_mul(monkeypatch, cls) -> list[int]:
-    """Wrap ``cls.mul`` so that each call bumps the returned counter."""
+def _count_calls(monkeypatch, cls, name) -> list[int]:
+    """Wrap the method ``cls.name`` so that each call bumps the returned counter."""
     calls = [0]
-    orig = cls.mul
+    orig = getattr(cls, name)
 
-    def counted(self, a, b):
+    def counted(self, *args):
         calls[0] += 1
-        return orig(self, a, b)
+        return orig(self, *args)
 
-    monkeypatch.setattr(cls, "mul", counted)
-    return calls
-
-
-def _count_degrees(monkeypatch) -> list[int]:
-    """Wrap ``GradedRing.monomial_degree`` so that each call bumps the counter."""
-    calls = [0]
-    orig = GradedRing.monomial_degree
-
-    def counted(self, exps):
-        calls[0] += 1
-        return orig(self, exps)
-
-    monkeypatch.setattr(GradedRing, "monomial_degree", counted)
+    monkeypatch.setattr(cls, name, counted)
     return calls
 
 
@@ -72,19 +64,19 @@ def _blowup_linear_4_1() -> None:
 
 
 def test_flop_tower_products_at_r4(monkeypatch):
-    calls = _count_mul(monkeypatch, ProjBundleRing)
+    calls = _count_calls(monkeypatch, ProjBundleRing, "mul")
     _flop_r4()
     assert 0 < calls[0] <= FLOP_R4_TOWER_PRODUCTS
 
 
 def test_blowup_products_on_linear_4_1(monkeypatch):
-    calls = _count_mul(monkeypatch, BlowupRing)
+    calls = _count_calls(monkeypatch, BlowupRing, "mul")
     _blowup_linear_4_1()
     assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_PRODUCTS
 
 
 def test_tower_products_on_blowup_linear_4_1(monkeypatch):
-    calls = _count_mul(monkeypatch, ProjBundleRing)
+    calls = _count_calls(monkeypatch, ProjBundleRing, "mul")
     _blowup_linear_4_1()
     assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_TOWER_PRODUCTS
 
@@ -99,18 +91,24 @@ def _charclass_inputs(seed: int):
 def test_monomial_degrees_of_mukai_vector(monkeypatch):
     _, E, T = _charclass_inputs(1)
     chern.todd_universal.cache_clear()  # cold, whatever ran before
-    calls = _count_degrees(monkeypatch)
+    calls = _count_calls(monkeypatch, GradedRing, "monomial_degree")
     chern.mukai_vector(E, T, 8)
     assert 0 < calls[0] <= MUKAI_VECTOR_DEGREES
 
 
 def test_monomial_degrees_of_blowup_linear_4_1(monkeypatch):
-    calls = _count_degrees(monkeypatch)
+    calls = _count_calls(monkeypatch, GradedRing, "monomial_degree")
     _blowup_linear_4_1()
     assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_DEGREES
 
 
+def test_substitutions_of_blowup_linear_4_1(monkeypatch):
+    calls = _count_calls(monkeypatch, GradedElement, "substitute")
+    _blowup_linear_4_1()
+    assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_SUBSTITUTIONS
+
+
 def test_monomial_degrees_of_flop_at_r4(monkeypatch):
-    calls = _count_degrees(monkeypatch)
+    calls = _count_calls(monkeypatch, GradedRing, "monomial_degree")
     _flop_r4()
     assert 0 < calls[0] <= FLOP_R4_DEGREES
