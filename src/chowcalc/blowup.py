@@ -13,6 +13,7 @@ so the exceptional self-intersection multiplies by -xi.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 from .chern import BundleClass, binomial
@@ -203,6 +204,7 @@ def load_embedding(text: str) -> EmbeddingData:
     (required for the center: push must cover every center monomial);
     pull maps ambient generators to center expressions; push maps center
     monomials to ambient expressions; normal takes ``rank`` and ``c1``..``cr``.
+    An entry is split at its first ``:`` or ``=``.
     Lines starting with ``#`` are ignored; a repeated or unknown header or key raises.
     """
     sections: dict[str, dict[str, str]] = {}
@@ -219,15 +221,13 @@ def load_embedding(text: str) -> EmbeddingData:
             continue
         if current is None:
             raise ValueError(f"content before any section: {line!r}")
-        for sep in (":", "="):
-            if sep in line:
-                key, value = (part.strip() for part in line.split(sep, 1))
-                if key in sections[current]:
-                    raise ValueError(f"duplicate key {key!r} in section [{current}]")
-                sections[current][key] = value
-                break
-        else:
+        parts = re.split("[:=]", line, maxsplit=1)
+        if len(parts) == 1:
             raise ValueError(f"cannot parse line {line!r}")
+        key, value = (part.strip() for part in parts)
+        if key in sections[current]:
+            raise ValueError(f"duplicate key {key!r} in section [{current}]")
+        sections[current][key] = value
 
     def section(name: str, keys=None) -> dict[str, str]:
         if name not in sections:

@@ -3,17 +3,17 @@
 A bundle is its rank plus the list c_1..c_rank of Chern classes living in
 some ring; everything here (Segre classes, duals, line-bundle twists, Chern
 character, Todd class, series square roots, Mukai vectors) is computed
-exactly from those classes.  The Chern character and the Todd polynomials go
-through the Newton power sums of the Chern roots; :func:`todd_class`
-evaluates the polynomials at c_i(F) with ``GradedElement.substitute``.  The
+exactly from those classes.  The Chern character and the Todd class go
+through the Newton power sums of the Chern roots, computed in the bundle's
+own ring; the universal Todd polynomials are the Todd class of
+:func:`generic_bundle`, whose Chern classes are free generators.  The
 functions are generic over the coefficient ring: any ring handle exposing
 ``zero``, ``one``, ``sum`` and ``dot`` (every Σ of more than two terms goes
 through one of them, ``dot`` when it is a Σ of products) whose elements
 support ``+``, ``-``, ``*`` and ``grade_component`` works, so they apply
 equally to free graded rings and to projective-bundle Chow rings.  Powers
-of the line class of :func:`tensor_by_line` and of the Chern classes in
-:func:`todd_class` come from :func:`rings.powers`, which starts at
-``x.ring.one``.
+of the line class of :func:`tensor_by_line` come from :func:`rings.powers`,
+which starts at ``x.ring.one``.
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ class BundleClass:
 
     def __repr__(self) -> str:
         return f"BundleClass(rank={self.rank}, c={list(self.chern)!r})"
+
+
+def generic_bundle(rank: int, extra=(), dim_bound: int | None = None) -> BundleClass:
+    """The bundle whose Chern classes are the free generators c1..c{rank}
+    (c_i of degree i) of a new :class:`GradedRing`; the ``(name, degree)``
+    pairs of ``extra`` follow them as further generators."""
+    ring = GradedRing([*((f"c{i}", i) for i in range(1, rank + 1)), *extra], dim_bound)
+    return BundleClass(ring, rank, [ring.gen(n) for n in ring.generator_names[:rank]])
 
 
 @dataclass
@@ -184,32 +192,29 @@ def todd_series(k_max: int) -> list[Fraction]:
 
 @lru_cache(maxsize=None)
 def todd_universal(d: int) -> tuple:
-    """Degree-d Todd polynomial as (exponents over c_1..c_d, coefficient) pairs.
-
-    The Todd genus is multiplicative, so log td(F) = sum_k g_k p_k(F) with
-    g = log(t / (1 - e^{-t})) and p_k the power sums of the Chern roots
-    (Hirzebruch, *Topological Methods in Algebraic Geometry*, §1).  Over
-    Q[c_1..c_d], c_i of degree i, exponentiating degree by degree gives
-    td_0 = 1 and m td_m = sum_{k=1}^{m} k g_k p_k td_{m-k}.
-    """
-    ring = GradedRing([(f"c{i}", i) for i in range(1, d + 1)], dim_bound=d)
-    p = power_sums(BundleClass(ring, d, [ring.gen(n) for n in ring.generator_names]), d)
-    g = _log_unit_series(todd_series(d))
-    td = [ring.one]
-    for m in range(1, d + 1):
-        td.append(ring.dot((p[k] * (k * g[k] / m), td[m - k]) for k in range(1, m + 1)))
-    return tuple((ring.exponents(e), c) for e, c in td[d].terms.items())
+    """Degree-d Todd polynomial as (exponents over c_1..c_d, coefficient) pairs:
+    the degree-d part of the Todd class of ``generic_bundle(d)``."""
+    F = generic_bundle(d, dim_bound=d)
+    td = todd_class(F, d).component(d)
+    return tuple((F.ring.exponents(e), c) for e, c in td.terms.items())
 
 
 def todd_class(F: BundleClass, max_deg: int) -> CharClass:
-    """Todd class: each td_d of :func:`todd_universal` evaluated at c_i(F)."""
-    images = {f"c{i}": F.c(i) for i in range(1, max_deg + 1)}
+    """Todd class of F up to ``max_deg``, computed in ``F.ring``.
 
-    def td(d: int):
-        universal = GradedRing([(f"c{i}", i) for i in range(1, d + 1)])
-        return universal.element(dict(todd_universal(d))).substitute(images, F.ring)
-
-    return CharClass(F.ring.sum([F.ring.one, *map(td, range(1, max_deg + 1))]), max_deg)
+    The Todd genus is multiplicative, so log td(F) = sum_k g_k p_k(F) with
+    g = log(t / (1 - e^{-t})) and p_k the power sums of the Chern roots
+    (Hirzebruch, *Topological Methods in Algebraic Geometry*, §1).
+    Exponentiating degree by degree gives td_0 = 1 and
+    m td_m = sum_{k=1}^{m} k g_k p_k td_{m-k}, which holds in any
+    commutative ring.
+    """
+    p = power_sums(F, max_deg)
+    g = _log_unit_series(todd_series(max_deg))
+    td = [F.ring.one]
+    for m in range(1, max_deg + 1):
+        td.append(F.ring.dot((p[k] * (k * g[k] / m), td[m - k]) for k in range(1, m + 1)))
+    return CharClass(F.ring.sum(td), max_deg)
 
 
 def sqrt_one_series(a: CharClass) -> CharClass:

@@ -90,13 +90,6 @@ def _ranks(cfg: SuiteConfig, default: int) -> range:
     return range(1, (cfg.r_max or default) + 1)
 
 
-def _generic_tower(r: int, dim_bound: int | None) -> ProjBundleRing:
-    """P(F) for a rank-(r+1) bundle with generic Chern classes."""
-    S = GradedRing([(f"c{i}", i) for i in range(1, r + 2)], dim_bound=dim_bound)
-    F = chern.BundleClass(S, r + 1, [S.gen(f"c{i}") for i in range(1, r + 2)])
-    return ProjBundleRing(S, F, hyperplane="h")
-
-
 def suite_binomial(cfg: SuiteConfig) -> Report:
     report = Report()
     for r in _ranks(cfg, 12):
@@ -119,7 +112,8 @@ def suite_binomial(cfg: SuiteConfig) -> Report:
 def suite_projbundle(cfg: SuiteConfig) -> Report:
     report = Report()
     for r in _ranks(cfg, 5):
-        P = _generic_tower(r, cfg.dim_bound)
+        F = chern.generic_bundle(r + 1, dim_bound=cfg.dim_bound)
+        P = ProjBundleRing(F.ring, F, hyperplane="h")
 
         def push_table(P=P):
             P.check_push_table(-P.bundle.c(1))
@@ -351,7 +345,8 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, Report]:
 
 
 def _load_config_file(path: str) -> dict:
-    """Keys as field names (``-`` to ``_``, ``format`` to ``fmt``), each once."""
+    """Keys as field names (``-`` to ``_``, ``format`` to ``fmt``), each once;
+    the values of ``_INT_KEYS`` as ``int``."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -365,7 +360,12 @@ def _load_config_file(path: str) -> dict:
             key = "fmt" if key == "format" else key
             if key in values:
                 raise ValueError(f"{path}:{lineno}: duplicate key {name.strip()!r}")
-            values[key] = value.strip()
+            value = value.strip()
+            try:
+                values[key] = int(value) if key in _INT_KEYS else value
+            except ValueError:
+                msg = f"{name.strip()} must be an integer, got {value!r}"
+                raise ValueError(f"{path}:{lineno}: {msg}") from None
     return values
 
 
@@ -393,12 +393,7 @@ _INT_KEYS = {"r", "r_max", "trials", "seed", "dim_bound"}
 
 def parse_config(argv: list[str] | None) -> SuiteConfig:
     args = build_parser().parse_args(argv)
-    values: dict = {}
-    if args.config:
-        for key, value in _load_config_file(args.config).items():
-            if key in _INT_KEYS:
-                value = int(value)
-            values[key] = value
+    values = _load_config_file(args.config) if args.config else {}
     for key in _KEYS:
         flag = getattr(args, key)
         if flag is not None:

@@ -24,11 +24,11 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from .chern import BundleClass, dual_bundle
+from .chern import BundleClass, dual_bundle, generic_bundle
 from .errors import ConsistencyError, require_equal
 from .projbundle import PBElement, ProjBundleRing, cw_top
 from .report import Report
-from .rings import GradedRing, powers
+from .rings import powers
 
 
 class FlopContext:
@@ -37,13 +37,10 @@ class FlopContext:
     def __init__(self, r: int):
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
-        gens = [(f"c{i}", i) for i in range(1, r + 2)]
-        gens += [(f"{s}{k}", r - k) for s in "ab" for k in range(r + 1)]
-        S = GradedRing(gens)
+        sigmas = [(f"{s}{k}", r - k) for s in "ab" for k in range(r + 1)]
         self.r = r
-        self.S = S
-        chern = [S.gen(f"c{i}") for i in range(1, r + 2)]
-        self.F = BundleClass(S, r + 1, chern)  # homogeneity validated here
+        self.F = generic_bundle(r + 1, extra=sigmas)
+        self.S = S = self.F.ring
         self.P = ProjBundleRing(S, self.F, hyperplane="h")
         self.Pdual = ProjBundleRing(S, dual_bundle(self.F), hyperplane="l")
         self.l = self.Pdual.h

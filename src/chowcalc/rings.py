@@ -10,9 +10,8 @@ kernel, ``GradedRing.dot``, adds Σ x·y into one dict, skipping a pair whose
 degrees add up past the bound; ``GradedRing.mul`` is its one-pair case.
 ``RingElement`` owns ``+`` (the ring's ``sum``), ``*`` (its ``mul``) and
 ``==`` for every element class; ``-`` on a graded element subtracts in one
-pass.  Each ring keeps the monomials of a degree once enumerated, as
-exponent tuples and as packed keys in the same order; seeded draws read
-the keys.
+pass.  Each ring keeps the packed keys of a degree's monomials once
+enumerated, in enumeration order; seeded draws read them.
 
 Each monomial is one ``int`` key, made by ``GradedRing.pack`` (the one way
 in) and read by ``GradedRing.exponents`` (the one way out): the weighted
@@ -136,8 +135,7 @@ class GradedRing:
         self.dim_bound = dim_bound
         self.nvars = len(gens)
         self._index = {name: i for i, name in enumerate(names)}
-        self._monomials: dict[int, tuple[Exponents, ...]] = {}
-        self._keys: dict[int, tuple[int, ...]] = {}  # the same, packed
+        self._keys: dict[int, tuple[int, ...]] = {}  # packed monomials, per degree
         self._degree_shift = FIELD_BITS * self.nvars
         self._shifts = tuple(range(self._degree_shift - FIELD_BITS, -1, -FIELD_BITS))
         self._guard = sum(1 << FIELD_BITS - 1 << s for s in self._shifts)
@@ -244,10 +242,7 @@ class GradedRing:
     # ------------------------------------------------------------ sampling
 
     def monomials_of_degree(self, d: int) -> tuple[Exponents, ...]:
-        """All monomials of weighted degree exactly d (positive-degree rings),
-        enumerated on the first call for d and kept by the ring."""
-        if d in self._monomials:
-            return self._monomials[d]
+        """All monomials of weighted degree exactly d (positive-degree rings)."""
         if any(deg == 0 for deg in self.degrees):
             raise ValueError("monomial enumeration needs all generator degrees >= 1")
 
@@ -260,15 +255,15 @@ class GradedRing:
             for e in range(remaining // deg + 1):
                 yield from rec(i + 1, remaining - e * deg, prefix + (e,))
 
-        self._monomials[d] = tuple(rec(0, d, ()))
-        return self._monomials[d]
+        return tuple(rec(0, d, ()))
 
     def monomials_up_to(self, d: int) -> Iterator[Exponents]:
         for k in range(d + 1):
             yield from self.monomials_of_degree(k)
 
     def _keys_of_degree(self, d: int) -> tuple[int, ...]:
-        """The packed keys of ``monomials_of_degree(d)``, in its order."""
+        """The packed keys of ``monomials_of_degree(d)``, in its order,
+        enumerated on the first call for d and kept by the ring."""
         if d not in self._keys:
             self._keys[d] = tuple(map(self.pack, self.monomials_of_degree(d)))
         return self._keys[d]

@@ -104,6 +104,24 @@ def test_weighted_embedding_validates():
     embedding_validate(load_embedding(WEIGHTED), samples=25, seed=0)
 
 
+def _spelt(data) -> tuple:
+    """An embedding as text, so that two loads of it compare equal."""
+    return (
+        repr(data.ambient),
+        repr(data.center),
+        {g: str(x) for g, x in data.pull_images.items()},
+        {m: str(x) for m, x in data.push_table.items()},
+        [str(c) for c in data.normal.chern],
+    )
+
+
+def test_weighted_embedding_loads_with_either_separator():
+    # "generators = t:1, s:2" splits at its first separator, the "="
+    equals = re.sub(r"^(\w+): ", r"\1 = ", WEIGHTED, flags=re.MULTILINE)
+    assert equals.count("generators = ") == equals.count("dim_bound = ") == 2
+    assert _spelt(load_embedding(equals)) == _spelt(load_embedding(WEIGHTED))
+
+
 if st is not None:
 
     @pytest.mark.parametrize("embedding", sorted(EMBEDDINGS))
@@ -121,6 +139,33 @@ if st is not None:
         for alpha in alphas + alphas:
             assert data.pull(alpha) == alpha.substitute(data.pull_images, data.center)
         assert data.pull_table.keys() == set().union(*(a.terms for a in alphas))
+
+    # Characters an edit may insert: those of WEIGHTED and a few it lacks.
+    # The only digits are 0 and 1, so two edits leave the center's
+    # dim_bound at most 211: checking the push table enumerates every
+    # center monomial up to it, in time cubic in the bound.
+    EDIT_CHARS = sorted(set(WEIGHTED) - set("23456789") | set("[]#-/01"))
+
+    @settings(max_examples=300)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, len(WEIGHTED)),
+                st.integers(0, 3),
+                st.sampled_from(["", *EDIT_CHARS]),
+            ),
+            max_size=2,
+        )
+    )
+    def test_edited_embedding_text_loads_or_raises_value_error(edits):
+        # each edit cuts up to 3 characters at a position and inserts one
+        text = WEIGHTED
+        for pos, cut, char in edits:
+            text = text[:pos] + char + text[pos + cut :]
+        try:
+            load_embedding(text)
+        except ValueError:
+            pass
 
 
 def test_pull_on_an_unbounded_ambient_ring():

@@ -8,6 +8,7 @@ from chowcalc import (
     BundleClass,
     CharClass,
     GradedRing,
+    ProjBundleRing,
     binomial,
     chern_character,
     dual_bundle,
@@ -187,12 +188,14 @@ def test_hirzebruch_riemann_roch_on_projective_space(n):
         assert top == H ** n * binomial(n + k, n)
 
 
-def test_todd_of_line_bundle_matches_series(ring):
-    l = ring.gen("l")
-    td = todd_class(BundleClass(ring, 1, [l]), 6)
+def test_todd_of_line_bundle_matches_series(ring, bundle):
+    # td(L) = sum_k ts_k c_1(L)^k, for L = O(l) on the graded base ring and
+    # for L = O(h) on P(F), whose ring is not a GradedRing
     ts = todd_series(6)
-    for k in range(7):
-        assert td.component(k) == l ** k * ts[k]
+    for l in (ring.gen("l"), ProjBundleRing(ring, bundle).h):
+        td = todd_class(BundleClass(l.ring, 1, [l]), 6)
+        for k in range(7):
+            assert td.component(k) == l ** k * ts[k]
 
 
 def test_todd_multiplicative(bundle, ring):

@@ -214,6 +214,9 @@ def test_config_file_rejects_bad_lines(tmp_path, capsys):
         # a repeated key, under either spelling, is not silently overridden
         ("suite=flop\nr=1\nr=2\n", ":3: duplicate key 'r'"),
         ("suite=flop\nformat=json\nfmt=text\n", ":3: duplicate key 'fmt'"),
+        # an integer option that does not parse names the file, line and key
+        ("suite=flop\nr=abc\n", ":2: r must be an integer, got 'abc'"),
+        ("seed=\nsuite=charclass\n", ":1: seed must be an integer, got ''"),
     ]:
         cfg_file.write_text(text)
         assert main(["--config", str(cfg_file)]) == 2

@@ -29,8 +29,9 @@ BLOWUP_LINEAR_4_1_TOWER_PRODUCTS = 2604
 # GradedRing.monomial_degree calls.  Only GradedRing.pack computes a degree,
 # once per monomial entering from outside; products, sums and grade reads
 # take it from the key's top field, and seeded draws read keys each ring
-# packed once per degree.
-MUKAI_VECTOR_DEGREES = 92  # mukai_vector(E, T, 8) on charclass_inputs(1)
+# packed once per degree.  The Todd recurrence runs in the bundle's own
+# ring, so mukai_vector(E, T, 8) on charclass_inputs(1) packs nothing.
+MUKAI_VECTOR_DEGREES = 0
 BLOWUP_LINEAR_4_1_DEGREES = 12
 FLOP_R4_DEGREES = 25
 # GradedElement.substitute calls for the blowup suite on linear:4,1: i^* reads
@@ -43,9 +44,9 @@ def _count_calls(monkeypatch, cls, name) -> list[int]:
     calls = [0]
     orig = getattr(cls, name)
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         calls[0] += 1
-        return orig(self, *args)
+        return orig(self, *args, **kwargs)
 
     monkeypatch.setattr(cls, name, counted)
     return calls
@@ -93,7 +94,16 @@ def test_monomial_degrees_of_mukai_vector(monkeypatch):
     chern.todd_universal.cache_clear()  # cold, whatever ran before
     calls = _count_calls(monkeypatch, GradedRing, "monomial_degree")
     chern.mukai_vector(E, T, 8)
-    assert 0 < calls[0] <= MUKAI_VECTOR_DEGREES
+    assert calls[0] == MUKAI_VECTOR_DEGREES
+
+
+def test_mukai_vector_builds_no_ring_and_packs_no_monomial(monkeypatch):
+    _, E, T = _charclass_inputs(1)
+    chern.todd_universal.cache_clear()
+    rings = _count_calls(monkeypatch, GradedRing, "__init__")
+    packs = _count_calls(monkeypatch, GradedRing, "pack")
+    chern.mukai_vector(E, T, 8)
+    assert rings[0] == packs[0] == 0
 
 
 def test_monomial_degrees_of_blowup_linear_4_1(monkeypatch):
