@@ -164,7 +164,7 @@ class BlowupRing:
         restrict_b = self.E.pullback(self.data.pull(b.ambient))
         # phi^*a.phi^*b + mixed projection-formula terms + E self-intersection
         ea, eb = a.exceptional, b.exceptional
-        exc = self.E.dot(((restrict_a, eb), (restrict_b, ea), (-self.xi * ea, eb)))
+        exc = self.E.dot(((restrict_a, eb), (restrict_b, ea), (-(self.xi * ea), eb)))
         mixed = self.exc_push(exc)
         return BlowupClass(self, a.ambient * b.ambient + mixed.ambient, mixed.exceptional)
 

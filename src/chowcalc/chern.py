@@ -166,6 +166,8 @@ def whitney_sum(E: BundleClass, F: BundleClass) -> BundleClass:
 
 def power_sums(F: BundleClass, k_max: int) -> list:
     """Power sums of the Chern roots via Newton's identities (p_0 = rank)."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     p = [F.ring.one * F.rank]
     for k in range(1, k_max + 1):
         mixed = ((F.c(i) * (-1) ** (i - 1), p[k - i]) for i in range(1, k))

@@ -57,21 +57,22 @@ class FlopContext:
         term_B reads.  Row j holds the same sums lhs(j, q) over tau_{n+j,r-q}
         for q <= r, row 0 by definition and row j+1 by the tau recursion as
         lhs(j, q+1) - pull(c_{q+1}(F)) . lhs(j, 0), where lhs(j, r+1) = 0.
-        Every cell is checked against (-1)^j l^j c_q(G)."""
+        Every cell is checked against (-l)^j c_q(G), q >= 1 swept by -l, q = 0 from lpow."""
         r, tau, pull, zero = self.r, self.P.tau, self.Pdual.pullback, self.Pdual.zero
         row = [
             self.Pdual.dot((self.G.c(r - n), pull(tau(n, r - q))) for n in range(r + 1))
             for q in range(r + 1)
         ]
+        swept = [self.G.c(q) for q in range(1, r + 1)]
         sums = []
         for j in range(r + 1):
-            for q, lhs in enumerate(row):
-                rhs = self.lpow[j] * self.G.c(q) * (-1) ** j
+            for q, (lhs, rhs) in enumerate(zip(row, [self.lpow[j] * (-1) ** j, *swept])):
                 require_equal(lhs, rhs, f"T1 identity fails at j={j}, q={q}")
             sums.append(row[0])
             if j < r:
                 tail = [*row[1:], zero]
                 row = [t - pull(self.F.c(q + 1)) * row[0] for q, t in enumerate(tail)]
+                swept = [-(self.l * x) for x in swept]
         return tuple(sums)
 
     def _help_table(self) -> MappingProxyType:

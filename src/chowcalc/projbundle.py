@@ -1,20 +1,20 @@
 """Chow rings of projective bundles as free modules over the base.
 
-For a bundle F of rank n over a base S, CH(P(F)) is represented as the free
-module with basis 1, h, ..., h^{n-1} over CH(S), where h is the relative
-hyperplane class.  ``ProjBundleRing.dot`` is the one product kernel: the base
-products of every pair go into the 2n-1 convolution slots, one ``base.dot``
-per slot, and ``reduce`` then forms each slot once, from the top down, by the
-defining relation h^n = -sum_j pull(c_j(F)) h^{n-j}.  Since
-p_*(h^k) = s_{k-n+1}(F) vanishes for k < n-1 and is 1 at k = n-1, the
-pushforward of a reduced element is its top coefficient, and
-``pushforward_of_product`` forms only the slots that reach it; the Segre
-classes give p_*(h^k) directly as the second route.  The one table of
-h-powers, tau_{i,j} (the coefficients of reduced h^i), is built by the c_j(F)
-recursion and checked row by row against the reduction of h * h^{i-1}.  The
-base may itself be another projective-bundle ring, which is how towers of
-bundles (e.g. the exceptional divisor of a blow-up over a projective bundle)
-are modelled.
+For a bundle F of rank n over a base S, CH(P(F)) is the free CH(S)-module
+with basis 1, h, ..., h^{n-1}, h the relative hyperplane class.
+``ProjBundleRing.dot`` is the one product kernel: the base products of every
+pair go into the 2n-1 convolution slots, one ``base.dot`` per slot, and
+``reduce`` forms each slot once, top down, by the defining relation
+h^n = -sum_j pull(c_j(F)) h^{n-j}.  ``mul`` first tries two shapes (Fulton,
+*Intersection Theory*, §3.2): h·y is y shifted one slot up plus one reduction
+step, pull(c)·y is y scaled slot by slot, and zero slots pass through.  As
+p_*(h^k) = s_{k-n+1}(F) is 0 for k < n-1 and 1 at k = n-1, the pushforward of
+a reduced element is its top coefficient, and ``pushforward_of_product`` forms
+only the slots that reach it; the Segre classes give p_*(h^k) as the second
+route.  The one h-power table, tau_{i,j} (the coefficients of reduced h^i), is
+built by the c_j(F) recursion and checked row by row against the reduction of
+h * h^{i-1}.  The base may itself be a projective-bundle ring: towers (e.g. the
+exceptional divisor of a blow-up over a projective bundle) nest this way.
 """
 
 from __future__ import annotations
@@ -96,6 +96,13 @@ class ProjBundleRing:
         return PBElement(self, self._dot(pairs))
 
     def mul(self, a: "PBElement", b: "PBElement") -> "PBElement":
+        if a.ring is not self or b.ring is not self:
+            raise ValueError("elements belong to a different projective-bundle ring")
+        for x, y in ((a, b), (b, a)):
+            if x is self.h:
+                return PBElement(self, self.reduce((self.base.zero, *y.coeffs)))
+            if not any(x.coeffs[1:]):
+                return PBElement(self, (t * x.coeffs[0] if t else t for t in y.coeffs))
         return self.dot(((a, b),))
 
     def pushforward_of_product(self, a: "PBElement", b: "PBElement"):
@@ -258,7 +265,7 @@ class PBElement(RingElement):
         return self.coeffs
 
     def _scaled(self, c) -> "PBElement":
-        return PBElement(self.ring, tuple(x * c for x in self.coeffs))
+        return PBElement(self.ring, (x * c if x else x for x in self.coeffs))
 
     def __sub__(self, other):
         other = self._coerce(other)

@@ -252,7 +252,11 @@ class GradedRing:
                     yield prefix
                 return
             deg = self.degrees[i]
-            for e in range(remaining // deg + 1):
+            if i < self.nvars - 1:
+                exps = range(remaining // deg + 1)
+            else:  # the last exponent is solved for, not searched
+                exps = (remaining // deg,) if remaining % deg == 0 else ()
+            for e in exps:
                 yield from rec(i + 1, remaining - e * deg, prefix + (e,))
 
         return tuple(rec(0, d, ()))
@@ -361,6 +365,8 @@ class GradedElement(RingElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:  # elements are never mutated, so self may be shared
+            return self
         terms = {e: self.terms.get(e, 0) - c for e, c in other.terms.items()}
         return self.ring._canonical({**self.terms, **terms})
 

@@ -122,6 +122,14 @@ def test_weighted_embedding_loads_with_either_separator():
     assert _spelt(load_embedding(equals)) == _spelt(load_embedding(WEIGHTED))
 
 
+def test_a_large_center_bound_is_rejected_by_its_missing_push_entries():
+    # all 160,801 center monomials up to degree 800 are enumerated, one
+    # leaf each, before the missing [push] entries are named
+    assert WEIGHTED.count("dim_bound: 2") == 1
+    with pytest.raises(ValueError, match=re.escape("center monomials ['u*v', 'u^3', 'v^2'")):
+        load_embedding(WEIGHTED.replace("dim_bound: 2", "dim_bound: 800"))
+
+
 if st is not None:
 
     @pytest.mark.parametrize("embedding", sorted(EMBEDDINGS))

@@ -256,3 +256,11 @@ def test_ch_of_twist_is_ch_times_exp(bundle, ring):
 def test_segre_classes_reject_a_negative_degree_by_name(bundle, k_max):
     with pytest.raises(ValueError, match=f"got {k_max}"):
         segre_classes(bundle, k_max)
+
+
+@pytest.mark.parametrize("function", [chern_character, todd_class, mukai_vector])
+@pytest.mark.parametrize("max_deg", [-1, -4])
+def test_characteristic_classes_reject_a_negative_degree_by_name(bundle, function, max_deg):
+    args = (bundle, bundle, max_deg) if function is mukai_vector else (bundle, max_deg)
+    with pytest.raises(ValueError, match=f"got {max_deg}"):
+        function(*args)

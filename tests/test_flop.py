@@ -20,6 +20,7 @@ from chowcalc import (
     verify_foundations,
     verify_multiplicativity,
 )
+from chowcalc.cli import SuiteConfig, run_suite
 from chowcalc.errors import WITNESS_LIMIT, ConsistencyError
 from chowcalc.rings import COEFF_RANGE
 
@@ -230,6 +231,51 @@ def test_direct_route_mutant_fails_sigma_top(monkeypatch, mutant):
                 continue
             # the witness is the nonzero difference of the two routes
             assert failed.get("flop.sigma_top_cross_route") not in (None, "", "0"), r
+
+
+# (code in ProjBundleRing.mul, mutant, flop checks that must fail at r = 2, 3,
+# blow-up checks that must fail on linear:4,1).  Dropping the top slot of y
+# in h·y is invisible to the blow-up: its h product, -xi·eps, takes an
+# exceptional part eps, whose top slot is 0 because eta_*(eps) = 0.
+SHORTCUT_MUTANTS = {
+    "h_shift_drops_the_top_slot": (
+        "(self.base.zero, *y.coeffs)",
+        "(self.base.zero, *y.coeffs[:-1])",
+        {"flop.t1_identity", "flop.term_B_routes"},
+        set(),
+    ),
+    "h_shift_forgets_the_shift": (
+        "(self.base.zero, *y.coeffs)",
+        "(*y.coeffs, self.base.zero)",
+        {"flop.t1_identity", "flop.help_sum_identity"},
+        {"blowup.ring_laws"},
+    ),
+    "pullback_scales_only_slot_0": (
+        "t * x.coeffs[0] if t else t for t in y.coeffs",
+        "t * x.coeffs[0] if not k else t for k, t in enumerate(y.coeffs)",
+        {"flop.t1_identity", "flop.help_sum_identity"},
+        {"blowup.key_formula", "blowup.ring_laws"},
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SHORTCUT_MUTANTS))
+def test_tower_shortcut_mutant_fails_its_checks(monkeypatch, mutant):
+    old, new, flop_readers, blowup_readers = SHORTCUT_MUTANTS[mutant]
+    mul = ProjBundleRing.mul
+    for code in (old, new):  # the harness alone passes
+        monkeypatch.setattr(ProjBundleRing, "mul", _mutated(mul, old, code))
+        _, report = run_suite(SuiteConfig(suite="blowup", case="linear:4,1"))
+        failed = {k for k, w in _failed(report).items() if w not in ("", "0")}
+        assert (blowup_readers <= failed) if code == new else not failed
+        for r in (2, 3):
+            ctx = FlopContext(r)
+            failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
+            if code == old:
+                assert not failed, r
+                continue
+            witnessed = {k for k, w in failed.items() if w not in ("", "0")}
+            assert flop_readers <= witnessed, (r, failed)
 
 
 def test_corrupted_tau_row_fails_t1_identity():

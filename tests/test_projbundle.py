@@ -111,6 +111,26 @@ if st is not None:
         assert P.reduce(coeffs) == _push_form_reduce(P, coeffs)
 
 
+def test_shortcut_products_match_the_convolution(monkeypatch):
+    # h·y is a shift and one reduce step, pull(c)·y scales y slot by slot:
+    # both give the raw convolution's product, and neither calls ``dot``
+    rng = random.Random(5)
+    for P in [*map(generic_tower, range(1, 6)), _two_level_tower()]:
+        y, c = P.random_element(rng, 2), P.base.random_element(rng, 2)
+        pairs = [(P.h, y), (y, P.h), (P.pullback(c), y), (y, P.pullback(c))]
+        expected = [_brute_force_product(P, a, b) for a, b in pairs]
+        monkeypatch.setattr(P, "dot", None)  # a call would raise TypeError
+        assert [P.mul(a, b).coeffs for a, b in pairs] == expected, P
+
+
+def test_zero_slots_and_zero_subtrahends_are_passed_through():
+    P = generic_tower(3)
+    x = P.pullback(P.base.gen("c1"))
+    assert all(s is t for s, t in zip((x * 5).coeffs[1:], x.coeffs[1:]))
+    g = P.base.gen("c2")
+    assert g - P.base.zero is g
+
+
 def test_pushforward_table():
     for n in range(1, 7):
         P = generic_tower(n)

@@ -426,6 +426,15 @@ def test_monomials_of_degree():
             list(zero_degree.monomials_of_degree(1))
 
 
+@pytest.mark.parametrize("degrees", [(2, 3), (1, 2, 3), (3, 1, 2)])
+def test_monomials_of_degree_match_the_brute_force_filter(degrees):
+    # the last exponent is solved for, not searched; the order stays the
+    # lexicographic order of the filter
+    ring = GradedRing([(f"x{i}", deg) for i, deg in enumerate(degrees)])
+    for d in range(16):
+        assert list(ring.monomials_of_degree(d)) == _enumerated(degrees, d), d
+
+
 def test_seeded_draws_are_unchanged():
     # degree-3 monomials are drawn, consuming the generator, then truncated
     R = GradedRing([("x", 1), ("y", 2), ("z", 1)], dim_bound=2)

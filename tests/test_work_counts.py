@@ -19,13 +19,20 @@ from chowcalc.rings import GradedElement, GradedRing
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 # ProjBundleRing.mul calls for FlopContext(4), foundations and multiplicativity
-FLOP_R4_TOWER_PRODUCTS = 136
+FLOP_R4_TOWER_PRODUCTS = 129
+# ProjBundleRing.reduce calls for the same run: h·y reduces once, pull(c)·y
+# not at all, and T1's right-hand side is swept by -l
+FLOP_R4_REDUCTIONS = 122
 # BlowupRing.mul calls for the blowup suite on linear:4,1
 BLOWUP_LINEAR_4_1_PRODUCTS = 1000
 # ProjBundleRing.mul calls in CH(E) for the same suite: two per blow-up product
 # (-xi times one exceptional part, and the cW twist of exc_push); the other
 # exceptional terms go into one ProjBundleRing.dot
 BLOWUP_LINEAR_4_1_TOWER_PRODUCTS = 2604
+# ProjBundleRing.reduce calls in CH(E) for the same suite: two per blow-up
+# product, its one ProjBundleRing.dot and the shift -(xi·eps); the cW twist
+# of exc_push is a scaling and reduces nothing
+BLOWUP_LINEAR_4_1_REDUCTIONS = 2002
 # GradedRing.monomial_degree calls.  Only GradedRing.pack computes a degree,
 # once per monomial entering from outside; products, sums and grade reads
 # take it from the key's top field, and seeded draws read keys each ring
@@ -70,6 +77,12 @@ def test_flop_tower_products_at_r4(monkeypatch):
     assert 0 < calls[0] <= FLOP_R4_TOWER_PRODUCTS
 
 
+def test_tower_reductions_at_r4(monkeypatch):
+    calls = _count_calls(monkeypatch, ProjBundleRing, "reduce")
+    _flop_r4()
+    assert 0 < calls[0] <= FLOP_R4_REDUCTIONS
+
+
 def test_blowup_products_on_linear_4_1(monkeypatch):
     calls = _count_calls(monkeypatch, BlowupRing, "mul")
     _blowup_linear_4_1()
@@ -80,6 +93,12 @@ def test_tower_products_on_blowup_linear_4_1(monkeypatch):
     calls = _count_calls(monkeypatch, ProjBundleRing, "mul")
     _blowup_linear_4_1()
     assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_TOWER_PRODUCTS
+
+
+def test_tower_reductions_on_blowup_linear_4_1(monkeypatch):
+    calls = _count_calls(monkeypatch, ProjBundleRing, "reduce")
+    _blowup_linear_4_1()
+    assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_REDUCTIONS
 
 
 def _charclass_inputs(seed: int):
