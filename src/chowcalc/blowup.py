@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 from .chern import BundleClass, binomial
-from .errors import ConsistencyError, require_equal
+from .errors import ConsistencyError, bounded, require_equal
 from .projbundle import PBElement, ProjBundleRing, cw_top
 from .rings import GradedElement, GradedRing, RingElement
 
@@ -32,11 +32,11 @@ def key_formula_check(bl: "BlowupRing", gamma: GradedElement) -> None:
 
 @dataclass
 class EmbeddingData:
-    """A codimension-r regular embedding P -> X presented algebraically."""
+    """A regular embedding P -> X presented algebraically; its codimension
+    is the rank of the normal bundle."""
 
     ambient: GradedRing
     center: GradedRing
-    codim: int
     pull_images: dict[str, GradedElement]
     push_table: dict[tuple[int, ...], GradedElement]
     normal: BundleClass
@@ -46,10 +46,6 @@ class EmbeddingData:
     )
 
     def __post_init__(self):
-        if self.codim < 1:
-            raise ValueError(f"codimension must be >= 1, got {self.codim}")
-        if self.normal.rank != self.codim:
-            raise ValueError(f"normal bundle rank {self.normal.rank} != codimension {self.codim}")
         if self.normal.ring is not self.center:
             raise ValueError(f"normal bundle must live over the center, not {self.normal.ring}")
 
@@ -80,7 +76,7 @@ def embedding_validate(data: EmbeddingData, samples: int, seed: int = 0) -> None
     if amb_deg is None or cen_deg is None:
         unbounded = data.ambient if amb_deg is None else data.center
         raise ValueError(f"validation sampling needs dimension-bounded rings, not {unbounded}")
-    c_top = data.normal.c(data.codim)
+    c_top = data.normal.c(data.normal.rank)
 
     def law(name: str, lhs, rhs):
         if lhs != rhs:
@@ -114,7 +110,7 @@ def linear_blowup(n: int, m: int) -> EmbeddingData:
     normal = BundleClass(
         center, r, [u ** i * binomial(r, i) for i in range(1, r + 1)]
     )
-    return EmbeddingData(ambient, center, r, {"t": u}, push_table, normal)
+    return EmbeddingData(ambient, center, {"t": u}, push_table, normal)
 
 
 class BlowupRing:
@@ -122,7 +118,7 @@ class BlowupRing:
 
     def __init__(self, data: EmbeddingData, validate_samples: int = 0, seed: int = 0):
         self.data = data
-        self.E = ProjBundleRing(data.center, data.normal, hyperplane="xi")
+        self.E = ProjBundleRing(data.normal, hyperplane="xi")
         self.xi = self.E.h
         self.cW = cw_top(self.E)  # c_{r-1} of the universal quotient bundle
         self.zero = self.pull(data.ambient.zero)
@@ -269,16 +265,17 @@ def load_embedding(text: str) -> EmbeddingData:
         if exps in push_table:  # the same monomial spelt two ways
             raise ValueError(f"duplicate key {mono_str!r} in section [push]")
         push_table[exps] = ambient.parse(value)
-    wanted = center.monomials_up_to(center.dim_bound)
-    missing = [center.monomial_str(m) for m in wanted if m not in push_table]
-    if missing:
-        raise ValueError(f"[push] has no entry for center monomials {missing}")
+    missing = [m for m in center.monomials_up_to(center.dim_bound) if m not in push_table]
+    if missing:  # the first ten are named, the rest counted
+        names = bounded(str([center.monomial_str(m) for m in missing[:10]]))
+        raise ValueError(
+            f"[push] has no entry for center monomials {names} ({len(missing)} missing)"
+        )
     rank = int(entry("normal", "rank"))
     chern = [center.parse(entry("normal", f"c{i}")) for i in range(1, rank + 1)]
     section("normal", ["rank", *(f"c{i}" for i in range(1, rank + 1))])
     unknown = sorted(set(sections) - {"ambient", "center", "pull", "push", "normal"})
     if unknown:
         raise ValueError(f"unknown section [{unknown[0]}]")
-    return EmbeddingData(
-        ambient, center, rank, pull_images, push_table, BundleClass(center, rank, chern)
-    )
+    normal = BundleClass(center, rank, chern)
+    return EmbeddingData(ambient, center, pull_images, push_table, normal)

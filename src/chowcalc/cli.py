@@ -113,7 +113,7 @@ def suite_projbundle(cfg: SuiteConfig) -> Report:
     report = Report()
     for r in _ranks(cfg, 5):
         F = chern.generic_bundle(r + 1, dim_bound=cfg.dim_bound)
-        P = ProjBundleRing(F.ring, F, hyperplane="h")
+        P = ProjBundleRing(F)
 
         def push_table(P=P):
             P.check_push_table(-P.bundle.c(1))
@@ -154,25 +154,23 @@ def _blowup_case(case: str | None) -> bl_mod.EmbeddingData:
     """``--case``: ``linear:n,m`` (``linear:4,1`` when unset), or ``file:PATH``,
     a ``load_embedding`` text whose ambient ring has a ``dim_bound``."""
     kind, _, rest = (case or "linear:4,1").partition(":")
-    if kind == "file":
+    if kind == "linear":
         try:
-            with open(rest) as fh:
-                data = bl_mod.load_embedding(fh.read())
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"bad case {case!r}: {exc}") from None
-        if data.ambient.dim_bound is None:
-            raise ValueError(f"bad case {case!r}: the ambient ring needs a dim_bound")
-        return data
-    if kind != "linear":
+            n, m = map(int, rest.split(","))
+        except ValueError:
+            raise ValueError(f"bad case syntax {case!r}, expected linear:n,m") from None
+    elif kind != "file":
         raise ValueError(f"unknown blow-up case {case!r}")
-    try:
-        n_str, m_str = rest.split(",")
-        n, m = int(n_str), int(m_str)
-    except ValueError:
-        raise ValueError(f"bad case syntax {case!r}, expected linear:n,m") from None
-    if not 0 <= m < n:
-        raise ValueError(f"bad case {case!r}: need 0 <= m < n")
-    return bl_mod.linear_blowup(n, m)
+    try:  # the builder owns the rules on its input; the case is named here
+        if kind == "linear":
+            return bl_mod.linear_blowup(n, m)
+        with open(rest) as fh:
+            data = bl_mod.load_embedding(fh.read())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"bad case {case!r}: {exc}") from None
+    if data.ambient.dim_bound is None:
+        raise ValueError(f"bad case {case!r}: the ambient ring needs a dim_bound")
+    return data
 
 
 def suite_blowup(cfg: SuiteConfig) -> Report:

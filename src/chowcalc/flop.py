@@ -20,7 +20,6 @@ every cell, and the raw routes of term_B and term_A read the stored values.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
@@ -40,9 +39,9 @@ class FlopContext:
         sigmas = [(f"{s}{k}", r - k) for s in "ab" for k in range(r + 1)]
         self.r = r
         self.F = generic_bundle(r + 1, extra=sigmas)
-        self.S = S = self.F.ring
-        self.P = ProjBundleRing(S, self.F, hyperplane="h")
-        self.Pdual = ProjBundleRing(S, dual_bundle(self.F), hyperplane="l")
+        self.S = self.F.ring
+        self.P = ProjBundleRing(self.F)
+        self.Pdual = ProjBundleRing(dual_bundle(self.F), hyperplane="l")
         self.l = self.Pdual.h
         # l^0 .. l^r, the one table every sum over powers of l reads
         self.lpow = powers(self.l, r)
@@ -101,9 +100,7 @@ class FlopContext:
     # ------------------------------------------------------------- helpers
 
     def sigma(self, values) -> tuple:
-        values = tuple(
-            self.S.one * v if isinstance(v, (int, Fraction)) else v for v in values
-        )
+        values = tuple(self.S.one * v for v in values)
         if len(values) != self.r + 1:
             raise ValueError(f"sigma vector must have length {self.r + 1}")
         return values
@@ -119,7 +116,7 @@ def incidence(pb: ProjBundleRing, hyperplane: str) -> ProjBundleRing:
     of rank r, with c_i(G) from the closed twist formula."""
     r = pb.rank - 1
     chern = [pb.cotangent_twist_chern(i) for i in range(1, r + 1)]
-    return ProjBundleRing(pb, BundleClass(pb, r, chern), hyperplane=hyperplane)
+    return ProjBundleRing(BundleClass(pb, r, chern), hyperplane=hyperplane)
 
 
 # --------------------------------------------------------------- operations

@@ -28,14 +28,10 @@ from .rings import RingElement
 
 
 class ProjBundleRing:
-    """CH(P(F)) for a bundle F presented by its Chern classes."""
+    """CH(P(F)) for a bundle F presented by its Chern classes, over F's ring."""
 
-    def __init__(self, base, bundle: BundleClass, hyperplane: str = "h"):
-        if bundle.rank < 1:
-            raise ValueError("bundle rank must be >= 1")
-        if bundle.ring is not base:
-            raise ValueError("bundle must live over the base ring")
-        self.base = base
+    def __init__(self, bundle: BundleClass, *, hyperplane: str = "h"):
+        self.base = base = bundle.ring
         self.bundle = bundle
         self.rank = bundle.rank  # rank of F; the fibre is P^{rank-1}
         self.hyperplane = hyperplane

@@ -6,7 +6,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, bounded
 
 
 @dataclass
@@ -46,19 +46,18 @@ class Report:
 
         Any exception it raises fails the check, and ``run`` returns None.
         A ConsistencyError keeps its witness; any other exception is recorded
-        as ``"<Type>: <msg>"``, so a bug in one check cannot crash a suite.
+        as ``"<Type>: <msg>"``, bounded like a witness, so a bug in one check
+        cannot crash a suite.
         """
         start = time.perf_counter()
         value = witness = None
-        status = "pass"
         try:
             value = fn()
         except ConsistencyError as exc:
-            status = "fail"
             witness = exc.witness or str(exc)
         except Exception as exc:
-            status = "fail"
-            witness = f"{type(exc).__name__}: {exc}"
+            witness = bounded(f"{type(exc).__name__}: {exc}")
+        status = "pass" if witness is None else "fail"
         millis = (time.perf_counter() - start) * 1000.0
         self.checks.append(CheckResult(name, anchor, status, witness, millis))
         return value

@@ -51,7 +51,7 @@ def criterion(number, description, bound_seconds, fn):
 def generic_tower(n):
     S = GradedRing([(f"c{i}", i) for i in range(1, n + 1)])
     F = BundleClass(S, n, [S.gen(f"c{i}") for i in range(1, n + 1)])
-    return ProjBundleRing(S, F)
+    return ProjBundleRing(F)
 
 
 def test_criterion_1_binomial_identity():
@@ -85,7 +85,7 @@ def test_criterion_3_quotient_class_pushes_to_one():
         for r in range(1, 6):
             S = GradedRing([(f"n{i}", i) for i in range(1, r + 1)])
             N = BundleClass(S, r, [S.gen(f"n{i}") for i in range(1, r + 1)])
-            E = ProjBundleRing(S, N, hyperplane="xi")
+            E = ProjBundleRing(N, hyperplane="xi")
             assert E.pushforward(cw_top(E)) == S.one
 
     criterion(3, "top quotient Chern class pushes to 1 for r <= 5", 5.0, run)

@@ -192,7 +192,7 @@ def test_todd_of_line_bundle_matches_series(ring, bundle):
     # td(L) = sum_k ts_k c_1(L)^k, for L = O(l) on the graded base ring and
     # for L = O(h) on P(F), whose ring is not a GradedRing
     ts = todd_series(6)
-    for l in (ring.gen("l"), ProjBundleRing(ring, bundle).h):
+    for l in (ring.gen("l"), ProjBundleRing(bundle).h):
         td = todd_class(BundleClass(l.ring, 1, [l]), 6)
         for k in range(7):
             assert td.component(k) == l ** k * ts[k]

@@ -10,6 +10,7 @@ import pytest
 
 from chowcalc import cli
 from chowcalc.cli import SuiteConfig, main, parse_config, run_suite
+from chowcalc.errors import WITNESS_LIMIT, ConsistencyError
 from chowcalc.report import Report
 
 
@@ -68,8 +69,8 @@ def test_unknown_case_is_usage_error(capsys):
 def test_case_out_of_range_is_usage_error(case, capsys):
     assert main(["blowup", "--case", case]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
-    assert case in captured.err
+    assert captured.err.startswith(f"error: bad case {case!r}: ")
+    assert "need 0 <= m < n" in captured.err  # linear_blowup's own message
     assert captured.out == ""
 
 
@@ -281,6 +282,24 @@ def test_unexpected_exception_becomes_failing_entry(check, witness):
     [result] = report.checks
     assert result.status == "fail"
     assert result.witness == witness
+
+
+def test_a_consistency_witness_is_bounded_where_it_is_built():
+    witness = ConsistencyError("m", witness="x" * 10_000).witness
+    assert witness == "x" * WITNESS_LIMIT + " ... (8000 more characters)"
+
+
+def test_a_long_exception_text_is_bounded_like_a_witness():
+    def check():
+        raise ValueError("y" * 10_000)
+
+    report = Report()
+    report.run("demo.long", "an exception with a long message", check)
+    [result] = report.checks
+    text = "ValueError: " + "y" * 10_000
+    assert result.status == "fail"
+    tail = f" ... ({len(text) - WITNESS_LIMIT} more characters)"
+    assert result.witness == text[:WITNESS_LIMIT] + tail
 
 
 def test_crashing_check_gives_failure_exit(monkeypatch):

@@ -54,6 +54,12 @@ def test_sigma_vector_validation():
     assert sv[2] == ctx.S.one
 
 
+def test_sigma_rejects_an_element_of_another_ring():
+    ctx = FlopContext(1)
+    with pytest.raises(ValueError, match="different rings"):
+        ctx.sigma([GradedRing([("c1", 1)]).gen("c1"), 1])
+
+
 def test_eta_push_table():
     for r in range(1, 6):
         ctx = FlopContext(r)

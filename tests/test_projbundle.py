@@ -28,16 +28,17 @@ def generic_tower(n: int, dim_bound=None) -> ProjBundleRing:
     """P(F) for a rank-n bundle with independent generic Chern classes."""
     S = GradedRing([(f"c{i}", i) for i in range(1, n + 1)], dim_bound=dim_bound)
     F = BundleClass(S, n, [S.gen(f"c{i}") for i in range(1, n + 1)])
-    return ProjBundleRing(S, F, hyperplane="h")
+    return ProjBundleRing(F)
 
 
 def test_rank_validation():
     S = GradedRing([("c1", 1)])
     F = BundleClass(S, 1, [S.gen("c1")])
     other = GradedRing([("c1", 1)])
-    ProjBundleRing(S, F)
-    with pytest.raises(ValueError):
-        ProjBundleRing(other, F)
+    assert ProjBundleRing(F).base is S
+    for base in (S, other):  # the base is the bundle's ring, never an argument
+        with pytest.raises(TypeError):
+            ProjBundleRing(base, F)
 
 
 def test_defining_relation():
@@ -76,7 +77,7 @@ def _two_level_tower() -> ProjBundleRing:
     a projective-bundle base."""
     P = generic_tower(3)
     G = BundleClass(P, 2, [P.h + P.pullback(P.bundle.c(1)), P.h * P.h])
-    return ProjBundleRing(P, G, hyperplane="k")
+    return ProjBundleRing(G, hyperplane="k")
 
 
 def test_mul_matches_brute_force_reduction():
@@ -344,7 +345,7 @@ def test_nested_tower():
     # a projective bundle over a projective bundle still satisfies the laws
     P = generic_tower(2)
     G = BundleClass(P, 2, [P.h, P.h * P.h])
-    Q = ProjBundleRing(P, G, hyperplane="k")
+    Q = ProjBundleRing(G, hyperplane="k")
     rng = random.Random(3)
     for _ in range(10):
         a = Q.random_element(rng, 2)

@@ -293,7 +293,7 @@ if st is not None:
         element = st.dictionaries(exponents, coefficient, max_size=6).map(S.element)
         xs = data.draw(st.lists(element, max_size=6))
         assert S.sum(xs).terms == S.element(_merged(map(_tuple_terms, xs))).terms
-        P = ProjBundleRing(S, BundleClass(S, 2, [S.gen("x"), S.gen("y")]))
+        P = ProjBundleRing(BundleClass(S, 2, [S.gen("x"), S.gen("y")]))
         pairs = data.draw(st.lists(st.tuples(element, element), max_size=6))
         ys = [PBElement(P, pair) for pair in pairs]
         slots = [S.element(_merged(_tuple_terms(y.coeffs[k]) for y in ys)) for k in range(2)]
@@ -473,7 +473,7 @@ def _graded_element():
 
 def _projbundle_element():
     S = GradedRing([("c1", 1), ("c2", 2)], dim_bound=4)
-    P = ProjBundleRing(S, BundleClass(S, 2, [S.gen("c1"), S.gen("c2")]))
+    P = ProjBundleRing(BundleClass(S, 2, [S.gen("c1"), S.gen("c2")]))
     return P, P.h + S.gen("c1") - 3
 
 
