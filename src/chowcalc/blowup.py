@@ -162,7 +162,8 @@ class BlowupRing:
         ea, eb = a.exceptional, b.exceptional
         exc = self.E.dot(((restrict_a, eb), (restrict_b, ea), (-(self.xi * ea), eb)))
         mixed = self.exc_push(exc)
-        return BlowupClass(self, a.ambient * b.ambient + mixed.ambient, mixed.exceptional)
+        ambient = self.data.ambient.dot(((a.ambient, b.ambient),), mixed.ambient)
+        return BlowupClass(self, ambient, mixed.exceptional)
 
 
 @dataclass(repr=False, eq=False)

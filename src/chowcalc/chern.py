@@ -3,17 +3,18 @@
 A bundle is its rank plus the list c_1..c_rank of Chern classes living in
 some ring; everything here (Segre classes, duals, line-bundle twists, Chern
 character, Todd class, series square roots, Mukai vectors) is computed
-exactly from those classes.  The Chern character and the Todd class go
-through the Newton power sums of the Chern roots, computed in the bundle's
-own ring; the universal Todd polynomials are the Todd class of
-:func:`generic_bundle`, whose Chern classes are free generators.  The
-functions are generic over the coefficient ring: any ring handle exposing
-``zero``, ``one``, ``sum`` and ``dot`` (every Σ of more than two terms goes
-through one of them, ``dot`` when it is a Σ of products) whose elements
-support ``+``, ``-``, ``*`` and ``grade_component`` works, so they apply
-equally to free graded rings and to projective-bundle Chow rings.  Powers
-of the line class of :func:`tensor_by_line` come from :func:`rings.powers`,
-which starts at ``x.ring.one``.
+exactly from those classes: Segre classes with one ``ring.dot`` per degree,
+the Chern character and the Todd class (through g = -log q) from the Newton
+power sums of the Chern roots, in the bundle's own ring.  The universal Todd
+polynomials are the Todd class of :func:`generic_bundle`, whose Chern
+classes are free generators.  The functions are generic over the
+coefficient ring: any ring handle exposing ``zero``, ``one``, ``sum`` and
+``dot`` (every Σ of more than two terms goes through one of them, ``dot``
+when it is a Σ of products) whose elements support ``+``, ``-``, ``*`` and
+``grade_component`` works, so they apply equally to free graded rings and
+to projective-bundle Chow rings.  Powers of the line class of
+:func:`tensor_by_line` come from :func:`rings.powers`, which starts at
+``x.ring.one``.
 """
 
 from __future__ import annotations
@@ -107,15 +108,6 @@ def _truncate(x, max_deg: int):
 # ----------------------------------------------------------- basic calculus
 
 
-def _inverse_unit_series(coeffs: list, known=()) -> list:
-    """Inverse of a series with constant term 1 over any ring, extending ``known``."""
-    assert coeffs[0] == 1
-    inv = list(known) or [coeffs[0]]
-    for m in range(len(inv), len(coeffs)):
-        inv.append(-sum(coeffs[i] * inv[m - i] for i in range(1, m + 1)))
-    return inv
-
-
 def _log_unit_series(coeffs: list[Fraction]) -> list[Fraction]:
     """Logarithm g of a rational power series f with f_0 = 1 (so g_0 = 0)."""
     assert coeffs[0] == 1
@@ -127,11 +119,15 @@ def _log_unit_series(coeffs: list[Fraction]) -> list[Fraction]:
 
 
 def segre_classes(F: BundleClass, k_max: int, known=()) -> list:
-    """Segre classes s_0..s_{k_max}, inverse of the total Chern class;
+    """Segre classes s_0..s_{k_max}, inverse of the total Chern class:
+    s_m = -sum_{i=1}^{m} c_i s_{m-i}, one ``F.ring.dot`` per degree;
     ``known``, a list s_0..s_m already computed, is extended."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    return _inverse_unit_series([F.c(i) for i in range(k_max + 1)], known)
+    s = list(known) or [F.ring.one]
+    for m in range(len(s), k_max + 1):
+        s.append(-F.ring.dot((F.c(i), s[m - i]) for i in range(1, m + 1)))
+    return s
 
 
 def dual_bundle(F: BundleClass) -> BundleClass:
@@ -185,13 +181,6 @@ def chern_character(F: BundleClass, max_deg: int) -> CharClass:
 # ----------------------------------------------------------------- genera
 
 
-def todd_series(k_max: int) -> list[Fraction]:
-    """Coefficients of t / (1 - e^{-t}) up to t^k_max."""
-    # (1 - e^{-t}) / t = sum_m (-1)^m t^m / (m+1)!
-    g = [Fraction((-1) ** m, math.factorial(m + 1)) for m in range(k_max + 1)]
-    return _inverse_unit_series(g)
-
-
 @lru_cache(maxsize=None)
 def todd_universal(d: int) -> tuple:
     """Degree-d Todd polynomial as (exponents over c_1..c_d, coefficient) pairs:
@@ -205,14 +194,15 @@ def todd_class(F: BundleClass, max_deg: int) -> CharClass:
     """Todd class of F up to ``max_deg``, computed in ``F.ring``.
 
     The Todd genus is multiplicative, so log td(F) = sum_k g_k p_k(F) with
-    g = log(t / (1 - e^{-t})) and p_k the power sums of the Chern roots
-    (Hirzebruch, *Topological Methods in Algebraic Geometry*, §1).
-    Exponentiating degree by degree gives td_0 = 1 and
-    m td_m = sum_{k=1}^{m} k g_k p_k td_{m-k}, which holds in any
+    g = log(t / (1 - e^{-t})) = -log q for q = (1 - e^{-t}) / t, and p_k the
+    power sums of the Chern roots (Hirzebruch, *Topological Methods in
+    Algebraic Geometry*, §1).  Exponentiating degree by degree gives td_0 = 1
+    and m td_m = sum_{k=1}^{m} k g_k p_k td_{m-k}, which holds in any
     commutative ring.
     """
     p = power_sums(F, max_deg)
-    g = _log_unit_series(todd_series(max_deg))
+    q = [Fraction((-1) ** m, math.factorial(m + 1)) for m in range(max_deg + 1)]
+    g = [-x for x in _log_unit_series(q)]
     td = [F.ring.one]
     for m in range(1, max_deg + 1):
         td.append(F.ring.dot((p[k] * (k * g[k] / m), td[m - k]) for k in range(1, m + 1)))

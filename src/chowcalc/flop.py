@@ -106,9 +106,7 @@ class FlopContext:
         return values
 
     def formal_sigmas(self) -> tuple[tuple, tuple]:
-        sa = self.sigma([self.S.gen(f"a{k}") for k in range(self.r + 1)])
-        sb = self.sigma([self.S.gen(f"b{k}") for k in range(self.r + 1)])
-        return sa, sb
+        return tuple(tuple(self.S.gen(f"{x}{k}") for k in range(self.r + 1)) for x in "ab")
 
 
 def incidence(pb: ProjBundleRing, hyperplane: str) -> ProjBundleRing:

@@ -1,9 +1,12 @@
+import inspect
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import chowcalc.chern as chern_mod
+import chowcalc.projbundle as pb_mod
 from chowcalc import (
     BundleClass,
     CharClass,
@@ -20,7 +23,8 @@ from chowcalc import (
     todd_class,
     whitney_sum,
 )
-from chowcalc.chern import todd_series, todd_universal
+from chowcalc.chern import todd_universal
+from chowcalc.cli import SuiteConfig, run_suite
 
 
 @pytest.fixture
@@ -137,19 +141,23 @@ def test_chern_character_additive(bundle, ring):
     assert lhs == rhs
 
 
-def test_todd_series_reference_values():
-    # 1 + t/2 + t^2/12 + 0 t^3 + ... matches direct series division
-    ts = todd_series(6)
-    assert ts[0] == 1
-    assert ts[1] == Fraction(1, 2)
-    assert ts[2] == Fraction(1, 12)
-    assert ts[3] == 0
-    assert ts[4] == Fraction(-1, 720)
-    # independent oracle: multiply back by (1 - e^{-t}) / t
-    g = [Fraction((-1) ** m, math.factorial(m + 1)) for m in range(7)]
-    for d in range(7):
-        conv = sum(ts[i] * g[d - i] for i in range(d + 1))
-        assert conv == (1 if d == 0 else 0)
+def _todd_series(k_max: int) -> list[Fraction]:
+    """t / (1 - e^{-t}) up to t^k_max, by long division of 1 by
+    q = (1 - e^{-t}) / t = sum_m (-1)^m t^m / (m+1)!."""
+    q = [Fraction((-1) ** m, math.factorial(m + 1)) for m in range(k_max + 1)]
+    ts = []
+    for m in range(k_max + 1):
+        ts.append(Fraction(m == 0) - sum(ts[i] * q[m - i] for i in range(m)))
+    return ts
+
+
+def test_todd_series_reference_values(ring):
+    # td(L) = 1 + l/2 + l^2/12 + 0 l^3 - l^4/720 + ... for L = O(l)
+    l = ring.gen("l")
+    td = todd_class(BundleClass(ring, 1, [l]), 6)
+    expected = [1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720)]
+    for k, coeff in enumerate(expected):
+        assert td.component(k) == l ** k * coeff
 
 
 def test_todd_low_degree_formulas(bundle):
@@ -190,8 +198,9 @@ def test_hirzebruch_riemann_roch_on_projective_space(n):
 
 def test_todd_of_line_bundle_matches_series(ring, bundle):
     # td(L) = sum_k ts_k c_1(L)^k, for L = O(l) on the graded base ring and
-    # for L = O(h) on P(F), whose ring is not a GradedRing
-    ts = todd_series(6)
+    # for L = O(h) on P(F), whose ring is not a GradedRing; ts comes from the
+    # long division above, which chowcalc does not compute
+    ts = _todd_series(6)
     for l in (ring.gen("l"), ProjBundleRing(bundle).h):
         td = todd_class(BundleClass(l.ring, 1, [l]), 6)
         for k in range(7):
@@ -264,3 +273,58 @@ def test_characteristic_classes_reject_a_negative_degree_by_name(bundle, functio
     args = (bundle, bundle, max_deg) if function is mukai_vector else (bundle, max_deg)
     with pytest.raises(ValueError, match=f"got {max_deg}"):
         function(*args)
+
+
+def _mutated(function, old: str, new: str):
+    """A copy of ``function`` from ``chowcalc.chern`` whose source has its one
+    ``old`` replaced by ``new``."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1, old  # the mutated code is still there
+    namespace = {}
+    exec(source.replace(old, new), vars(chern_mod), namespace)
+    return namespace[function.__name__]
+
+
+@pytest.mark.parametrize("mutate", [False, True], ids=["harness", "mutant"])
+def test_segre_recursion_missing_its_last_term_fails_the_segre_readers(
+    monkeypatch, mutate
+):
+    # s_m = -sum_{i=1}^{m-1} c_i s_{m-i}: the c_m term is dropped
+
+    old = "for i in range(1, m + 1)"
+    mutant = _mutated(segre_classes, old, "for i in range(1, m)" if mutate else old)
+    monkeypatch.setattr(chern_mod, "segre_classes", mutant)
+    monkeypatch.setattr(pb_mod, "segre_classes", mutant)
+    status, report = run_suite(SuiteConfig(suite="all"))
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    if not mutate:
+        assert status == 0 and not failed
+        return
+    readers = ["foundations.eta_push_table", "foundations.symmetry"]
+    readers += ["flop.help_sum_identity", "flop.term_A_routes"]
+    expected = {f"r{r}.{name}" for r in (1, 2, 3) for name in readers}
+    expected |= {f"projbundle.push_table_r{r}" for r in (1, 2, 3)}
+    assert expected | {"charclass.chern_segre_inverse"} <= failed
+
+
+@pytest.mark.parametrize("mutate", [False, True], ids=["harness", "mutant"])
+def test_todd_class_from_log_q_fails_the_todd_oracles(monkeypatch, mutate):
+    # g = log q instead of -log q, q = (1 - e^{-t}) / t
+    old = "g = [-x for x in _log_unit_series(q)]"
+    new = "g = _log_unit_series(q)" if mutate else old
+    mutant = _mutated(todd_class, old, new)
+    monkeypatch.setattr(chern_mod, "todd_class", mutant)  # read by todd_universal
+    monkeypatch.setitem(globals(), "todd_class", mutant)  # read by the HRR test
+    oracles = [test_todd_universal_contract]
+    hrr = test_hirzebruch_riemann_roch_on_projective_space
+    oracles += [lambda n=n: hrr(n) for n in range(1, 9)]
+    todd_universal.cache_clear()
+    try:
+        for oracle in oracles:
+            if mutate:
+                with pytest.raises(AssertionError):
+                    oracle()
+            else:
+                oracle()
+    finally:
+        todd_universal.cache_clear()

@@ -413,16 +413,16 @@ def test_missing_term_fails_its_readers(monkeypatch):
 
 
 def test_off_by_one_segre_continuation_fails_eta_push_table(monkeypatch):
-    import chowcalc.chern as chern_mod
+    import chowcalc.projbundle as projbundle_mod
 
-    orig = chern_mod._inverse_unit_series
+    orig = projbundle_mod.segre_classes
 
-    def shifted(coeffs, known=()):
+    def shifted(F, k_max, known=()):
         # each entry past the known prefix takes its predecessor's value
-        out = orig(coeffs, known)
+        out = orig(F, k_max, known)
         return out[: len(known)] + out[len(known) - 1 : -1] if known else out
 
-    monkeypatch.setattr(chern_mod, "_inverse_unit_series", shifted)
+    monkeypatch.setattr(projbundle_mod, "segre_classes", shifted)
     for r in (1, 2, 3):
         failed = _failed(verify_foundations(FlopContext(r)))
         assert failed.get("foundations.eta_push_table") not in (None, "", "0"), r

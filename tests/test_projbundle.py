@@ -14,6 +14,7 @@ from chowcalc import (
     ProjBundleRing,
     binomial_identity_check,
     binomial_identity_sum,
+    segre_classes,
 )
 from chowcalc.flop import FlopContext
 
@@ -250,6 +251,20 @@ def _mutated_reduce(old: str, new: str):
     namespace = {}
     exec(source.replace(old, new), vars(pb_mod), namespace)
     return namespace["reduce"]
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_tau_table_is_segre_duality(r):
+    # tau_{i,m} = sum_{k=0}^{n-1-m} c_k(F) s_{i-m-k}(F) (Fulton §3.1-3.2): the
+    # table, built by recursion and checked against reduction, against the
+    # Segre recursion of chern, which neither route reads
+    n = r + 1
+    P = generic_tower(n)
+    c, s = P.bundle.c, segre_classes(P.bundle, 3 * n)
+    for i in range(3 * n):
+        for m in range(n):
+            terms = [(c(k), s[i - m - k]) for k in range(n - m) if i - m - k >= 0]
+            assert P.tau(i, m) == P.base.dot(terms), (i, m)
 
 
 def test_tau_reduction_route_catches_a_dropped_relation_term(monkeypatch):

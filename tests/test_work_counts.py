@@ -10,6 +10,8 @@ machines.  A change that lowers a count lowers its bound here as well.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from chowcalc import FlopContext, chern, verify_foundations, verify_multiplicativity
 from chowcalc.blowup import BlowupRing
 from chowcalc.cli import SuiteConfig, run_suite
@@ -18,11 +20,12 @@ from chowcalc.rings import GradedElement, GradedRing
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
-# ProjBundleRing.mul calls for FlopContext(4), foundations and multiplicativity
-FLOP_R4_TOWER_PRODUCTS = 129
+# ProjBundleRing.mul calls for FlopContext(4), foundations and multiplicativity;
+# the Segre classes of every tower take one ProjBundleRing.dot per degree
+FLOP_R4_TOWER_PRODUCTS = 118
 # ProjBundleRing.reduce calls for the same run: h·y reduces once, pull(c)·y
 # not at all, and T1's right-hand side is swept by -l
-FLOP_R4_REDUCTIONS = 122
+FLOP_R4_REDUCTIONS = 121
 # BlowupRing.mul calls for the blowup suite on linear:4,1
 BLOWUP_LINEAR_4_1_PRODUCTS = 1000
 # ProjBundleRing.mul calls in CH(E) for the same suite: two per blow-up product
@@ -81,6 +84,28 @@ def test_tower_reductions_at_r4(monkeypatch):
     calls = _count_calls(monkeypatch, ProjBundleRing, "reduce")
     _flop_r4()
     assert 0 < calls[0] <= FLOP_R4_REDUCTIONS
+
+
+@pytest.mark.parametrize(
+    "make_bundle",
+    [lambda: chern.generic_bundle(4), lambda: FlopContext(4).G],
+    ids=["graded", "projbundle"],
+)
+def test_segre_classes_take_one_dot_per_degree(monkeypatch, make_bundle):
+    F = make_bundle()
+    ring_type = type(F.ring)
+    dots, muls, sums = (_count_calls(monkeypatch, ring_type, n) for n in ("dot", "mul", "sum"))
+    chern.segre_classes(F, 8)
+    assert (dots[0], muls[0], sums[0]) == (8, 0, 0)
+
+
+def test_formal_sigmas_make_no_graded_product(monkeypatch):
+    ctx = FlopContext(4)
+    calls = _count_calls(monkeypatch, GradedRing, "dot")
+    sa, sb = ctx.formal_sigmas()
+    assert calls[0] == 0
+    assert sa == tuple(ctx.S.gen(f"a{k}") for k in range(5))
+    assert sb == tuple(ctx.S.gen(f"b{k}") for k in range(5))
 
 
 def test_blowup_products_on_linear_4_1(monkeypatch):
