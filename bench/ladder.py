@@ -1,15 +1,17 @@
 """The headline ladder: the largest r whose formal flop verification
 (foundations + multiplicativity) finishes within a 60 s budget.
 
-    python3 bench/ladder.py --out BENCH.json [--r-max N]
+    python3 bench/ladder.py --out BENCH.json [--r-min N] [--r-max N]
 
 Run it from any directory; it imports chowcalc from the ``src/`` of the
-checkout it sits in.  For r = 1, 2, ... it runs ``FlopContext(r)``,
-``verify_foundations`` and ``verify_multiplicativity`` on the formal sigmas
-in a fresh child interpreter, timed inside the child from the context build
-to the last check.  It stops at the first r that goes over the budget,
-fails a check or dies (a child may map at most 4 GiB); the headline is the r
-before it.
+checkout it sits in.  For r = r_min, r_min + 1, ... (``--r-min``, default 1)
+it runs ``FlopContext(r)``, ``verify_foundations`` and
+``verify_multiplicativity`` on the formal sigmas in a fresh child
+interpreter, timed inside the child from the context build to the last
+check.  It stops at the first r that goes over the budget, fails a check or
+dies (a child may map at most 4 GiB), or after ``--r-max``; the headline is
+the last r that passed, null if the first rung did not.  Starting near the
+headline spares the host the small rungs, which say nothing about it.
 
 Before and after each r it samples perfbench's ``reference_kernel``
 (imported from ``perfbench/run.py``, not copied) three times.  Two ratios
@@ -31,7 +33,7 @@ of ``git diff HEAD --binary`` for such a tree or null for a clean one,
 nproc and ``session_ref_s``), one row per r (wall time, both ratios, check
 shares, the ``ProjBundleRing.mul`` call count, the child's peak RSS and, on
 a failed rung, ``failed_checks``: each failing check's name with the first
-line of its witness) and ``headline_r``.  Standard library only.
+line of its witness), ``r_min`` and ``headline_r``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -132,6 +134,21 @@ def rung(r: int, reference) -> dict:
     return row
 
 
+def climb(rung_at, r_min: int, r_max: int | None) -> tuple[list[dict], int | None]:
+    """Rows from ``r_min`` up to the first rung that fails or goes over the
+    budget, or to ``r_max``; and the last r that passed (None if none did)."""
+    rows, headline, r = [], None, r_min
+    while r_max is None or r <= r_max:
+        row = rung_at(r)
+        rows.append(row)
+        print(json.dumps({k: row.get(k) for k in ("r", "ok", "wall_s", "wall_ref")}),
+              flush=True)
+        if not row["ok"] or row["over_budget"]:
+            break
+        headline, r = r, r + 1
+    return rows, headline
+
+
 def session_normalise(rows: list[dict], samples: list[float]) -> float | None:
     """The median of every reference sample of the session (None for no
     sample); each row with a wall time gets ``wall_session_ref``, its wall
@@ -172,6 +189,7 @@ def diff_sha256(root: Path = ROOT) -> str | None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path)
+    parser.add_argument("--r-min", type=int, default=1, help="start at this r (>= 1)")
     parser.add_argument("--r-max", type=int, help="stop after this r")
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -181,21 +199,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.out is None:
         parser.error("--out is required")
+    if args.r_min < 1:
+        parser.error(f"--r-min must be >= 1, got {args.r_min}")
     kernel, samples = _reference_kernel(), []
 
     def reference() -> float:
         samples.append(kernel())
         return samples[-1]
 
-    rows, headline, r = [], 0, 1
-    while args.r_max is None or r <= args.r_max:
-        row = rung(r, reference)
-        rows.append(row)
-        print(json.dumps({k: row.get(k) for k in ("r", "ok", "wall_s", "wall_ref")}),
-              flush=True)
-        if not row["ok"] or row["over_budget"]:
-            break
-        headline, r = r, r + 1
+    rows, headline = climb(lambda r: rung(r, reference), args.r_min, args.r_max)
     result = {
         "env": {
             "python": platform.python_version(),
@@ -205,6 +217,7 @@ def main(argv: list[str] | None = None) -> int:
             "session_ref_s": session_normalise(rows, samples),
         },
         "budget_s": BUDGET_S,
+        "r_min": args.r_min,
         "rows": rows,
         "headline_r": headline,
     }

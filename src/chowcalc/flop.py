@@ -12,10 +12,13 @@ elements) are free generators, so a pass holds for every specialised base.
 Every intermediate identity of the multiplicativity computation is verified
 by two independent routes (a raw expansion through pushforward tables, and
 the closed form), and the headline check is that the three correction terms
-add up exactly to the top sigma coefficient of the product.  The two lemma
-tables, the alternating Chern sums T1(j) and the eta'_* help sums, each have
-one owner on the context, swept row by row by a recurrence: the build checks
-every cell, and the raw routes of term_B and term_A read the stored values.
+add up exactly to the top sigma coefficient of the product, p_*(sigma.sigma').
+That is read as sum_{k,j} sigma_k sigma'_j tau_{k+j,r}, tau's column r being
+Segre classes, and as sum_m x_m p_*(h^m) over the convolution slots x_m, each
+p_*(h^m) reduced by the defining relation of P.  The two lemma tables, the
+alternating Chern sums T1(j) and the eta'_* help sums, each have one owner on
+the context, swept row by row by a recurrence: the build checks every cell,
+and the raw routes of term_B and term_A read the stored values.
 """
 
 from __future__ import annotations
@@ -135,8 +138,11 @@ def l_pairing(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
 def sigma_top_product(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     """The top sigma coefficient of the product, cross-checked two ways."""
     top = tau_pairing(ctx, sa, sb)
-    # independent route: p_* of the product in CH(P), its top coefficient
-    direct = ctx.P.pushforward_of_product(PBElement(ctx.P, sa), PBElement(ctx.P, sb))
+    # independent route: x_m = sum_{k+j=m} sigma_k sigma'_j against p_*(h^m), m >= r
+    r, S, ms = ctx.r, ctx.S, range(ctx.r, 2 * ctx.r + 1)
+    slots = [S.dot((sa[k], sb[m - k]) for k in range(m - r, r + 1)) for m in ms]
+    pushes = [ctx.P.reduce([S.zero] * m + [S.one], stop=r)[0] for m in ms]
+    direct = S.dot(zip(slots, pushes))
     require_equal(top, direct, "top sigma coefficient routes disagree")
     return ctx.Pdual.pullback(top)
 
@@ -205,7 +211,6 @@ def verify_multiplicativity(ctx: FlopContext, sa: tuple, sb: tuple) -> Report:
         "top sigma coefficient of a product, tau table vs direct product",
         lambda: sigma_top_product(ctx, sa, sb),
     )
-    # tables built after sigma_top's direct product stay out of its peak memory
     report.run(
         "flop.t1_identity",
         "generalized alternating Chern sum identity, all admissible indices",

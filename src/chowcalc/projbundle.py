@@ -7,14 +7,14 @@ pair go into the 2n-1 convolution slots, one ``base.dot`` per slot, and
 ``reduce`` forms each slot once, top down, by the defining relation
 h^n = -sum_j pull(c_j(F)) h^{n-j}.  ``mul`` first tries two shapes (Fulton,
 *Intersection Theory*, §3.2): h·y is y shifted one slot up plus one reduction
-step, pull(c)·y is y scaled slot by slot, and zero slots pass through.  As
-p_*(h^k) = s_{k-n+1}(F) is 0 for k < n-1 and 1 at k = n-1, the pushforward of
-a reduced element is its top coefficient, and ``pushforward_of_product`` forms
-only the slots that reach it; the Segre classes give p_*(h^k) as the second
-route.  The one h-power table, tau_{i,j} (the coefficients of reduced h^i), is
-built by the c_j(F) recursion and checked row by row against the reduction of
-h * h^{i-1}.  The base may itself be a projective-bundle ring: towers (e.g. the
-exceptional divisor of a blow-up over a projective bundle) nest this way.
+step, pull(c)·y is y scaled slot by slot, and zero slots pass through.
+``reduce(…, stop)`` forms only the slots from ``stop`` up.  As p_*(h^k) =
+s_{k-n+1}(F) is 0 for k < n-1 and 1 at k = n-1, the pushforward of a reduced
+element is its top coefficient.  The h-power table tau_{i,j} (reduced h^i) is
+built row by row by the c_j(F) recursion, each row checked against the
+reduction of h * h^{i-1}; its column n-1 past row n-1 is p_*(h^i) =
+s_{i-n+1}(F) (Fulton §3.1), read from the Segre classes without a row.  The
+base may be a projective-bundle ring too: towers such as E over P' nest.
 """
 
 from __future__ import annotations
@@ -87,9 +87,19 @@ class ProjBundleRing:
         return tuple(work[stop:n])
 
     def dot(self, pairs, start: "PBElement | None" = None) -> "PBElement":
-        """``start`` + Σ a·b over ``pairs`` (``start`` enters as start·1), reduced once."""
+        """``start`` + Σ a·b over ``pairs`` (``start`` enters as start·1), one
+        ``base.dot`` per convolution slot, reduced once."""
         pairs = pairs if start is None else (*pairs, (start, self.one))
-        return PBElement(self, self._dot(pairs))
+        base, slots = self.base, [[] for _ in range(2 * self.rank - 1)]
+        for a, b in pairs:
+            if a.ring is not self or b.ring is not self:
+                raise ValueError("elements belong to a different projective-bundle ring")
+            right = [(j, y) for j, y in enumerate(b.coeffs) if y]
+            for i, x in enumerate(a.coeffs):
+                if x:
+                    for j, y in right:
+                        slots[i + j].append((x, y))
+        return PBElement(self, self.reduce([base.dot(p) if p else base.zero for p in slots]))
 
     def mul(self, a: "PBElement", b: "PBElement") -> "PBElement":
         if a.ring is not self or b.ring is not self:
@@ -100,24 +110,6 @@ class ProjBundleRing:
             if not any(x.coeffs[1:]):
                 return PBElement(self, (t * x.coeffs[0] if t else t for t in y.coeffs))
         return self.dot(((a, b),))
-
-    def pushforward_of_product(self, a: "PBElement", b: "PBElement"):
-        """p_*(a·b), the top slot of a·b: only slots n-1..2n-2 are formed and reduced."""
-        return self._dot(((a, b),), stop=self.rank - 1)[0]
-
-    def _dot(self, pairs, stop: int = 0) -> tuple:
-        """Coefficients stop..n-1 of Σ a·b, one ``base.dot`` per slot from ``stop`` up."""
-        base, slots = self.base, [[] for _ in range(2 * self.rank - 1)]
-        for a, b in pairs:
-            if a.ring is not self or b.ring is not self:
-                raise ValueError("elements belong to a different projective-bundle ring")
-            right = [(j, y) for j, y in enumerate(b.coeffs) if y]
-            for i, x in enumerate(a.coeffs):
-                if x:
-                    for j, y in right:
-                        if i + j >= stop:
-                            slots[i + j].append((x, y))
-        return self.reduce([base.dot(p) if p else base.zero for p in slots], stop)
 
     # ------------------------------------------------- pushforward / Segre
 
@@ -184,9 +176,12 @@ class ProjBundleRing:
         return self._tau_rows[: i_max + 1]
 
     def tau(self, i: int, j: int):
-        """tau_{i,j}, zero outside 0 <= j <= n-1."""
+        """tau_{i,j}, zero outside 0 <= j <= n-1; tau_{i,n-1} for i >= n is
+        s_{i-n+1}(F), read from the Segre classes, so no row past n-1 is built."""
         if j < 0 or j >= self.rank:
             return self.base.zero
+        if j == self.rank - 1 and i >= self.rank:
+            return self.segre(i - j)
         return self.tau_rows(i)[i][j]
 
     # ------------------------------------------------- cotangent formulas

@@ -7,7 +7,9 @@ from types import MappingProxyType
 
 import pytest
 
+import chowcalc.chern as chern_mod
 import chowcalc.flop as flop_mod
+import chowcalc.projbundle as pb_mod
 from chowcalc import (
     FlopContext,
     GradedRing,
@@ -215,7 +217,8 @@ def test_pairing_mutant_fails_its_readers(monkeypatch, name):
 
 
 # (code in ProjBundleRing.reduce, mutant): the direct route of sigma_top
-# reduces product slots r+1..2r into slot r through it
+# reduces h^m into slot r through it for m = r..2r; the tau route reads
+# rows 0..r only, whose reductions have nothing to reduce
 DIRECT_ROUTE_MUTANTS = {
     "drops_the_c1_term": ("max(t + 1, n)", "max(t + 2, n)"),
     "stops_one_slot_early": ("stop - 1, -1)", "stop, -1)"),
@@ -228,9 +231,41 @@ def test_direct_route_mutant_fails_sigma_top(monkeypatch, mutant):
     for code in (old, new):  # the harness alone passes
         for r in (1, 2, 3):
             ctx = FlopContext(r)
-            ctx.P.tau_rows(2 * r)  # the tau route's rows, built and checked first
             reduce = types.MethodType(_mutated(ProjBundleRing.reduce, old, code), ctx.P)
             monkeypatch.setattr(ctx.P, "reduce", reduce)
+            failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
+            if code == old:
+                assert not failed, r
+                continue
+            # the witness is the nonzero difference of the two routes
+            assert failed.get("flop.sigma_top_cross_route") not in (None, "", "0"), r
+
+
+# (function, code in it, mutant, the module attribute the mutant replaces):
+# each corrupts one route of sigma_top alone, so the two routes disagree
+SIGMA_TOP_ROUTE_MUTANTS = {
+    "segre_drops_the_c1_term": (
+        chern_mod.segre_classes, "range(1, m + 1)", "range(2, m + 1)",
+        (pb_mod, "segre_classes"),
+    ),
+    "tau_serves_one_segre_class_low": (
+        ProjBundleRing.tau, "self.segre(i - j)", "self.segre(i - j - 1)",
+        (ProjBundleRing, "tau"),
+    ),
+    "convolution_skips_the_pair_0_r": (
+        flop_mod.sigma_top_product, "range(m - r, r + 1)", "range(m - r + (m == r), r + 1)",
+        (flop_mod, "sigma_top_product"),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SIGMA_TOP_ROUTE_MUTANTS))
+def test_sigma_top_route_mutant_fails_sigma_top(monkeypatch, mutant):
+    function, old, new, (owner, name) = SIGMA_TOP_ROUTE_MUTANTS[mutant]
+    for code in (old, new):  # the harness alone passes
+        monkeypatch.setattr(owner, name, _mutated(function, old, code))
+        for r in (1, 2, 3):
+            ctx = FlopContext(r)
             failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
             if code == old:
                 assert not failed, r

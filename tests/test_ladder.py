@@ -1,6 +1,7 @@
-"""The headline ladder tool: a smoke test on its first two rungs, its
-reference sampling and session normalisation, the row of a failed rung on a
-synthetic report, and the diff hash that identifies a dirty tree."""
+"""The headline ladder tool: a smoke test on its first two rungs, a start at
+``--r-min``, the headline of a climb on synthetic rungs, its reference
+sampling and session normalisation, the row of a failed rung on a synthetic
+report, and the diff hash that identifies a dirty tree."""
 
 import importlib.util
 import json
@@ -41,6 +42,39 @@ def test_ladder_writes_rows_and_headline(tmp_path):
         assert row["projbundle_mul_calls"] > 0
         assert len(row["check_shares"]) == 14
         assert "failed_checks" not in row
+
+
+def test_ladder_starts_at_r_min(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(LADDER), "--out", str(out), "--r-min", "2", "--r-max", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["r_min"] == 2 and result["headline_r"] == 2
+    assert [row["r"] for row in result["rows"]] == [2]
+    bad = subprocess.run(
+        [sys.executable, str(LADDER), "--out", str(out), "--r-min", "0"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert bad.returncode == 2 and "--r-min must be >= 1, got 0" in bad.stderr
+
+
+def test_headline_is_the_last_passing_rung():
+    climb = _load_ladder().climb
+
+    def rungs(failing: int, over_budget: int):
+        def rung_at(r):
+            return {"r": r, "ok": r != failing, "over_budget": r == over_budget}
+        return rung_at
+
+    rows, headline = climb(rungs(failing=36, over_budget=0), 33, None)
+    assert [row["r"] for row in rows] == [33, 34, 35, 36] and headline == 35
+    rows, headline = climb(rungs(failing=0, over_budget=33), 33, None)
+    assert [row["r"] for row in rows] == [33] and headline is None
+    rows, headline = climb(rungs(failing=0, over_budget=0), 5, 6)
+    assert [row["r"] for row in rows] == [5, 6] and headline == 6
 
 
 def test_reference_is_the_median_of_samples_before_and_after():

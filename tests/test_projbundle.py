@@ -99,14 +99,13 @@ if st is not None:
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32), stop=st.integers(0, 5), length=st.integers(0, 13))
     def test_tower_kernel_matches_the_push_form_reference(tower, seed, stop, length):
-        # mul against the raw convolution and the old push-form reduction,
-        # p_* of a product against its top slot, and reduce(c, stop) against
-        # the tail of the full reduction, on random elements of each tower
+        # mul against the raw convolution and the old push-form reduction, and
+        # reduce(c, stop) against the tail of the full reduction, on random
+        # elements of each tower
         P, rng = TOWERS[tower](), random.Random(seed)
         a, b = P.random_element(rng, 2), P.random_element(rng, 2)
         product = (a * b).coeffs
         assert product == _brute_force_product(P, a, b)
-        assert P.pushforward_of_product(a, b) == product[-1]
         coeffs = [P.base.random_element(rng, 2) for _ in range(length)]
         stop = min(stop, P.rank - 1)
         assert P.reduce(coeffs, stop) == P.reduce(coeffs)[stop:]
@@ -257,7 +256,8 @@ def _mutated_reduce(old: str, new: str):
 def test_tau_table_is_segre_duality(r):
     # tau_{i,m} = sum_{k=0}^{n-1-m} c_k(F) s_{i-m-k}(F) (Fulton §3.1-3.2): the
     # table, built by recursion and checked against reduction, against the
-    # Segre recursion of chern, which neither route reads
+    # Segre recursion of chern, which neither route reads.  At m = n-1, i >= n
+    # tau serves s_{i-n+1} itself; the next test pins it to the built rows.
     n = r + 1
     P = generic_tower(n)
     c, s = P.bundle.c, segre_classes(P.bundle, 3 * n)
@@ -265,6 +265,22 @@ def test_tau_table_is_segre_duality(r):
         for m in range(n):
             terms = [(c(k), s[i - m - k]) for k in range(n - m) if i - m - k >= 0]
             assert P.tau(i, m) == P.base.dot(terms), (i, m)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_served_tau_column_matches_the_built_rows(r):
+    # tau(i, n-1) past the basis rows comes from the Segre classes; the rows,
+    # built by recursion and checked against reduction, hold the same column
+    n = r + 1
+    P = generic_tower(n)
+    for i in range(3 * n):
+        assert P.tau(i, n - 1) == P.tau_rows(i)[i][n - 1], i
+
+
+def test_tau_column_builds_no_row_past_the_basis():
+    P = generic_tower(4)
+    assert [P.tau(i, 3) for i in range(4, 7)] == [P.segre(k) for k in (1, 2, 3)]
+    assert len(P.tau_rows(3)) == len(P._tau_rows) == 4
 
 
 def test_tau_reduction_route_catches_a_dropped_relation_term(monkeypatch):

@@ -86,6 +86,15 @@ def test_tower_reductions_at_r4(monkeypatch):
     assert 0 < calls[0] <= FLOP_R4_REDUCTIONS
 
 
+def test_flop_builds_no_tau_row_past_the_basis_at_r4():
+    # tau's column r past row r comes from the Segre classes, and T1 reads
+    # rows 0..r only, so CH(P) keeps the basis rows and nothing more
+    r = 4
+    ctx = FlopContext(r)
+    assert verify_multiplicativity(ctx, *ctx.formal_sigmas()).ok
+    assert len(ctx.P._tau_rows) == r + 1
+
+
 @pytest.mark.parametrize(
     "make_bundle",
     [lambda: chern.generic_bundle(4), lambda: FlopContext(4).G],
