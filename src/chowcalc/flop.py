@@ -81,14 +81,18 @@ class FlopContext:
         """help(j, k) = sum_{i<j} (-1)^i l^i eta'_*(H^{k+j-i-1}) for j, k <= r,
         the entries term_A reads.  Row j is swept from help(0, k) = 0 by
         help(j+1, k) = eta'_*(H^{k+j}) - l . help(j, k), and every k <= 2r - j
-        is checked against pull(tau_{k+j,r}) - (-1)^j l^j pull(tau_{k,r})."""
-        r, tau, pull = self.r, self.P.tau, self.Pdual.pullback
+        is checked against col[k+j] - (-1)^j l^j col[k], col[k] = pull(tau_{k,r})
+        formed once for k <= 2r and (-1)^j l^j once per row."""
+        r = self.r
+        col = [self.Pdual.pullback(self.P.tau(k, r)) for k in range(2 * r + 1)]
+        self.E.segre(r)  # the top class the sweep reads: G's Segre list grows once
         push = self.E.pushforward_power  # eta'_*(H^k), through the Segre table of G
         row = [self.Pdual.zero] * (2 * r + 1)
         table = {}
         for j in range(r + 1):
+            lj = self.lpow[j] * (-1) ** j
             for k, lhs in enumerate(row):
-                rhs = pull(tau(k + j, r)) - self.lpow[j] * pull(tau(k, r)) * (-1) ** j
+                rhs = col[k + j] - lj * col[k]
                 require_equal(lhs, rhs, f"help-sum identity fails at j={j}, k={k}")
                 if k <= r:
                     table[j, k] = lhs
@@ -124,8 +128,9 @@ def incidence(pb: ProjBundleRing, hyperplane: str) -> ProjBundleRing:
 
 
 def tau_pairing(ctx: FlopContext, sa: tuple, sb: tuple):
-    """sum_{k,j} sigma_k sigma'_j tau_{k+j,r} in CH(S), from the tau table."""
-    ks = range(ctx.r + 1)
+    """sum_{k,j} sigma_k sigma'_j tau_{k+j,r} in CH(S), from the tau table,
+    read from the top down so that the Segre list behind tau grows once."""
+    ks = range(ctx.r, -1, -1)
     return ctx.S.dot((sa[k] * sb[j], ctx.P.tau(k + j, ctx.r)) for k in ks for j in ks)
 
 

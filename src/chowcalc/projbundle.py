@@ -5,21 +5,22 @@ with basis 1, h, ..., h^{n-1}, h the relative hyperplane class.
 ``ProjBundleRing.dot`` is the one product kernel: the base products of every
 pair go into the 2n-1 convolution slots, one ``base.dot`` per slot, and
 ``reduce`` forms each slot once, top down, by the defining relation
-h^n = -sum_j pull(c_j(F)) h^{n-j}.  ``mul`` first tries two shapes (Fulton,
-*Intersection Theory*, §3.2): h·y is y shifted one slot up plus one reduction
-step, pull(c)·y is y scaled slot by slot, and zero slots pass through.
-``reduce(…, stop)`` forms only the slots from ``stop`` up.  As p_*(h^k) =
-s_{k-n+1}(F) is 0 for k < n-1 and 1 at k = n-1, the pushforward of a reduced
-element is its top coefficient.  The h-power table tau_{i,j} (reduced h^i) is
-built row by row by the c_j(F) recursion, each row checked against the
-reduction of h * h^{i-1}; its column n-1 past row n-1 is p_*(h^i) =
-s_{i-n+1}(F) (Fulton §3.1), read from the Segre classes without a row.  The
-base may be a projective-bundle ring too: towers such as E over P' nest.
+h^n = -sum_j pull(c_j(F)) h^{n-j}; a vector with nothing at or above h^n it
+returns as it is.  ``mul`` first tries two shapes (Fulton, *Intersection
+Theory*, §3.2): h·y is y shifted one slot up plus one reduction step, pull(c)·y
+is y scaled slot by slot.  Zero slots cost nothing: products, ``-`` and unary
+``-`` pass them through.  ``reduce(…, stop)`` forms only the slots from
+``stop`` up.  As p_*(h^k) = s_{k-n+1}(F) is 0 for k < n-1 and 1 at k = n-1,
+the pushforward of a reduced element is its top coefficient.  The h-power
+table tau_{i,j} (reduced h^i) is built row by row by the c_j(F) recursion,
+each row checked against the reduction of h * h^{i-1}; its column n-1 past
+row n-1 is p_*(h^i) = s_{i-n+1}(F) (Fulton §3.1), read from the Segre classes
+without a row.  The base may be a projective-bundle ring too: towers such as
+E over P' nest.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence
 
 from .chern import BundleClass, binomial, dual_bundle, segre_classes, tensor_by_line
@@ -37,9 +38,7 @@ class ProjBundleRing:
         self.hyperplane = hyperplane
         n = self.rank
         self.zero = PBElement(self, tuple(base.zero for _ in range(n)))
-        self.one = PBElement(
-            self, tuple(base.one if k == 0 else base.zero for k in range(n))
-        )
+        self.one = self.pullback(base.one)
         self._minus_c = [-bundle.c(j) for j in range(n + 1)]  # -c_j(F) at index j
         self.h = self.element([base.zero, base.one])
         self._segre: list = [base.one]
@@ -56,8 +55,7 @@ class ProjBundleRing:
 
     def pullback(self, a) -> "PBElement":
         """Ring pullback from the base: coefficient vector (a, 0, ..., 0)."""
-        coeffs = [a] + [self.base.zero] * (self.rank - 1)
-        return PBElement(self, tuple(coeffs))
+        return PBElement(self, (a, *[self.base.zero] * (self.rank - 1)))
 
     def random_element(self, rng, max_degree: int) -> "PBElement":
         coeffs = [self.base.random_element(rng, max_degree) for _ in range(self.rank)]
@@ -73,12 +71,16 @@ class ProjBundleRing:
 
     def reduce(self, coeffs: Sequence, stop: int = 0) -> tuple:
         """Basis slots stop..n-1 of any coefficient list: each slot t >= stop, top down,
-        gets -c_{s-t}(F)·slot s over t < s <= t + n, s >= n, in one ``base.dot``."""
+        gets -c_{s-t}(F)·slot s over t < s <= t + n, s >= n, in one ``base.dot``.
+        A list with nothing at or above slot n, trailing zeros aside, is
+        already reduced and returned as it is."""
         n, minus_c = self.rank, self._minus_c
         work = list(coeffs)
         while len(work) > n and not work[-1]:
             work.pop()
         work += [self.base.zero] * (n - len(work))
+        if len(work) <= n:
+            return tuple(work[stop:])
         for t in range(len(work) - 2, stop - 1, -1):
             pulled = range(max(t + 1, n), min(t + n, len(work) - 1) + 1)
             pairs = [(minus_c[s - t], work[s]) for s in pulled if work[s]]
@@ -137,17 +139,10 @@ class ProjBundleRing:
         would restate the Segre route and make the top entry vacuous.
         """
         n = self.rank
+        expected = [self.base.zero] * (n - 1) + [self.base.one, top]
         for k in range(n + 1):
-            got = self.pushforward_power(k)
-            if k <= n - 2:
-                expected = self.base.zero
-            elif k == n - 1:
-                expected = self.base.one
-            else:
-                expected = top
-            require_equal(
-                got, expected, f"pushforward table wrong at {self.hyperplane}^{k}"
-            )
+            message = f"pushforward table wrong at {self.hyperplane}^{k}"
+            require_equal(self.pushforward_power(k), expected[k], message)
 
     # ----------------------------------------------------------- tau table
 
@@ -205,10 +200,7 @@ class ProjBundleRing:
         if i < 0:
             raise ValueError(f"i must be >= 0, got {i}")
         dual = dual_bundle(self.bundle)
-        coeffs = [self.base.zero] * (i + 1)
-        for m in range(0, i + 1):
-            coeffs[m] = dual.c(i - m) * (-1) ** m
-        return self.element(coeffs)
+        return self.element([dual.c(i - m) * (-1) ** m for m in range(i + 1)])
 
     def cotangent_twist_via_tensor(self) -> list:
         """Oracle route: c_0..c_{n-1} of Omega(1), twisting the closed-form
@@ -262,10 +254,10 @@ class PBElement(RingElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return PBElement(self.ring, map(operator.sub, self.coeffs, other.coeffs))
+        return PBElement(self.ring, (x - y if y else x for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return PBElement(self.ring, tuple(-c for c in self.coeffs))
+        return PBElement(self.ring, tuple(-c if c else c for c in self.coeffs))
 
     def __str__(self) -> str:
         h = self.ring.hyperplane

@@ -56,7 +56,8 @@ def powers(x, n: int) -> list:
 class RingElement:
     """``+`` (``ring.sum``), ``*`` (``ring.mul``, or ``_scaled`` by a number),
     ``==`` (of ``_state()``), ``-``, powers and repr, behind one ``_coerce``;
-    a subclass supplies ``_state``, ``_scaled``, unary ``-`` and ``str``."""
+    ``==`` between elements of one class and one ring skips ``_coerce``.  A
+    subclass supplies ``_state``, ``_scaled``, unary ``-`` and ``str``."""
 
     __slots__ = ()
 
@@ -90,9 +91,10 @@ class RingElement:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not type(self) or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self._state() == other._state()
 
     def __sub__(self, other):

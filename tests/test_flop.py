@@ -319,6 +319,36 @@ def test_tower_shortcut_mutant_fails_its_checks(monkeypatch, mutant):
             assert flop_readers <= witnessed, (r, failed)
 
 
+# ((owner, name), code in it, mutant, checks that must fail at r = 1, 2, 3):
+# each lets a zero-slot shortcut fire where the slot is not zero
+ZERO_SLOT_MUTANTS = {
+    "reduce_returns_one_slot_past_the_basis": (
+        (ProjBundleRing, "reduce"), "if len(work) <= n:", "if len(work) <= n + 1:",
+        {"foundations.eta_push_table", "flop.sigma_top_cross_route",
+         "flop.t1_identity", "flop.term_B_routes"},
+    ),
+    "sub_skips_a_zero_left_slot": (
+        (PBElement, "__sub__"), "x - y if y else x", "x - y if x else x",
+        {"foundations.symmetry", "flop.help_sum_identity",
+         "flop.t1_identity", "flop.term_A_routes"},
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(ZERO_SLOT_MUTANTS))
+def test_zero_slot_mutant_fails_its_checks(monkeypatch, mutant):
+    (owner, name), old, new, readers = ZERO_SLOT_MUTANTS[mutant]
+    function = vars(owner)[name]
+    for code in (old, new):  # the harness alone passes
+        monkeypatch.setattr(owner, name, _mutated(function, old, code))
+        for r in (1, 2, 3):
+            ctx = FlopContext(r)
+            report = verify_foundations(ctx)
+            report.extend(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
+            failed = _failed(report)
+            assert (readers <= set(failed)) if code == new else not failed, (r, failed)
+
+
 def test_corrupted_tau_row_fails_t1_identity():
     # the T1 sweep reads every stored tau_P row i <= r, the rest by recursion
     for r in (1, 2, 3):

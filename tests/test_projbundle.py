@@ -11,6 +11,7 @@ from chowcalc import (
     BundleClass,
     ConsistencyError,
     GradedRing,
+    PBElement,
     ProjBundleRing,
     binomial_identity_check,
     binomial_identity_sum,
@@ -110,6 +111,55 @@ if st is not None:
         stop = min(stop, P.rank - 1)
         assert P.reduce(coeffs, stop) == P.reduce(coeffs)[stop:]
         assert P.reduce(coeffs) == _push_form_reduce(P, coeffs)
+
+
+def _sparse_element(P, pool, rng) -> PBElement:
+    """A random element of P whose slots are each zero about half the time;
+    a slot is a sum of two products of base elements drawn from ``pool``."""
+
+    def draw():
+        x, y, z = (rng.choice(pool) for _ in range(3))
+        return x * y * rng.randint(-9, 9) + z * rng.randint(-9, 9)
+
+    slots = (draw() if rng.random() < 0.5 else P.base.zero for _ in range(P.rank))
+    return PBElement(P, tuple(slots))
+
+
+def _flop_e_tower():
+    """E over P' for r = 2, a tower over a tower, with base elements drawn from
+    l and pulled-back Chern and sigma classes (the sigma a2 has degree 0)."""
+    ctx = FlopContext(2)
+    pulled = (ctx.Pdual.pullback(ctx.S.gen(g)) for g in ("c1", "c3", "a1", "a2"))
+    return ctx.E, [ctx.Pdual.one, ctx.l, *pulled]
+
+
+def _generic_tower_3():
+    """P(F) over Q[c1..c3], with base elements drawn from 1 and the c_i."""
+    P = generic_tower(3)
+    return P, [P.base.one, *map(P.base.gen, P.base.generator_names)]
+
+
+if st is not None:
+
+    SLOT_TOWERS = {"P(F)": _generic_tower_3(), "E of FlopContext(2)": _flop_e_tower()}
+
+    @pytest.mark.parametrize("tower", sorted(SLOT_TOWERS))
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_slot_arithmetic_matches_the_dot_kernel(tower, seed):
+        # the zero-slot shortcuts of -, unary -, h·a, pull(c)·a and reduce
+        # against the same value formed through the convolution of ``dot``;
+        # h·a also against the push-form reference, which reduces on its own
+        (P, pool), rng = SLOT_TOWERS[tower], random.Random(seed)
+        a, b = _sparse_element(P, pool, rng), _sparse_element(P, pool, rng)
+        c, minus = P.pullback(rng.choice(pool) * rng.randint(-9, 9)), P.scalar(-1)
+        assert a - b == P.dot(((a, P.one), (b, minus)))
+        assert -a == P.dot(((a, minus),))
+        shifted = (P.h * a).coeffs
+        assert shifted == P.dot(((P.h, a),)).coeffs == _brute_force_product(P, P.h, a)
+        assert c * a == P.dot(((c, a),))
+        reduced = P.dot(((a, P.one),)).coeffs
+        assert P.reduce(a.coeffs) == P.reduce((*a.coeffs, P.base.zero)) == reduced
 
 
 def test_shortcut_products_match_the_convolution(monkeypatch):

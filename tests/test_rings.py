@@ -18,6 +18,7 @@ from chowcalc import (
     linear_blowup,
 )
 from chowcalc.blowup import BlowupClass
+from chowcalc.chern import generic_bundle
 from chowcalc.report import Report
 from chowcalc.rings import FIELD_BITS, GradedElement, RingElement, powers
 
@@ -547,8 +548,25 @@ def test_the_element_protocol_lives_in_ring_element():
 def test_equality_compares_every_part_of_the_state():
     P, _ = _projbundle_element()
     assert P.h != P.zero  # slot 1 differs, slot 0 agrees
+    P = ProjBundleRing(generic_bundle(4))
+    x, hpow = P.pullback(P.base.gen("c1")) + P.h, powers(P.h, 3)
+    for top in (hpow[3], hpow[3] * P.base.gen("c2")):  # slot 3, the top, alone differs
+        assert x != x + top and x + top != x
+    assert x + hpow[3] == hpow[3] + x  # equal values, distinct objects
     bl, _ = _blowup_class()
     assert bl.exc_push(bl.xi) != bl.zero  # the exceptional part differs, the ambient agrees
+
+
+@MAKERS
+def test_equality_within_one_class_and_ring_skips_coercion(monkeypatch, make):
+    ring, x = make()
+    _, foreign = make()  # same class, second ring
+    y, three = x * 1, ring.one * 3  # equal to x and to 3, built before the patch
+    with pytest.raises(ValueError, match="different rings"):
+        x == foreign
+    assert three == 3 and 3 == three and x != 3
+    monkeypatch.setattr(type(x), "_coerce", None)  # a call would raise TypeError
+    assert x == y and y == x and three != x
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from chowcalc import FlopContext, chern, verify_foundations, verify_multiplicativity
+from chowcalc import FlopContext, chern, projbundle, verify_foundations, verify_multiplicativity
 from chowcalc.blowup import BlowupRing
 from chowcalc.cli import SuiteConfig, run_suite
 from chowcalc.projbundle import ProjBundleRing
@@ -26,6 +26,13 @@ FLOP_R4_TOWER_PRODUCTS = 118
 # ProjBundleRing.reduce calls for the same run: h·y reduces once, pull(c)·y
 # not at all, and T1's right-hand side is swept by -l
 FLOP_R4_REDUCTIONS = 121
+# GradedElement.__sub__ calls for the same run: a tower difference subtracts
+# only its nonzero right slots, and the help sweep forms pull(tau_{k,r}) once
+FLOP_R4_GRADED_SUBTRACTIONS = 80
+# chern.segre_classes calls for the same run: each reader asks for its top
+# class first, so each tower's Segre list grows once per reading check (P by
+# tau_pairing, E by eta_push_table and the help sweep, the mirror tower once)
+FLOP_R4_SEGRE_EXTENSIONS = 4
 # BlowupRing.mul calls for the blowup suite on linear:4,1
 BLOWUP_LINEAR_4_1_PRODUCTS = 1000
 # ProjBundleRing.mul calls in CH(E) for the same suite: two per blow-up product
@@ -84,6 +91,18 @@ def test_tower_reductions_at_r4(monkeypatch):
     calls = _count_calls(monkeypatch, ProjBundleRing, "reduce")
     _flop_r4()
     assert 0 < calls[0] <= FLOP_R4_REDUCTIONS
+
+
+def test_graded_subtractions_of_flop_at_r4(monkeypatch):
+    calls = _count_calls(monkeypatch, GradedElement, "__sub__")
+    _flop_r4()
+    assert 0 < calls[0] <= FLOP_R4_GRADED_SUBTRACTIONS
+
+
+def test_segre_extensions_of_flop_at_r4(monkeypatch):
+    calls = _count_calls(monkeypatch, projbundle, "segre_classes")
+    _flop_r4()
+    assert 0 < calls[0] <= FLOP_R4_SEGRE_EXTENSIONS
 
 
 def test_flop_builds_no_tau_row_past_the_basis_at_r4():
