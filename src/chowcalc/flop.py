@@ -146,7 +146,7 @@ def sigma_top_product(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
     # independent route: x_m = sum_{k+j=m} sigma_k sigma'_j against p_*(h^m), m >= r
     r, S, ms = ctx.r, ctx.S, range(ctx.r, 2 * ctx.r + 1)
     slots = [S.dot((sa[k], sb[m - k]) for k in range(m - r, r + 1)) for m in ms]
-    pushes = [ctx.P.reduce([S.zero] * m + [S.one], stop=r)[0] for m in ms]
+    pushes = [ctx.P.reduce({m: S.one}, stop=r).get(r, S.zero) for m in ms]
     direct = S.dot(zip(slots, pushes))
     require_equal(top, direct, "top sigma coefficient routes disagree")
     return ctx.Pdual.pullback(top)

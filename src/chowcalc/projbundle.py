@@ -1,22 +1,23 @@
 """Chow rings of projective bundles as free modules over the base.
 
 For a bundle F of rank n over a base S, CH(P(F)) is the free CH(S)-module
-with basis 1, h, ..., h^{n-1}, h the relative hyperplane class.
+with basis 1, h, ..., h^{n-1}, h the relative hyperplane class.  An element
+stores only its nonzero slots, a dict k -> coefficient of h^k, so a zero
+slot is never tested, multiplied or copied.
 ``ProjBundleRing.dot`` is the one product kernel: the base products of every
-pair go into the 2n-1 convolution slots, one ``base.dot`` per slot, and
-``reduce`` forms each slot once, top down, by the defining relation
-h^n = -sum_j pull(c_j(F)) h^{n-j}; a vector with nothing at or above h^n it
+pair of stored slots go into their convolution slot, one ``base.dot`` per
+slot, and ``reduce`` forms each slot once, top down, by the defining relation
+h^n = -sum_j pull(c_j(F)) h^{n-j}; a dict with nothing at or above h^n it
 returns as it is.  ``mul`` first tries two shapes (Fulton, *Intersection
 Theory*, §3.2): h·y is y shifted one slot up plus one reduction step, pull(c)·y
-is y scaled slot by slot.  Zero slots cost nothing: products, ``-`` and unary
-``-`` pass them through.  ``reduce(…, stop)`` forms only the slots from
-``stop`` up.  As p_*(h^k) = s_{k-n+1}(F) is 0 for k < n-1 and 1 at k = n-1,
-the pushforward of a reduced element is its top coefficient.  The h-power
-table tau_{i,j} (reduced h^i) is built row by row by the c_j(F) recursion,
-each row checked against the reduction of h * h^{i-1}; its column n-1 past
-row n-1 is p_*(h^i) = s_{i-n+1}(F) (Fulton §3.1), read from the Segre classes
-without a row.  The base may be a projective-bundle ring too: towers such as
-E over P' nest.
+is y scaled slot by slot; a zero factor gives zero.  ``reduce(…, stop)``
+forms only the slots from ``stop`` up.  As p_*(h^k) = s_{k-n+1}(F) is 0 for
+k < n-1 and 1 at k = n-1, the pushforward of a reduced element is its top
+coefficient.  The h-power table tau_{i,j} (reduced h^i) is built row by row
+by the c_j(F) recursion, each row checked against the reduction of
+h * h^{i-1}; its column n-1 past row n-1 is p_*(h^i) = s_{i-n+1}(F) (Fulton
+§3.1), read from the Segre classes without a row.  The base may be a
+projective-bundle ring too: towers such as E over P' nest.
 """
 
 from __future__ import annotations
@@ -37,80 +38,83 @@ class ProjBundleRing:
         self.rank = bundle.rank  # rank of F; the fibre is P^{rank-1}
         self.hyperplane = hyperplane
         n = self.rank
-        self.zero = PBElement(self, tuple(base.zero for _ in range(n)))
+        self.zero = PBElement(self, {})
         self.one = self.pullback(base.one)
         self._minus_c = [-bundle.c(j) for j in range(n + 1)]  # -c_j(F) at index j
         self.h = self.element([base.zero, base.one])
         self._segre: list = [base.one]
-        self._tau_rows: list[tuple] = [self.one.coeffs]
+        self._tau_rows: list[tuple] = [(base.one, *[base.zero] * (n - 1))]
 
     # ------------------------------------------------------------ elements
 
     def element(self, coeffs: Sequence) -> "PBElement":
-        """Build an element from base coefficients, reducing if over-long."""
-        return PBElement(self, self.reduce(coeffs))
+        """Build an element from a dense coefficient list, reducing if over-long."""
+        return PBElement(self, self.reduce({k: c for k, c in enumerate(coeffs) if c}))
 
     def scalar(self, c) -> "PBElement":
         return self.pullback(self.base.one * c)
 
     def pullback(self, a) -> "PBElement":
-        """Ring pullback from the base: coefficient vector (a, 0, ..., 0)."""
-        return PBElement(self, (a, *[self.base.zero] * (self.rank - 1)))
+        """Ring pullback from the base: a in slot 0."""
+        return PBElement(self, {0: a} if a else {})
 
     def random_element(self, rng, max_degree: int) -> "PBElement":
         coeffs = [self.base.random_element(rng, max_degree) for _ in range(self.rank)]
-        return PBElement(self, tuple(coeffs))
+        return PBElement(self, {k: c for k, c in enumerate(coeffs) if c})
 
     def sum(self, elements) -> "PBElement":
-        """Sum slot by slot, each slot through the base ring's ``sum``."""
-        elements = list(elements)
-        if any(getattr(x, "ring", None) is not self for x in elements):
-            raise ValueError("elements belong to different rings")
-        coeffs = [x.coeffs for x in elements] or [self.zero.coeffs]
-        return PBElement(self, map(self.base.sum, zip(*coeffs)))
+        """Sum slot by slot, each stored slot through the base ring's ``sum``."""
+        by_slot: dict = {}
+        for x in elements:
+            if getattr(x, "ring", None) is not self:
+                raise ValueError("elements belong to different rings")
+            for k, c in x.slots.items():
+                by_slot.setdefault(k, []).append(c)
+        return PBElement(self, {k: v for k, cs in by_slot.items() if (v := self.base.sum(cs))})
 
-    def reduce(self, coeffs: Sequence, stop: int = 0) -> tuple:
-        """Basis slots stop..n-1 of any coefficient list: each slot t >= stop, top down,
-        gets -c_{s-t}(F)·slot s over t < s <= t + n, s >= n, in one ``base.dot``.
-        A list with nothing at or above slot n, trailing zeros aside, is
-        already reduced and returned as it is."""
+    def reduce(self, slots: dict, stop: int = 0) -> dict:
+        """Slots stop..n-1 of ``slots`` (k >= 0 -> nonzero coefficient of h^k)
+        reduced: each slot t >= stop, top down, gets -c_{s-t}(F)·slot s over
+        stored s, t < s <= t + n, s >= n, in one ``base.dot``, and is kept
+        only if nonzero.  A dict with nothing at or above slot n is already
+        reduced and returned as it is."""
         n, minus_c = self.rank, self._minus_c
-        work = list(coeffs)
-        while len(work) > n and not work[-1]:
-            work.pop()
-        work += [self.base.zero] * (n - len(work))
-        if len(work) <= n:
-            return tuple(work[stop:])
-        for t in range(len(work) - 2, stop - 1, -1):
-            pulled = range(max(t + 1, n), min(t + n, len(work) - 1) + 1)
-            pairs = [(minus_c[s - t], work[s]) for s in pulled if work[s]]
-            if pairs:
-                work[t] = self.base.dot(pairs, work[t])
-        return tuple(work[stop:n])
+        top = max(slots, default=0)
+        if top < n:
+            return {k: c for k, c in slots.items() if k >= stop} if stop else slots
+        work = dict(slots)
+        for t in range(top - 1, stop - 1, -1):
+            pulled = range(max(t + 1, n), min(t + n, top) + 1)
+            pairs = [(minus_c[s - t], work[s]) for s in pulled if s in work]
+            if pairs and (value := self.base.dot(pairs, work.pop(t, None))):
+                work[t] = value
+        return {k: c for k, c in work.items() if stop <= k < n}
 
     def dot(self, pairs, start: "PBElement | None" = None) -> "PBElement":
         """``start`` + Σ a·b over ``pairs`` (``start`` enters as start·1), one
         ``base.dot`` per convolution slot, reduced once."""
         pairs = pairs if start is None else (*pairs, (start, self.one))
-        base, slots = self.base, [[] for _ in range(2 * self.rank - 1)]
+        base, slots = self.base, {}
         for a, b in pairs:
             if a.ring is not self or b.ring is not self:
                 raise ValueError("elements belong to a different projective-bundle ring")
-            right = [(j, y) for j, y in enumerate(b.coeffs) if y]
-            for i, x in enumerate(a.coeffs):
-                if x:
-                    for j, y in right:
-                        slots[i + j].append((x, y))
-        return PBElement(self, self.reduce([base.dot(p) if p else base.zero for p in slots]))
+            right = b.slots.items()
+            for i, x in a.slots.items():
+                for j, y in right:
+                    slots.setdefault(i + j, []).append((x, y))
+        return PBElement(self, self.reduce({k: v for k, p in slots.items() if (v := base.dot(p))}))
 
     def mul(self, a: "PBElement", b: "PBElement") -> "PBElement":
         if a.ring is not self or b.ring is not self:
             raise ValueError("elements belong to a different projective-bundle ring")
+        if not (a.slots and b.slots):
+            return self.zero
         for x, y in ((a, b), (b, a)):
             if x is self.h:
-                return PBElement(self, self.reduce((self.base.zero, *y.coeffs)))
-            if not any(x.coeffs[1:]):
-                return PBElement(self, (t * x.coeffs[0] if t else t for t in y.coeffs))
+                return PBElement(self, self.reduce({k + 1: t for k, t in y.slots.items()}))
+            if len(x.slots) == 1 and 0 in x.slots:
+                c = x.slots[0]
+                return PBElement(self, {k: v for k, t in y.slots.items() if (v := t * c)})
         return self.dot(((a, b),))
 
     # ------------------------------------------------- pushforward / Segre
@@ -126,7 +130,7 @@ class ProjBundleRing:
     def pushforward(self, a: "PBElement"):
         """Projection pushforward sum_k a_k s_{k-(n-1)}(F): for k < n only
         s_0 = 1 survives, so it is the coefficient of h^{n-1}."""
-        return a.coeffs[-1]
+        return a.slots.get(self.rank - 1, self.base.zero)
 
     def pushforward_power(self, k: int):
         """Pushforward of h^k computed directly from the Segre classes."""
@@ -158,15 +162,13 @@ class ProjBundleRing:
         while len(self._tau_rows) <= i_max:
             i = len(self._tau_rows)
             prev = self._tau_rows[-1]
-            row = []
+            row = [self.base.zero, *prev[:r]]
+            if prev[r]:  # c_{n-j}(F)·prev[r] only when there is something to pull
+                row = [x - self.bundle.c(n - j) * prev[r] for j, x in enumerate(row)]
+            reduced = self.reduce({k + 1: x for k, x in enumerate(prev) if x})
             for j in range(n):
-                entry = prev[j - 1] if j >= 1 else self.base.zero
-                row.append(entry - self.bundle.c(r + 1 - j) * prev[r])
-            reduced = self.reduce((self.base.zero, *prev))
-            for j in range(n):
-                require_equal(
-                    row[j], reduced[j], f"tau_{{{i},{j}}} recursion/reduction mismatch"
-                )
+                message = f"tau_{{{i},{j}}} recursion/reduction mismatch"
+                require_equal(row[j], reduced.get(j, self.base.zero), message)
             self._tau_rows.append(tuple(row))
         return self._tau_rows[: i_max + 1]
 
@@ -217,25 +219,26 @@ class ProjBundleRing:
 
 
 class PBElement(RingElement):
-    """Element of CH(P(F)) as a length-n coefficient vector over the base."""
+    """Element of CH(P(F)): ``slots`` maps k to the coefficient of h^k.  Every
+    key is in 0..n-1 and no value is zero, so a zero slot costs nothing."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "slots")
 
-    def __init__(self, ring: ProjBundleRing, coeffs: tuple):
+    def __init__(self, ring: ProjBundleRing, slots: dict):
         self.ring = ring
-        self.coeffs = tuple(coeffs)
+        self.slots = slots
 
     # ----------------------------------------------------------- structure
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return bool(self.slots)
 
     def grade_component(self, d: int) -> "PBElement":
-        coeffs = [c.grade_component(d - k) for k, c in enumerate(self.coeffs)]
-        return PBElement(self.ring, tuple(coeffs))
+        slots = self.slots.items()
+        return PBElement(self.ring, {k: v for k, c in slots if (v := c.grade_component(d - k))})
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(c.is_homogeneous(d - k) for k, c in enumerate(self.coeffs))
+        return all(c.is_homogeneous(d - k) for k, c in self.slots.items())
 
     # ---------------------------------------------------------- arithmetic
 
@@ -245,28 +248,34 @@ class PBElement(RingElement):
         return super()._coerce(other)
 
     def _state(self) -> tuple:
-        return self.coeffs
+        return (self.slots,)
 
     def _scaled(self, c) -> "PBElement":
-        return PBElement(self.ring, (x * c if x else x for x in self.coeffs))
+        return PBElement(self.ring, {k: x * c for k, x in self.slots.items()} if c else {})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return PBElement(self.ring, (x - y if y else x for x, y in zip(self.coeffs, other.coeffs)))
+        slots = dict(self.slots)
+        for k, y in other.slots.items():
+            if k not in slots:
+                slots[k] = -y
+            elif value := slots[k] - y:
+                slots[k] = value
+            else:
+                del slots[k]
+        return PBElement(self.ring, slots)
 
     def __neg__(self):
-        return PBElement(self.ring, tuple(-c if c else c for c in self.coeffs))
+        return PBElement(self.ring, {k: -c for k, c in self.slots.items()})
 
     def __str__(self) -> str:
         h = self.ring.hyperplane
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        for k in sorted(self.slots):
             mono = "1" if k == 0 else (h if k == 1 else f"{h}^{k}")
-            parts.append(f"({c}) * {mono}")
+            parts.append(f"({self.slots[k]}) * {mono}")
         return " + ".join(parts) if parts else "0"
 
 

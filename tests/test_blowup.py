@@ -337,7 +337,7 @@ def graded_rank(bl, data, degree, rng, samples=40):
         coords = [cls.ambient.terms.get(data.ambient.pack((degree,)), Fraction(0))]
         for k in range(bl.E.rank):
             base_deg = degree - 1 - k  # -1 has no monomial: its coordinate is 0
-            coeff = cls.exceptional.coeffs[k]
+            coeff = cls.exceptional.slots.get(k, data.center.zero)
             key = data.center.pack((base_deg,)) if base_deg >= 0 else None
             coords.append(coeff.terms.get(key, Fraction(0)))
         vectors.append(coords)

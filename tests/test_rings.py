@@ -296,9 +296,10 @@ if st is not None:
         assert S.sum(xs).terms == S.element(_merged(map(_tuple_terms, xs))).terms
         P = ProjBundleRing(BundleClass(S, 2, [S.gen("x"), S.gen("y")]))
         pairs = data.draw(st.lists(st.tuples(element, element), max_size=6))
-        ys = [PBElement(P, pair) for pair in pairs]
-        slots = [S.element(_merged(_tuple_terms(y.coeffs[k]) for y in ys)) for k in range(2)]
-        assert P.sum(ys).coeffs == tuple(slots)
+        ys = [P.element(pair) for pair in pairs]
+        merged = (_merged(_tuple_terms(y.slots.get(k, S.zero)) for y in ys) for k in range(2))
+        slots = map(S.element, merged)
+        assert P.sum(ys).slots == {k: x for k, x in enumerate(slots) if x}
 
 
     def _truncated(ring, counter) -> dict:
@@ -382,8 +383,8 @@ def _coefficients(x):
     """Every base-ring coefficient of a graded, tower or blow-up element."""
     if hasattr(x, "terms"):
         return list(x.terms.values())
-    if hasattr(x, "coeffs"):
-        return [c for part in x.coeffs for c in _coefficients(part)]
+    if hasattr(x, "slots"):
+        return [c for part in x.slots.values() for c in _coefficients(part)]
     return _coefficients(x.ambient) + _coefficients(x.exceptional)
 
 

@@ -24,11 +24,19 @@ CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 # the Segre classes of every tower take one ProjBundleRing.dot per degree
 FLOP_R4_TOWER_PRODUCTS = 118
 # ProjBundleRing.reduce calls for the same run: h·y reduces once, pull(c)·y
-# not at all, and T1's right-hand side is swept by -l
-FLOP_R4_REDUCTIONS = 121
+# not at all, a product with a zero factor is zero at once, and T1's
+# right-hand side is swept by -l
+FLOP_R4_REDUCTIONS = 107
 # GradedElement.__sub__ calls for the same run: a tower difference subtracts
-# only its nonzero right slots, and the help sweep forms pull(tau_{k,r}) once
-FLOP_R4_GRADED_SUBTRACTIONS = 80
+# only its stored right slots, and the help sweep forms pull(tau_{k,r}) once
+FLOP_R4_GRADED_SUBTRACTIONS = 28
+# GradedElement.__bool__ calls for the same run: tower elements store only
+# their nonzero slots, so only a computed slot is tested
+FLOP_R4_ZERO_TESTS = 468
+# GradedRing.dot calls for the same run whose every pair has a zero factor:
+# a tower product with a zero factor is zero without a base product, and a
+# tau row pulls c_j(F)·tau_{i-1,r} only when tau_{i-1,r} is nonzero
+FLOP_R4_ZERO_FACTOR_PRODUCTS = 0
 # chern.segre_classes calls for the same run: each reader asks for its top
 # class first, so each tower's Segre list grows once per reading check (P by
 # tau_pairing, E by eta_push_table and the help sweep, the mirror tower once)
@@ -97,6 +105,26 @@ def test_graded_subtractions_of_flop_at_r4(monkeypatch):
     calls = _count_calls(monkeypatch, GradedElement, "__sub__")
     _flop_r4()
     assert 0 < calls[0] <= FLOP_R4_GRADED_SUBTRACTIONS
+
+
+def test_zero_tests_of_flop_at_r4(monkeypatch):
+    calls = _count_calls(monkeypatch, GradedElement, "__bool__")
+    _flop_r4()
+    assert 0 < calls[0] <= FLOP_R4_ZERO_TESTS
+
+
+def test_zero_factor_products_of_flop_at_r4(monkeypatch):
+    dot, products, zero_factor = GradedRing.dot, [0], [0]
+
+    def counted(self, pairs, start=None):
+        pairs = list(pairs)
+        products[0] += 1
+        zero_factor[0] += bool(pairs) and all(not (x and y) for x, y in pairs)
+        return dot(self, pairs, start)
+
+    monkeypatch.setattr(GradedRing, "dot", counted)
+    _flop_r4()
+    assert products[0] > 0 and zero_factor[0] <= FLOP_R4_ZERO_FACTOR_PRODUCTS
 
 
 def test_segre_extensions_of_flop_at_r4(monkeypatch):
