@@ -60,6 +60,8 @@ class EmbeddingData:
 
     def push(self, gamma: GradedElement) -> GradedElement:
         """i_*: extend the monomial table linearly."""
+        if gamma.ring is not self.center:
+            raise ValueError("elements belong to different rings")
         rows = [(self.center.exponents(e), c) for e, c in gamma.terms.items()]
         missing = [e for e, _ in rows if e not in self.push_table]
         if missing:
@@ -266,7 +268,8 @@ def load_embedding(text: str) -> EmbeddingData:
         if exps in push_table:  # the same monomial spelt two ways
             raise ValueError(f"duplicate key {mono_str!r} in section [push]")
         push_table[exps] = ambient.parse(value)
-    missing = [m for m in center.monomials_up_to(center.dim_bound) if m not in push_table]
+    monomials = (m for d in range(center.dim_bound + 1) for m in center.monomials_of_degree(d))
+    missing = [m for m in monomials if m not in push_table]
     if missing:  # the first ten are named, the rest counted
         names = bounded(str([center.monomial_str(m) for m in missing[:10]]))
         raise ValueError(

@@ -299,7 +299,7 @@ def verify_foundations(ctx: FlopContext) -> Report:
     )
 
     def relation_consistency():
-        one_shot = ctx.E.element([ctx.Pdual.zero] * (r + 1) + [ctx.Pdual.one])
+        one_shot = ctx.E.element({r + 1: ctx.Pdual.one})
         stepwise = ctx.H ** r * ctx.H
         require_equal(one_shot, stepwise, "reducing H^{r+1} two ways disagrees")
 

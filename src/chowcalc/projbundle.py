@@ -1,9 +1,10 @@
 """Chow rings of projective bundles as free modules over the base.
 
 For a bundle F of rank n over a base S, CH(P(F)) is the free CH(S)-module
-with basis 1, h, ..., h^{n-1}, h the relative hyperplane class.  An element
-stores only its nonzero slots, a dict k -> coefficient of h^k, so a zero
-slot is never tested, multiplied or copied.
+with basis 1, h, ..., h^{n-1}, h the relative hyperplane class.  One format,
+a dict k -> nonzero coefficient of h^k, holds an element's slots, the input
+of ``element``, each read-only tau row and the relation (-c_j(F) only for
+c_j(F) != 0), so a zero slot is never tested, multiplied or copied.
 ``ProjBundleRing.dot`` is the one product kernel: the base products of every
 pair of stored slots go into their convolution slot, one ``base.dot`` per
 slot, and ``reduce`` forms each slot once, top down, by the defining relation
@@ -22,7 +23,7 @@ projective-bundle ring too: towers such as E over P' nest.
 
 from __future__ import annotations
 
-from typing import Sequence
+from types import MappingProxyType
 
 from .chern import BundleClass, binomial, dual_bundle, segre_classes, tensor_by_line
 from .errors import require_equal
@@ -40,16 +41,16 @@ class ProjBundleRing:
         n = self.rank
         self.zero = PBElement(self, {})
         self.one = self.pullback(base.one)
-        self._minus_c = [-bundle.c(j) for j in range(n + 1)]  # -c_j(F) at index j
-        self.h = self.element([base.zero, base.one])
+        self._minus_c = {j: -c for j in range(1, n + 1) if (c := bundle.c(j))}
+        self.h = self.element({1: base.one})
         self._segre: list = [base.one]
-        self._tau_rows: list[tuple] = [(base.one, *[base.zero] * (n - 1))]
+        self._tau_rows: list = [MappingProxyType({0: base.one})]
 
     # ------------------------------------------------------------ elements
 
-    def element(self, coeffs: Sequence) -> "PBElement":
-        """Build an element from a dense coefficient list, reducing if over-long."""
-        return PBElement(self, self.reduce({k: c for k, c in enumerate(coeffs) if c}))
+    def element(self, coeffs: dict) -> "PBElement":
+        """Build an element from a mapping k -> coefficient of h^k; k >= n is reduced."""
+        return PBElement(self, self.reduce({k: c for k, c in coeffs.items() if c}))
 
     def scalar(self, c) -> "PBElement":
         return self.pullback(self.base.one * c)
@@ -59,8 +60,8 @@ class ProjBundleRing:
         return PBElement(self, {0: a} if a else {})
 
     def random_element(self, rng, max_degree: int) -> "PBElement":
-        coeffs = [self.base.random_element(rng, max_degree) for _ in range(self.rank)]
-        return PBElement(self, {k: c for k, c in enumerate(coeffs) if c})
+        draw = self.base.random_element
+        return PBElement(self, {k: c for k in range(self.rank) if (c := draw(rng, max_degree))})
 
     def sum(self, elements) -> "PBElement":
         """Sum slot by slot, each stored slot through the base ring's ``sum``."""
@@ -75,9 +76,9 @@ class ProjBundleRing:
     def reduce(self, slots: dict, stop: int = 0) -> dict:
         """Slots stop..n-1 of ``slots`` (k >= 0 -> nonzero coefficient of h^k)
         reduced: each slot t >= stop, top down, gets -c_{s-t}(F)·slot s over
-        stored s, t < s <= t + n, s >= n, in one ``base.dot``, and is kept
-        only if nonzero.  A dict with nothing at or above slot n is already
-        reduced and returned as it is."""
+        stored s and stored -c_{s-t}(F), t < s <= t + n, s >= n, in one
+        ``base.dot``, and is kept only if nonzero.  A dict with nothing at or
+        above slot n is already reduced and returned as it is."""
         n, minus_c = self.rank, self._minus_c
         top = max(slots, default=0)
         if top < n:
@@ -85,7 +86,7 @@ class ProjBundleRing:
         work = dict(slots)
         for t in range(top - 1, stop - 1, -1):
             pulled = range(max(t + 1, n), min(t + n, top) + 1)
-            pairs = [(minus_c[s - t], work[s]) for s in pulled if s in work]
+            pairs = [(minus_c[s - t], work[s]) for s in pulled if s in work and s - t in minus_c]
             if pairs and (value := self.base.dot(pairs, work.pop(t, None))):
                 work[t] = value
         return {k: c for k, c in work.items() if stop <= k < n}
@@ -150,26 +151,26 @@ class ProjBundleRing:
 
     # ----------------------------------------------------------- tau table
 
-    def tau_rows(self, i_max: int) -> list[tuple]:
-        """Rows tau_{i,0..n-1} for i <= i_max, via recursion and reduction.
+    def tau_rows(self, i_max: int) -> list:
+        """Rows i <= i_max of tau, each a read-only slot dict j -> nonzero tau_{i,j}.
 
         Row i is built from the stored row i-1 two ways (the coefficient
         recursion driven by c_j(F), and basis reduction of h times it), and
         the two must agree; row i-1 was itself checked one step earlier.
         """
-        n = self.rank
-        r = n - 1
+        n, r, zero = self.rank, self.rank - 1, self.base.zero
         while len(self._tau_rows) <= i_max:
             i = len(self._tau_rows)
             prev = self._tau_rows[-1]
-            row = [self.base.zero, *prev[:r]]
-            if prev[r]:  # c_{n-j}(F)·prev[r] only when there is something to pull
-                row = [x - self.bundle.c(n - j) * prev[r] for j, x in enumerate(row)]
-            reduced = self.reduce({k + 1: x for k, x in enumerate(prev) if x})
+            row = {k + 1: x for k, x in prev.items() if k < r}
+            if r in prev:  # c_{n-j}(F)·prev[r] only when there is something to pull
+                c, top = self.bundle.c, prev[r]
+                row = {j: x for j in range(n) if (x := row.get(j, zero) - c(n - j) * top)}
+            reduced = self.reduce({k + 1: x for k, x in prev.items()})
             for j in range(n):
                 message = f"tau_{{{i},{j}}} recursion/reduction mismatch"
-                require_equal(row[j], reduced.get(j, self.base.zero), message)
-            self._tau_rows.append(tuple(row))
+                require_equal(row.get(j, zero), reduced.get(j, zero), message)
+            self._tau_rows.append(MappingProxyType(row))
         return self._tau_rows[: i_max + 1]
 
     def tau(self, i: int, j: int):
@@ -179,7 +180,7 @@ class ProjBundleRing:
             return self.base.zero
         if j == self.rank - 1 and i >= self.rank:
             return self.segre(i - j)
-        return self.tau_rows(i)[i][j]
+        return self.tau_rows(i)[i].get(j, self.base.zero)
 
     # ------------------------------------------------- cotangent formulas
 
@@ -188,8 +189,7 @@ class ProjBundleRing:
         if i < 0:
             raise ValueError(f"i must be >= 0, got {i}")
         n, c, sign = self.rank, self.bundle.c, (-1) ** i
-        coeffs = [c(i - m) * (binomial(n - i + m, m) * sign) for m in range(i + 1)]
-        return self.element(coeffs)
+        return self.element({m: c(i - m) * (binomial(n - i + m, m) * sign) for m in range(i + 1)})
 
     def cotangent_chern_via_euler(self) -> BundleClass:
         """Oracle route: the bundle pull(F dual) tensor O(-1) of the Euler
@@ -202,7 +202,7 @@ class ProjBundleRing:
         if i < 0:
             raise ValueError(f"i must be >= 0, got {i}")
         dual = dual_bundle(self.bundle)
-        return self.element([dual.c(i - m) * (-1) ** m for m in range(i + 1)])
+        return self.element({m: dual.c(i - m) * (-1) ** m for m in range(i + 1)})
 
     def cotangent_twist_via_tensor(self) -> list:
         """Oracle route: c_0..c_{n-1} of Omega(1), twisting the closed-form
@@ -219,8 +219,7 @@ class ProjBundleRing:
 
 
 class PBElement(RingElement):
-    """Element of CH(P(F)): ``slots`` maps k to the coefficient of h^k.  Every
-    key is in 0..n-1 and no value is zero, so a zero slot costs nothing."""
+    """Element of CH(P(F)): ``slots`` is a slot dict with every key in 0..n-1."""
 
     __slots__ = ("ring", "slots")
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction
@@ -173,7 +173,7 @@ class GradedRing:
             raise ValueError(
                 f"bad exponent tuple {exps}: {self.nvars} in [0, 2**{FIELD_BITS - 1}) needed"
             )
-        key = self.monomial_degree(exps)
+        key = sum(e * d for e, d in zip(exps, self.degrees))  # the degree field
         for e in exps:
             key = key << FIELD_BITS | e
         return key
@@ -188,9 +188,6 @@ class GradedRing:
         names = self.generator_names
         factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e]
         return "*".join(factors) or "1"
-
-    def monomial_degree(self, exps: Exponents) -> int:
-        return sum(e * d for e, d in zip(exps, self.degrees))
 
     def sum(self, elements: Iterable["GradedElement"]) -> "GradedElement":
         """One dict for all summands, canonicalised once; empty gives ``zero``."""
@@ -262,10 +259,6 @@ class GradedRing:
                 yield from rec(i + 1, remaining - e * deg, prefix + (e,))
 
         return tuple(rec(0, d, ()))
-
-    def monomials_up_to(self, d: int) -> Iterator[Exponents]:
-        for k in range(d + 1):
-            yield from self.monomials_of_degree(k)
 
     def _keys_of_degree(self, d: int) -> tuple[int, ...]:
         """The packed keys of ``monomials_of_degree(d)``, in its order,

@@ -49,9 +49,7 @@ def criterion(number, description, bound_seconds, fn):
 
 
 def generic_tower(n):
-    S = GradedRing([(f"c{i}", i) for i in range(1, n + 1)])
-    F = BundleClass(S, n, [S.gen(f"c{i}") for i in range(1, n + 1)])
-    return ProjBundleRing(F)
+    return ProjBundleRing(chern_mod.generic_bundle(n))
 
 
 def test_criterion_1_binomial_identity():

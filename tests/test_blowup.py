@@ -191,6 +191,23 @@ def test_pull_on_an_unbounded_ambient_ring():
 
 
 @pytest.mark.parametrize(
+    "name, foreign",
+    [
+        ("pull", lambda data: data.center.gen("u")),
+        ("pull", lambda data: GradedRing([("t", 1)], dim_bound=4).gen("t")),
+        ("push", lambda data: data.ambient.gen("t")),
+        ("push", lambda data: GradedRing([("u", 1)], dim_bound=1).gen("u")),
+    ],
+    ids=["pull-center", "pull-lookalike", "push-ambient", "push-lookalike"],
+)
+def test_embedding_maps_reject_an_element_of_another_ring(data41, name, foreign):
+    # i^* takes ambient classes and i_* center classes; a table read would
+    # decode a foreign key as if it were its own
+    with pytest.raises(ValueError, match="elements belong to different rings"):
+        getattr(data41, name)(foreign(data41))
+
+
+@pytest.mark.parametrize(
     "case, exps, law",
     [
         (None, (0,), "i^* not multiplicative"),

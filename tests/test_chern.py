@@ -1,4 +1,3 @@
-import inspect
 import math
 import random
 from fractions import Fraction
@@ -25,6 +24,7 @@ from chowcalc import (
 )
 from chowcalc.chern import todd_universal
 from chowcalc.cli import SuiteConfig, run_suite
+from conftest import mutated
 
 
 @pytest.fixture
@@ -275,16 +275,6 @@ def test_characteristic_classes_reject_a_negative_degree_by_name(bundle, functio
         function(*args)
 
 
-def _mutated(function, old: str, new: str):
-    """A copy of ``function`` from ``chowcalc.chern`` whose source has its one
-    ``old`` replaced by ``new``."""
-    source = inspect.getsource(function)
-    assert source.count(old) == 1, old  # the mutated code is still there
-    namespace = {}
-    exec(source.replace(old, new), vars(chern_mod), namespace)
-    return namespace[function.__name__]
-
-
 @pytest.mark.parametrize("mutate", [False, True], ids=["harness", "mutant"])
 def test_segre_recursion_missing_its_last_term_fails_the_segre_readers(
     monkeypatch, mutate
@@ -292,7 +282,7 @@ def test_segre_recursion_missing_its_last_term_fails_the_segre_readers(
     # s_m = -sum_{i=1}^{m-1} c_i s_{m-i}: the c_m term is dropped
 
     old = "for i in range(1, m + 1)"
-    mutant = _mutated(segre_classes, old, "for i in range(1, m)" if mutate else old)
+    mutant = mutated(segre_classes, old, "for i in range(1, m)" if mutate else old)
     monkeypatch.setattr(chern_mod, "segre_classes", mutant)
     monkeypatch.setattr(pb_mod, "segre_classes", mutant)
     status, report = run_suite(SuiteConfig(suite="all"))
@@ -312,7 +302,7 @@ def test_todd_class_from_log_q_fails_the_todd_oracles(monkeypatch, mutate):
     # g = log q instead of -log q, q = (1 - e^{-t}) / t
     old = "g = [-x for x in _log_unit_series(q)]"
     new = "g = _log_unit_series(q)" if mutate else old
-    mutant = _mutated(todd_class, old, new)
+    mutant = mutated(todd_class, old, new)
     monkeypatch.setattr(chern_mod, "todd_class", mutant)  # read by todd_universal
     monkeypatch.setitem(globals(), "todd_class", mutant)  # read by the HRR test
     oracles = [test_todd_universal_contract]

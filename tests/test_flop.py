@@ -1,7 +1,5 @@
 import functools
-import inspect
 import re
-import textwrap
 import types
 from types import MappingProxyType
 
@@ -25,6 +23,7 @@ from chowcalc import (
 from chowcalc.cli import SuiteConfig, run_suite
 from chowcalc.errors import WITNESS_LIMIT, ConsistencyError
 from chowcalc.rings import COEFF_RANGE
+from conftest import mutated
 
 try:
     from hypothesis import given, settings
@@ -135,20 +134,10 @@ def test_substituted_help_sum_fails_term_a():
             assert "flop.help_sum_identity" not in failed  # read, not rebuilt
 
 
-def _mutated(function, old: str, new: str):
-    """A copy of ``function`` whose source has the one occurrence of ``old``
-    replaced by ``new``, compiled in the namespace of its module."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(old) == 1, old  # the mutated code is still there
-    namespace = {}
-    exec(source.replace(old, new), vars(inspect.getmodule(function)), namespace)
-    return namespace[function.__name__]
-
-
 def _install_mutant(monkeypatch, table: str, old: str, new: str) -> None:
     """Build ``FlopContext.<table>`` from a mutated copy of its method."""
     method = vars(FlopContext)[table].func
-    monkeypatch.setattr(FlopContext, table, property(_mutated(method, old, new)))
+    monkeypatch.setattr(FlopContext, table, property(mutated(method, old, new)))
 
 
 # (table, code in its sweep, mutant, checks that must fail)
@@ -231,7 +220,7 @@ def test_direct_route_mutant_fails_sigma_top(monkeypatch, mutant):
     for code in (old, new):  # the harness alone passes
         for r in (1, 2, 3):
             ctx = FlopContext(r)
-            reduce = types.MethodType(_mutated(ProjBundleRing.reduce, old, code), ctx.P)
+            reduce = types.MethodType(mutated(ProjBundleRing.reduce, old, code), ctx.P)
             monkeypatch.setattr(ctx.P, "reduce", reduce)
             failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
             if code == old:
@@ -263,7 +252,7 @@ SIGMA_TOP_ROUTE_MUTANTS = {
 def test_sigma_top_route_mutant_fails_sigma_top(monkeypatch, mutant):
     function, old, new, (owner, name) = SIGMA_TOP_ROUTE_MUTANTS[mutant]
     for code in (old, new):  # the harness alone passes
-        monkeypatch.setattr(owner, name, _mutated(function, old, code))
+        monkeypatch.setattr(owner, name, mutated(function, old, code))
         for r in (1, 2, 3):
             ctx = FlopContext(r)
             failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
@@ -305,7 +294,7 @@ def test_tower_shortcut_mutant_fails_its_checks(monkeypatch, mutant):
     old, new, flop_readers, blowup_readers = SHORTCUT_MUTANTS[mutant]
     mul = ProjBundleRing.mul
     for code in (old, new):  # the harness alone passes
-        monkeypatch.setattr(ProjBundleRing, "mul", _mutated(mul, old, code))
+        monkeypatch.setattr(ProjBundleRing, "mul", mutated(mul, old, code))
         _, report = run_suite(SuiteConfig(suite="blowup", case="linear:4,1"))
         failed = {k for k, w in _failed(report).items() if w not in ("", "0")}
         assert (blowup_readers <= failed) if code == new else not failed
@@ -348,7 +337,7 @@ def test_zero_slot_mutant_fails_its_checks(monkeypatch, mutant):
     (owner, name), old, new, readers = ZERO_SLOT_MUTANTS[mutant]
     function = vars(owner)[name]
     for code in (old, new):  # the harness alone passes
-        monkeypatch.setattr(owner, name, _mutated(function, old, code))
+        monkeypatch.setattr(owner, name, mutated(function, old, code))
         for r in (1, 2, 3):
             ctx = FlopContext(r)
             report = verify_foundations(ctx)
@@ -363,9 +352,9 @@ def test_corrupted_tau_row_fails_t1_identity():
         for i in range(r + 1):
             ctx = FlopContext(r)
             rows = ctx.P.tau_rows(2 * r)  # built and checked before the corruption
-            row = list(rows[i])
+            row = dict(rows[i])
             row[i] = row[i] + 1  # h^i reduced as 2 h^i, still homogeneous
-            ctx.P._tau_rows[i] = tuple(row)
+            ctx.P._tau_rows[i] = MappingProxyType(row)
             failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
             assert failed.get("flop.t1_identity") not in (None, "", "0"), (r, i)
 

@@ -12,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     path
-    for folder in ("src/chowcalc", "tests", "demos")
+    for folder in ("src/chowcalc", "tests", "demos", "bench")
     for path in (ROOT / folder).glob("*.py")
 )
 

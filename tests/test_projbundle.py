@@ -1,12 +1,9 @@
-import inspect
 import random
-import textwrap
 import time
 import types
 
 import pytest
 
-import chowcalc.projbundle as pb_mod
 from chowcalc import (
     BundleClass,
     ConsistencyError,
@@ -17,7 +14,11 @@ from chowcalc import (
     binomial_identity_sum,
     segre_classes,
 )
-from chowcalc.flop import FlopContext
+from chowcalc.blowup import BlowupRing, linear_blowup
+from chowcalc.chern import generic_bundle
+from chowcalc.cli import SuiteConfig, run_suite
+from chowcalc.flop import FlopContext, verify_foundations, verify_multiplicativity
+from conftest import mutated
 
 try:
     from hypothesis import given, settings
@@ -28,9 +29,7 @@ except ImportError:  # without hypothesis only the property tests are left out
 
 def generic_tower(n: int, dim_bound=None) -> ProjBundleRing:
     """P(F) for a rank-n bundle with independent generic Chern classes."""
-    S = GradedRing([(f"c{i}", i) for i in range(1, n + 1)], dim_bound=dim_bound)
-    F = BundleClass(S, n, [S.gen(f"c{i}") for i in range(1, n + 1)])
-    return ProjBundleRing(F)
+    return ProjBundleRing(generic_bundle(n, dim_bound=dim_bound))
 
 
 def test_rank_validation():
@@ -126,7 +125,7 @@ def _sparse_element(P, pool, rng) -> PBElement:
         x, y, z = (rng.choice(pool) for _ in range(3))
         return x * y * rng.randint(-9, 9) + z * rng.randint(-9, 9)
 
-    return P.element([draw() if rng.random() < 0.5 else P.base.zero for _ in range(P.rank)])
+    return P.element({k: draw() for k in range(P.rank) if rng.random() < 0.5})
 
 
 def _flop_e_tower():
@@ -175,7 +174,7 @@ if st is not None:
             (c * a, _brute_force_product(P, c, a)),
             (P.sum([a, b, -a]), _push_form_reduce(P, db)),
             (a.grade_component(d), tuple(x.grade_component(d - k) for k, x in enumerate(da))),
-            (P.element(long), _push_form_reduce(P, long)),
+            (P.element(dict(enumerate(long))), _push_form_reduce(P, long)),
         ]
         slots = {k: x for k, x in enumerate(long) if x}
         cases.append((PBElement(P, P.reduce(slots)), _push_form_reduce(P, long)))
@@ -244,7 +243,7 @@ def _random_formal(ring, rng):
         for name in rng.sample(ring.generator_names, 3):
             out = out + ring.gen(name) * rng.randint(-3, 3)
         return out
-    return ring.element([_random_formal(ring.base, rng) for _ in range(ring.rank)])
+    return ring.element({k: _random_formal(ring.base, rng) for k in range(ring.rank)})
 
 
 def test_segre_extends_its_cached_list(monkeypatch):
@@ -321,16 +320,6 @@ def test_tau_routes_agree_deep():
         assert len(rows) == 3 * (n - 1) + 1
 
 
-def _mutated_reduce(old: str, new: str):
-    """A copy of ``ProjBundleRing.reduce`` whose source has its one ``old``
-    replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(ProjBundleRing.reduce))
-    assert source.count(old) == 1, old  # the mutated code is still there
-    namespace = {}
-    exec(source.replace(old, new), vars(pb_mod), namespace)
-    return namespace["reduce"]
-
-
 @pytest.mark.parametrize("r", range(1, 7))
 def test_tau_table_is_segre_duality(r):
     # tau_{i,m} = sum_{k=0}^{n-1-m} c_k(F) s_{i-m-k}(F) (Fulton §3.1-3.2): the
@@ -353,7 +342,7 @@ def test_served_tau_column_matches_the_built_rows(r):
     n = r + 1
     P = generic_tower(n)
     for i in range(3 * n):
-        assert P.tau(i, n - 1) == P.tau_rows(i)[i][n - 1], i
+        assert P.tau(i, n - 1) == P.tau_rows(i)[i].get(n - 1, P.base.zero), i
 
 
 def test_tau_column_builds_no_row_past_the_basis():
@@ -367,7 +356,7 @@ def test_tau_reduction_route_catches_a_dropped_relation_term(monkeypatch):
     old = "min(t + n, top)"
     for new in (old, "min(t + n - 1, top)"):  # the harness alone passes
         P = generic_tower(4)
-        monkeypatch.setattr(P, "reduce", types.MethodType(_mutated_reduce(old, new), P))
+        monkeypatch.setattr(P, "reduce", types.MethodType(mutated(ProjBundleRing.reduce, old, new), P))
         if new == old:
             assert len(P.tau_rows(6)) == 7
             continue
@@ -375,11 +364,44 @@ def test_tau_reduction_route_catches_a_dropped_relation_term(monkeypatch):
             P.tau_rows(6)
 
 
+def test_relation_stores_only_nonzero_chern_classes():
+    # CH(E) of linear:4,1 lies over the center P^1, where u^2 = 0 kills c_2(N)
+    # and c_3(N) of N = O(1)^3: the relation keeps -c_1(N) alone
+    E = BlowupRing(linear_blowup(4, 1)).E
+    assert E._minus_c == {1: -E.bundle.c(1)}
+    P = generic_tower(4)
+    assert P._minus_c == {j: -P.bundle.c(j) for j in range(1, 5)}
+
+
+def _failed(report) -> set:
+    return {c.name for c in report.checks if c.status == "fail"}
+
+
+@pytest.mark.parametrize("mutate", [False, True], ids=["harness", "mutant"])
+def test_relation_dropping_a_nonzero_chern_class_fails_its_readers(monkeypatch, mutate):
+    # the filter of the stored relation also drops -c_1(F), which is nonzero;
+    # the tau recursion reads c_j(F) itself, so its reduction route disagrees
+    old = "if (c := bundle.c(j))}"
+    new = "if (c := bundle.c(j)) and j > 1}" if mutate else old
+    monkeypatch.setattr(ProjBundleRing, "__init__", mutated(ProjBundleRing.__init__, old, new))
+    _, report = run_suite(SuiteConfig(suite="projbundle"))
+    tau_checks = {c.name for c in report.checks if "tau_consistency" in c.name}
+    assert tau_checks and _failed(report) == (tau_checks if mutate else set())
+    _, report = run_suite(SuiteConfig(suite="blowup", case="linear:4,1"))
+    assert _failed(report) == ({"blowup.ring_laws"} if mutate else set())
+    readers = {"foundations.eta_push_table", "flop.sigma_top_cross_route", "flop.t1_identity"}
+    for r in (1, 2, 3):
+        ctx = FlopContext(r)
+        report = verify_foundations(ctx)
+        report.extend(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
+        assert (readers <= _failed(report)) if mutate else not _failed(report), r
+
+
 def test_tau_rows_are_read_only_views():
     P = generic_tower(3)
     before = [[P.tau(i, j) for j in range(3)] for i in range(6)]
     rows = P.tau_rows(5)
-    rows[4] = (P.base.one,) * 3
+    rows[4] = {j: P.base.one for j in range(3)}
     rows.append(None)
     with pytest.raises(TypeError):
         rows[2][0] = P.base.one
