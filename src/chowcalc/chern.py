@@ -65,12 +65,11 @@ class BundleClass:
         return f"BundleClass(rank={self.rank}, c={list(self.chern)!r})"
 
 
-def generic_bundle(rank: int, extra=(), dim_bound: int | None = None) -> BundleClass:
+def generic_bundle(rank: int, dim_bound: int | None = None) -> BundleClass:
     """The bundle whose Chern classes are the free generators c1..c{rank}
-    (c_i of degree i) of a new :class:`GradedRing`; the ``(name, degree)``
-    pairs of ``extra`` follow them as further generators."""
-    ring = GradedRing([*((f"c{i}", i) for i in range(1, rank + 1)), *extra], dim_bound)
-    return BundleClass(ring, rank, [ring.gen(n) for n in ring.generator_names[:rank]])
+    (c_i of degree i) of a new :class:`GradedRing`."""
+    ring = GradedRing([(f"c{i}", i) for i in range(1, rank + 1)], dim_bound)
+    return BundleClass(ring, rank, [ring.gen(n) for n in ring.generator_names])
 
 
 @dataclass

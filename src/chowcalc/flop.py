@@ -6,15 +6,19 @@ bundles P = P(F) (class h) and P' = P(F dual) (class l), and the exceptional
 locus E, presented over P' as the projective bundle of the rank-r bundle
 G = Omega_{P'|S} tensor O(1) with relative class H.
 
-The base is formal: the c_i and both sigma vectors (tuples of base
-elements) are free generators, so a pass holds for every specialised base.
+The base is formal: CH(S) = Q[c_1..c_{r+1}].  Every quantity checked is
+sigma-bilinear, sum_{k,j} sigma_k sigma'_j X_kj with X_kj over CH(S) and
+deg sigma_k = r - k; the sigma_k sigma'_j are free over CH(S) (Fulton,
+*Intersection Theory*, §3.2), so a :class:`SigmaTable` of the X_kj checks an
+identity entrywise, for every specialised base.  Formal sigma (None) keep the
+checked tables; specialised sigma enter only by contracting them.
 
 Every intermediate identity of the multiplicativity computation is verified
 by two independent routes (a raw expansion through pushforward tables, and
 the closed form), and the headline check is that the three correction terms
 add up exactly to the top sigma coefficient of the product, p_*(sigma.sigma').
-That is read as sum_{k,j} sigma_k sigma'_j tau_{k+j,r}, tau's column r being
-Segre classes, and as sum_m x_m p_*(h^m) over the convolution slots x_m, each
+Its entry (k, j) is read as tau_{k+j,r}, tau's column r being Segre classes,
+and as p_*(h^{k+j}), over the convolution slots m = k + j >= r, each
 p_*(h^m) reduced by the defining relation of P.  The two lemma tables, the
 alternating Chern sums T1(j) and the eta'_* help sums, each have one owner on
 the context, swept row by row by a recurrence: the build checks every cell,
@@ -23,7 +27,8 @@ and the raw routes of term_B and term_A read the stored values.
 
 from __future__ import annotations
 
-from functools import cached_property
+import operator
+from functools import cached_property, partialmethod
 from types import MappingProxyType
 
 from .chern import BundleClass, dual_bundle, generic_bundle
@@ -39,9 +44,8 @@ class FlopContext:
     def __init__(self, r: int):
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
-        sigmas = [(f"{s}{k}", r - k) for s in "ab" for k in range(r + 1)]
         self.r = r
-        self.F = generic_bundle(r + 1, extra=sigmas)
+        self.F = generic_bundle(r + 1)
         self.S = self.F.ring
         self.P = ProjBundleRing(self.F)
         self.Pdual = ProjBundleRing(dual_bundle(self.F), hyperplane="l")
@@ -112,8 +116,51 @@ class FlopContext:
             raise ValueError(f"sigma vector must have length {self.r + 1}")
         return values
 
-    def formal_sigmas(self) -> tuple[tuple, tuple]:
-        return tuple(tuple(self.S.gen(f"{x}{k}") for k in range(self.r + 1)) for x in "ab")
+    def formal_sigmas(self) -> tuple[None, None]:
+        """The formal sigma vectors, None each: the terms keep their tables."""
+        return None, None
+
+
+class SigmaTable:
+    """sum_{k,j} sigma_k sigma'_j X[k][j] for an (r+1) x (r+1) table X over
+    CH(S) or CH(P'), deg sigma_k = r - k, with entrywise ``+``, ``-`` and
+    ``==``.  A zero entry is the ring's zero, stored untested, and a zero right
+    entry keeps the left one as it is."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = tuple(map(tuple, rows))
+
+    def map(self, f) -> "SigmaTable":
+        return SigmaTable(map(f, row) for row in self.rows)
+
+    def _zip(self, other: "SigmaTable", op) -> "SigmaTable":
+        pairs = zip(self.rows, other.rows)
+        return SigmaTable([op(x, y) if y else x for x, y in zip(p, q)] for p, q in pairs)
+
+    __add__ = partialmethod(_zip, op=operator.add)
+    __sub__ = partialmethod(_zip, op=operator.sub)
+    __neg__ = partialmethod(map, operator.neg)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SigmaTable) and self.rows == other.rows
+
+    def __bool__(self) -> bool:
+        return any(map(any, self.rows))
+
+    def entries(self):
+        """(k, j, X[k][j]) for every entry, the largest (k, j) first."""
+        ks = range(len(self.rows) - 1, -1, -1)
+        return ((k, j, self.rows[k][j]) for k in ks for j in ks)
+
+    def is_homogeneous(self, d: int) -> bool:
+        """Entry (k, j) homogeneous of degree d - (2r - k - j)."""
+        shift = d - 2 * (len(self.rows) - 1)
+        return all(x.is_homogeneous(shift + k + j) for k, j, x in self.entries())
+
+    def __str__(self) -> str:
+        return " + ".join(f"({x}) * a{k}*b{j}" for k, j, x in self.entries() if x) or "0"
 
 
 def incidence(pb: ProjBundleRing, hyperplane: str) -> ProjBundleRing:
@@ -127,60 +174,81 @@ def incidence(pb: ProjBundleRing, hyperplane: str) -> ProjBundleRing:
 # --------------------------------------------------------------- operations
 
 
-def tau_pairing(ctx: FlopContext, sa: tuple, sb: tuple):
-    """sum_{k,j} sigma_k sigma'_j tau_{k+j,r} in CH(S), from the tau table,
-    read from the top down so that the Segre list behind tau grows once."""
-    ks = range(ctx.r, -1, -1)
-    return ctx.S.dot((sa[k] * sb[j], ctx.P.tau(k + j, ctx.r)) for k in ks for j in ks)
+def _contract(ctx: FlopContext, sa, sb, table: SigmaTable):
+    """The checked ``table`` for formal sigma, else its contraction
+    sum pull(sigma_k sigma'_j) X_kj, in one ``Pdual.dot``: the one place where
+    sigma values are multiplied."""
+    if _formal(sa, sb):
+        return table
+    pull = ctx.Pdual.pullback
+    return ctx.Pdual.dot((pull(sa[k] * sb[j]), x) for k, j, x in table.entries())
 
 
-def l_pairing(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
-    """L = sum_j pull(sigma_r sigma'_j) (-1)^j l^j in CH(P')."""
-    pull, r = ctx.Pdual.pullback, ctx.r
-    return ctx.Pdual.dot((pull(sa[r] * sb[j] * (-1) ** j), ctx.lpow[j]) for j in range(r + 1))
+def _formal(sa, sb) -> bool:
+    if (sa is None) != (sb is None):
+        raise ValueError("sigma vectors must be both formal or both specialised")
+    return sa is None
 
 
-def sigma_top_product(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
+def _top_row(ctx: FlopContext, row: dict) -> SigmaTable:
+    """The table over CH(P') whose row r holds ``row`` (j -> X_rj), zero elsewhere."""
+    zero, js = ctx.Pdual.zero, range(ctx.r + 1)
+    return SigmaTable([*[[zero] * len(js)] * ctx.r, [row.get(j, zero) for j in js]])
+
+
+def tau_pairing(ctx: FlopContext) -> SigmaTable:
+    """Entry (k, j) is tau_{k+j,r} in CH(S), from the tau table, read from the
+    top down so that the Segre list behind tau grows once."""
+    r = ctx.r
+    col = [ctx.P.tau(m, r) for m in range(2 * r, -1, -1)][::-1]
+    return SigmaTable([col[k + j] for j in range(r + 1)] for k in range(r + 1))
+
+
+def l_pairing(ctx: FlopContext) -> SigmaTable:
+    """L: row r holds (-1)^j l^j in CH(P')."""
+    return _top_row(ctx, {j: x * (-1) ** j for j, x in enumerate(ctx.lpow)})
+
+
+def sigma_top_product(ctx: FlopContext, sa, sb):
     """The top sigma coefficient of the product, cross-checked two ways."""
-    top = tau_pairing(ctx, sa, sb)
-    # independent route: x_m = sum_{k+j=m} sigma_k sigma'_j against p_*(h^m), m >= r
-    r, S, ms = ctx.r, ctx.S, range(ctx.r, 2 * ctx.r + 1)
-    slots = [S.dot((sa[k], sb[m - k]) for k in range(m - r, r + 1)) for m in ms]
-    pushes = [ctx.P.reduce({m: S.one}, stop=r).get(r, S.zero) for m in ms]
-    direct = S.dot(zip(slots, pushes))
-    require_equal(top, direct, "top sigma coefficient routes disagree")
-    return ctx.Pdual.pullback(top)
+    top = tau_pairing(ctx)
+    # independent route: entry (k, j) is p_*(h^m), m = k + j >= r, of the convolution slot m
+    r, S = ctx.r, ctx.S
+    rows = [[S.zero] * (r + 1) for _ in range(r + 1)]
+    for m in range(r, 2 * r + 1):
+        push = ctx.P.reduce({m: S.one}, stop=r).get(r, S.zero)
+        for k in range(m - r, r + 1):
+            rows[k][m - k] = push
+    require_equal(top, SigmaTable(rows), "top sigma coefficient routes disagree")
+    return _contract(ctx, sa, sb, top.map(ctx.Pdual.pullback))
 
 
-def term_A(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
+def term_A(ctx: FlopContext, sa, sb):
     """Correction term from the pure pullback products and the first mixed
     product, computed both raw (pushforward expansion) and in closed form."""
-    ks, pull = range(ctx.r + 1), ctx.Pdual.pullback
-    closed = pull(tau_pairing(ctx, sa, sb)) - l_pairing(ctx, sa, sb)
+    ks = range(ctx.r + 1)
+    closed = tau_pairing(ctx).map(ctx.Pdual.pullback) - l_pairing(ctx)
     # raw route: the pre-simplification double sum through eta'_* tables
-    raw = ctx.Pdual.dot((pull(sa[k] * sb[j]), ctx.help_sums[j, k]) for k in ks for j in ks)
+    raw = SigmaTable([ctx.help_sums[j, k] for j in ks] for k in ks)
     require_equal(raw, closed, "first correction term: raw and closed routes disagree")
-    return closed
+    return _contract(ctx, sa, sb, closed)
 
 
-def term_B(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
+def term_B(ctx: FlopContext, sa, sb):
     """Correction term from the second mixed product; the defining sums T1(j)
     and T2 are compared against their closed forms before being used."""
     r = ctx.r
-    pull = ctx.Pdual.pullback
     # defining route
     t2_pairs = ((ctx.lpow[n] * (-1) ** (n + 1), ctx.G.c(r - n)) for n in range(r + 1))
     t2_raw = ctx.Pdual.dot(t2_pairs)
-    t1_pairs = ((pull(sa[r] * sb[j]), ctx.t1_sums[j]) for j in range(r + 1))
-    raw = ctx.Pdual.dot((*t1_pairs, (pull(sa[r] * sb[r]), t2_raw)))
+    t1 = ctx.t1_sums
+    raw = _top_row(ctx, {**dict(enumerate(t1)), r: t1[r] + t2_raw})
     # closed route
     t2_closed = -cotangent_top_expansion(ctx)
     require_equal(t2_raw, t2_closed, "T2 closed form disagrees with its defining sum")
-    closed = l_pairing(ctx, sa, sb) + pull(sa[r] * sb[r]) * t2_closed
-    require_equal(
-        raw, closed, "second correction term: raw and closed routes disagree"
-    )
-    return closed
+    closed = l_pairing(ctx) + _top_row(ctx, {r: t2_closed})
+    require_equal(raw, closed, "second correction term: raw and closed routes disagree")
+    return _contract(ctx, sa, sb, closed)
 
 
 def cotangent_top_expansion(ctx: FlopContext) -> PBElement:
@@ -190,62 +258,61 @@ def cotangent_top_expansion(ctx: FlopContext) -> PBElement:
     return ctx.Pdual.dot(pairs)
 
 
-def term_C(ctx: FlopContext, sa: tuple, sb: tuple) -> PBElement:
+def term_C(ctx: FlopContext, sa, sb):
     """Correction term from the self-intersection of the pushed top classes;
     the cotangent class expansion is cross-checked against the generic
     cotangent Chern class formula of P'."""
-    expansion = cotangent_top_expansion(ctx)
-    generic = ctx.Pdual.cotangent_chern(ctx.r)
-    require_equal(
-        expansion,
-        generic,
-        "cotangent class expansion disagrees with the generic formula",
-    )
-    return ctx.Pdual.pullback(sa[ctx.r] * sb[ctx.r]) * expansion
+    expansion, generic = cotangent_top_expansion(ctx), ctx.Pdual.cotangent_chern(ctx.r)
+    message = "cotangent class expansion disagrees with the generic formula"
+    require_equal(expansion, generic, message)
+    return _contract(ctx, sa, sb, _top_row(ctx, {ctx.r: expansion}))
 
 
 # ------------------------------------------------------------ verification
 
-
-def verify_multiplicativity(ctx: FlopContext, sa: tuple, sb: tuple) -> Report:
-    """Check that the three correction terms add up to the top sigma
-    coefficient of the product, including every dual-route sub-claim."""
-    report = Report()
-    rhs = report.run(
-        "flop.sigma_top_cross_route",
+# The anchor of every check of verify_foundations and verify_multiplicativity.
+ANCHORS = {
+    "foundations.eta_push_table": "pushforward of relative-class powers from E to P'",
+    "foundations.e_relation": "defining relation of E reduces consistently",
+    "foundations.quotient_class_push": "top Chern class of the universal quotient pushes to 1",
+    "foundations.twist_chern_routes":
+        "Chern classes of the twisted relative cotangent bundle, three routes",
+    "foundations.fibre_square": "pushforward through the fibre product picks the top coefficient",
+    "foundations.symmetry": "mirrored tower (dual bundle as center) reproduces the table",
+    "flop.sigma_top_cross_route":
         "top sigma coefficient of a product, tau table vs direct product",
-        lambda: sigma_top_product(ctx, sa, sb),
-    )
-    report.run(
-        "flop.t1_identity",
-        "generalized alternating Chern sum identity, all admissible indices",
-        lambda: ctx.t1_sums,
-    )
-    report.run(
-        "flop.help_sum_identity",
-        "alternating pushforward sums vs tau closed form",
-        lambda: ctx.help_sums,
-    )
+    "flop.t1_identity": "generalized alternating Chern sum identity, all admissible indices",
+    "flop.help_sum_identity": "alternating pushforward sums vs tau closed form",
+    "flop.term_A_routes": "pullback-product correction: pushforward expansion vs closed form",
+    "flop.term_B_routes": "mixed-product correction: defining sums vs closed forms",
+    "flop.term_C_routes": "self-intersection correction: expansion vs cotangent formula",
+    "flop.homogeneity": "all four correction quantities homogeneous of the same degree",
+    "flop.final_cancellation": "sum of the three correction terms equals the product correction",
+}
+
+
+def _run(report: Report, name: str, check):
+    """``report.run`` of the check ``name``, with its anchor."""
+    return report.run(name, ANCHORS[name], check)
+
+
+def verify_multiplicativity(ctx: FlopContext, sa, sb) -> Report:
+    """Check that the three correction terms add up to the top sigma
+    coefficient of the product, including every dual-route sub-claim; a
+    formal and a specialised sigma vector together raise ``ValueError``."""
+    _formal(sa, sb)
+    report = Report()
+    rhs = _run(report, "flop.sigma_top_cross_route", lambda: sigma_top_product(ctx, sa, sb))
+    _run(report, "flop.t1_identity", lambda: ctx.t1_sums)
+    _run(report, "flop.help_sum_identity", lambda: ctx.help_sums)
     box = {
         "rhs": rhs,
-        "A": report.run(
-            "flop.term_A_routes",
-            "pullback-product correction: pushforward expansion vs closed form",
-            lambda: term_A(ctx, sa, sb),
-        ),
-        "B": report.run(
-            "flop.term_B_routes",
-            "mixed-product correction: defining sums vs closed forms",
-            lambda: term_B(ctx, sa, sb),
-        ),
-        "C": report.run(
-            "flop.term_C_routes",
-            "self-intersection correction: expansion vs cotangent formula",
-            lambda: term_C(ctx, sa, sb),
-        ),
+        "A": _run(report, "flop.term_A_routes", lambda: term_A(ctx, sa, sb)),
+        "B": _run(report, "flop.term_B_routes", lambda: term_B(ctx, sa, sb)),
+        "C": _run(report, "flop.term_C_routes", lambda: term_C(ctx, sa, sb)),
     }
 
-    def terms() -> list[PBElement]:
+    def terms() -> list:
         """The four terms, in the order of ``box``."""
         missing = [k for k, v in box.items() if v is None]
         if missing:
@@ -257,70 +324,34 @@ def verify_multiplicativity(ctx: FlopContext, sa: tuple, sb: tuple) -> Report:
             if not value.is_homogeneous(ctx.r):
                 raise ConsistencyError(f"term {key} is not homogeneous of degree r")
 
-    report.run(
-        "flop.homogeneity",
-        "all four correction quantities homogeneous of the same degree",
-        homogeneity,
-    )
-
     def final():
         rhs, a, b, c = terms()
         require_equal(a + b + c, rhs, "multiplicativity cancellation fails")
 
-    report.run(
-        "flop.final_cancellation",
-        "sum of the three correction terms equals the product correction",
-        final,
-    )
+    _run(report, "flop.homogeneity", homogeneity)
+    _run(report, "flop.final_cancellation", final)
     return report
 
 
 def verify_foundations(ctx: FlopContext) -> Report:
     """Run every foundational identity the multiplicativity proof rests on."""
-    report = Report()
     r = ctx.r
 
     def eta_table():
         hpow = powers(ctx.H, r)
         for k in range(r + 1):
-            via_segre = ctx.E.pushforward_power(k)
-            via_reduce = ctx.E.pushforward(hpow[k])
-            require_equal(
-                via_segre,
-                via_reduce,
-                f"pushforward of H^{k}: Segre and reduction routes disagree",
-            )
+            message = f"pushforward of H^{k}: Segre and reduction routes disagree"
+            require_equal(ctx.E.pushforward_power(k), ctx.E.pushforward(hpow[k]), message)
         ctx.E.check_push_table(ctx.l - ctx.Pdual.pullback(ctx.F.c(1)))
-
-    report.run(
-        "foundations.eta_push_table",
-        "pushforward of relative-class powers from E to P'",
-        eta_table,
-    )
 
     def relation_consistency():
         one_shot = ctx.E.element({r + 1: ctx.Pdual.one})
         stepwise = ctx.H ** r * ctx.H
         require_equal(one_shot, stepwise, "reducing H^{r+1} two ways disagrees")
 
-    report.run(
-        "foundations.e_relation",
-        "defining relation of E reduces consistently",
-        relation_consistency,
-    )
-
     def quotient_class_push():
-        require_equal(
-            ctx.E.pushforward(cw_top(ctx.E)),
-            ctx.Pdual.one,
-            "top quotient-bundle class does not push forward to 1",
-        )
-
-    report.run(
-        "foundations.quotient_class_push",
-        "top Chern class of the universal quotient pushes to 1",
-        quotient_class_push,
-    )
+        message = "top quotient-bundle class does not push forward to 1"
+        require_equal(ctx.E.pushforward(cw_top(ctx.E)), ctx.Pdual.one, message)
 
     def twist_chern_routes():
         via_tensor = ctx.Pdual.cotangent_twist_via_tensor()
@@ -328,33 +359,23 @@ def verify_foundations(ctx: FlopContext) -> Report:
             message = f"twisted cotangent Chern class c_{i} routes disagree"
             require_equal(ctx.G.c(i), via_tensor[i], message)
 
-    report.run(
-        "foundations.twist_chern_routes",
-        "Chern classes of the twisted relative cotangent bundle, three routes",
-        twist_chern_routes,
-    )
-
     def fibre_square():
-        sa, _ = ctx.formal_sigmas()
-        acc = ctx.S.dot((sa[k], ctx.P.pushforward_power(k)) for k in range(r + 1))
-        lhs = ctx.Pdual.pullback(acc)
-        rhs = ctx.Pdual.pullback(sa[r])
-        require_equal(lhs, rhs, "fibre-square pushforward identity fails")
-
-    report.run(
-        "foundations.fibre_square",
-        "pushforward through the fibre product picks the top coefficient",
-        fibre_square,
-    )
+        # sum_k sigma_k p_*(h^k) = sigma_r, compared coefficient by coefficient of the a_k
+        for k in range(r + 1):
+            lhs = ctx.Pdual.pullback(ctx.P.pushforward_power(k))
+            rhs = ctx.Pdual.one if k == r else ctx.Pdual.zero
+            require_equal(lhs, rhs, f"fibre-square pushforward identity fails at a{k}")
 
     def symmetry():
         # Mirror tower: E presented over P instead of P'.
         Em = incidence(ctx.P, "L")
         Em.check_push_table(ctx.P.h - ctx.P.pullback(dual_bundle(ctx.F).c(1)))
 
-    report.run(
-        "foundations.symmetry",
-        "mirrored tower (dual bundle as center) reproduces the table",
-        symmetry,
-    )
+    report = Report()
+    _run(report, "foundations.eta_push_table", eta_table)
+    _run(report, "foundations.e_relation", relation_consistency)
+    _run(report, "foundations.quotient_class_push", quotient_class_push)
+    _run(report, "foundations.twist_chern_routes", twist_chern_routes)
+    _run(report, "foundations.fibre_square", fibre_square)
+    _run(report, "foundations.symmetry", symmetry)
     return report

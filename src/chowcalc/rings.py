@@ -46,10 +46,11 @@ def exact(c) -> Coefficient:
 
 
 def powers(x, n: int) -> list:
-    """The table x^0 .. x^n, starting at ``x.ring.one``, multiplied left to right."""
+    """The table x^0 .. x^n, starting at ``x.ring.one``, multiplied left to
+    right; once a power is zero, the rest repeat it with no product."""
     table = [x.ring.one]
     for _ in range(n):
-        table.append(table[-1] * x)
+        table.append(table[-1] * x if table[-1] else table[-1])
     return table
 
 
@@ -386,11 +387,10 @@ class GradedElement(RingElement):
                     raise KeyError(f"no image for generator {name!r}")
                 table[i] = powers(images[name], top)
 
-        def term(exps, coeff):
-            factors = (pows[exps[i]] for i, pows in table.items() if exps[i])
-            return functools.reduce(operator.mul, factors, target.one * coeff)
-
-        return target.sum(term(e, c) for e, c in rows)
+        factors = [(c, [pows[e[i]] for i, pows in table.items() if e[i]]) for e, c in rows]
+        return target.sum(  # a term with a zero factor is dropped, not multiplied
+            functools.reduce(operator.mul, fs, target.one * c) for c, fs in factors if all(fs)
+        )
 
     # ------------------------------------------------------- serialization
 

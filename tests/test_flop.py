@@ -9,10 +9,12 @@ import chowcalc.chern as chern_mod
 import chowcalc.flop as flop_mod
 import chowcalc.projbundle as pb_mod
 from chowcalc import (
+    BundleClass,
     FlopContext,
     GradedRing,
     PBElement,
     ProjBundleRing,
+    dual_bundle,
     sigma_top_product,
     term_A,
     term_B,
@@ -22,6 +24,7 @@ from chowcalc import (
 )
 from chowcalc.cli import SuiteConfig, run_suite
 from chowcalc.errors import WITNESS_LIMIT, ConsistencyError
+from chowcalc.flop import SigmaTable, l_pairing, tau_pairing
 from chowcalc.rings import COEFF_RANGE
 from conftest import mutated
 
@@ -110,7 +113,7 @@ def test_substituted_t1_sum_fails_term_b():
     t1[1] = t1[1] + ctx.l
     ctx.t1_sums = tuple(t1)
     failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
-    assert failed["flop.term_B_routes"] == "(1 * a1*b1) * l"
+    assert failed["flop.term_B_routes"] == "((1) * l) * a1*b1"
     for r in (1, 2):
         for j in range(r + 1):
             ctx = FlopContext(r)
@@ -171,15 +174,23 @@ def test_sweep_mutant_fails_its_checks(monkeypatch, mutant):
         assert readers <= {k for k, w in failed.items() if w not in ("", "0")}, r
 
 
-# (shared formula, term added by the mutant, checks that must fail): each
-# formula is read by one route of each of its checks, never by both
+def _table_with(ring, r: int, k: int, j: int, x) -> SigmaTable:
+    """The table over ``ring`` holding x at entry (k, j) and zero elsewhere."""
+    rows = [[ring.zero] * (r + 1) for _ in range(r + 1)]
+    rows[k][j] = x
+    return SigmaTable(rows)
+
+
+# (shared table, the ring of its entries, checks that must fail when the
+# mutant adds 1 at entry (0, r)): each table is read by one route of each of
+# its checks, never by both
 PAIRING_MUTANTS = {
     "tau_pairing": (
-        lambda ctx, sa, sb: sa[0] * sb[ctx.r],
+        lambda ctx: ctx.S,
         {"flop.sigma_top_cross_route", "flop.term_A_routes"},
     ),
     "l_pairing": (
-        lambda ctx, sa, sb: ctx.Pdual.pullback(sa[0] * sb[ctx.r]),
+        lambda ctx: ctx.Pdual,
         {"flop.term_A_routes", "flop.term_B_routes"},
     ),
 }
@@ -187,12 +198,13 @@ PAIRING_MUTANTS = {
 
 @pytest.mark.parametrize("name", sorted(PAIRING_MUTANTS))
 def test_pairing_mutant_fails_its_readers(monkeypatch, name):
-    extra, readers = PAIRING_MUTANTS[name]
+    ring_of, readers = PAIRING_MUTANTS[name]
     original = getattr(flop_mod, name)
     for scale in (0, 1):  # scale 0 is the harness alone, which passes
 
-        def mutant(ctx, sa, sb, scale=scale):
-            return original(ctx, sa, sb) + extra(ctx, sa, sb) * scale
+        def mutant(ctx, scale=scale):
+            ring = ring_of(ctx)
+            return original(ctx) + _table_with(ring, ctx.r, 0, ctx.r, ring.one * scale)
 
         monkeypatch.setattr(flop_mod, name, mutant)
         for r in (1, 2, 3):
@@ -203,6 +215,26 @@ def test_pairing_mutant_fails_its_readers(monkeypatch, name):
                 assert readers <= witnessed, (r, failed)
             else:
                 assert not failed, r
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["harness", "mutant"])
+def test_tau_table_dropping_its_top_entry_fails_its_readers(monkeypatch, drop):
+    # entry (r, r) of the tau table is s_r(F); the direct route of sigma_top
+    # and the raw route of term_A read it from other tables
+    original = flop_mod.tau_pairing
+
+    def mutant(ctx):
+        table = original(ctx)
+        top = table.rows[ctx.r][ctx.r]
+        return table - _table_with(ctx.S, ctx.r, ctx.r, ctx.r, top if drop else ctx.S.zero)
+
+    monkeypatch.setattr(flop_mod, "tau_pairing", mutant)
+    for r in (1, 2, 3):
+        ctx = FlopContext(r)
+        failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
+        witnessed = {k for k, w in failed.items() if w not in ("", "0")}
+        readers = {"flop.sigma_top_cross_route", "flop.term_A_routes"}
+        assert (readers <= witnessed) if drop else not failed, (r, failed)
 
 
 # (code in ProjBundleRing.reduce, mutant): the direct route of sigma_top
@@ -364,9 +396,8 @@ def test_term_c_rank_one():
     ctx = FlopContext(1)
     expected = ctx.Pdual.pullback(ctx.F.c(1)) - 2 * ctx.l
     assert ctx.Pdual.cotangent_chern(1) == expected
-    sa, sb = ctx.formal_sigmas()
-    value = term_C(ctx, sa, sb)
-    assert value == ctx.Pdual.pullback(sa[1] * sb[1]) * expected
+    value = term_C(ctx, *ctx.formal_sigmas())
+    assert value == _table_with(ctx.Pdual, 1, 1, 1, expected)  # the sigma_1 sigma'_1 term
 
 
 def test_headline_cancellation_formal():
@@ -378,6 +409,7 @@ def test_headline_cancellation_formal():
         c = term_C(ctx, sa, sb)
         rhs = sigma_top_product(ctx, sa, sb)
         assert a + b + c == rhs
+        assert rhs and not (a + b + c - rhs)  # a table is true when an entry is nonzero
 
 
 def test_verify_multiplicativity_report():
@@ -393,28 +425,86 @@ def test_verify_multiplicativity_report():
 TERMS = (sigma_top_product, term_A, term_B, term_C)
 
 
+class _Oracle:
+    """A tower in which the sigma are generators: CH(S') and CH(P') over
+    S' = Q[c_1..c_{r+1}, a_0..a_r, b_0..b_r], the a_k and b_k of degree
+    r - k.  It holds the sigma-tagged formulas of tau-pairing, L and the four
+    terms computed there, and renders a formal table as sum a_k b_j X_kj."""
+
+    def __init__(self, r: int):
+        sigmas = [(f"{x}{k}", r - k) for x in "ab" for k in range(r + 1)]
+        self.r, self.T = r, GradedRing([*((f"c{i}", i) for i in range(1, r + 2)), *sigmas])
+        T, ks = self.T, range(r + 1)
+        F = BundleClass(T, r + 1, [T.gen(f"c{i}") for i in range(1, r + 2)])
+        self.P = ProjBundleRing(F)
+        self.Pdual = Pd = ProjBundleRing(dual_bundle(F), hyperplane="l")
+        a, b = ([T.gen(f"{x}{k}") for k in ks] for x in "ab")
+        self.sigmas = [[a[k] * b[j] for j in ks] for k in ks]
+        self.tau = T.dot((a[k] * b[j], self.P.tau(k + j, r)) for k in ks for j in ks)
+        self.L = Pd.dot((Pd.pullback(a[r] * b[j] * (-1) ** j), Pd.h ** j) for j in ks)
+        top = Pd.pullback(a[r] * b[r]) * Pd.cotangent_chern(r)
+        rhs = Pd.pullback(self.tau)
+        self.terms = {
+            sigma_top_product: rhs, term_A: rhs - self.L, term_B: self.L - top, term_C: top,
+        }
+
+    def _embed(self, x):
+        """x over CH(S) = Q[c] (or CH(P') over it) as the same class over S'."""
+        if isinstance(x, PBElement):
+            return PBElement(self.Pdual, {k: self._embed(c) for k, c in x.slots.items()})
+        pad = (0,) * (2 * self.r + 2)
+        return self.T.element({(*x.ring.exponents(e), *pad): c for e, c in x.terms.items()})
+
+    def render(self, table: SigmaTable):
+        """sum_{k,j} a_k b_j X_kj in S', or in CH(P') over S'."""
+        entries = [(self.sigmas[k][j], self._embed(x)) for k, j, x in table.entries()]
+        if isinstance(table.rows[0][0], PBElement):
+            entries = [(self.Pdual.pullback(s), x) for s, x in entries]
+            return self.Pdual.dot(entries)
+        return self.T.dot(entries)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_formal_tables_match_the_sigma_tagged_formulas(r):
+    # each formal table, rendered as sum a_k b_j X_kj, is the value the
+    # sigma-tagged formula gives in a ring where the sigma are generators
+    ctx, oracle = FlopContext(r), _Oracle(r)
+    assert oracle.render(tau_pairing(ctx)) == oracle.tau
+    assert oracle.render(l_pairing(ctx)) == oracle.L
+    for term, expected in oracle.terms.items():
+        assert oracle.render(term(ctx, *ctx.formal_sigmas())) == expected, term.__name__
+
+
 @functools.cache
 def _formal_setup(r: int):
-    """One context per r, its Chern monomials by degree, and the formal terms."""
-    ctx = FlopContext(r)
-    chern = GradedRing([(f"c{i}", i) for i in range(1, r + 2)])
-    images = {f"c{i}": ctx.F.c(i) for i in range(1, r + 2)}
+    """One context per r, its Chern monomials by degree, and the formal
+    terms rendered by the oracle."""
+    ctx, oracle = FlopContext(r), _Oracle(r)
     monomials = [
-        [chern.element({m: 1}).substitute(images, ctx.S)
-         for m in chern.monomials_of_degree(d)]
-        for d in range(r + 1)
+        [ctx.S.element({m: 1}) for m in ctx.S.monomials_of_degree(d)] for d in range(r + 1)
     ]
-    formal = [term(ctx, *ctx.formal_sigmas()) for term in TERMS]
+    formal = [oracle.render(term(ctx, *ctx.formal_sigmas())) for term in TERMS]
     return ctx, monomials, formal
 
 
 def _specialise(ctx, value, sa, sb):
-    """The formal class ``value`` with a_k -> sa[k] and b_k -> sb[k]."""
+    """The rendered formal class ``value`` with c_i -> c_i, a_k -> sa[k] and
+    b_k -> sb[k]."""
     images = {f"c{i}": ctx.F.c(i) for i in range(1, ctx.r + 2)}
     for k in range(ctx.r + 1):
         images[f"a{k}"], images[f"b{k}"] = sa[k], sb[k]
     slots = {k: v for k, c in value.slots.items() if (v := c.substitute(images, ctx.S))}
     return PBElement(ctx.Pdual, slots)
+
+
+def _specialisation_mismatches(r: int, sa, sb) -> list[str]:
+    """The terms whose specialised value is not the substituted rendering."""
+    ctx, _, formal = _formal_setup(r)
+    return [
+        term.__name__
+        for term, value in zip(TERMS, formal)
+        if term(ctx, sa, sb) != _specialise(ctx, value, sa, sb)
+    ]
 
 
 if st is not None:
@@ -425,7 +515,7 @@ if st is not None:
         # every route is built from ring operations alone, so a numeric sigma
         # (a graded substitution of the formal one) must pass and give the
         # substituted formal terms
-        ctx, monomials, formal = _formal_setup(r)
+        ctx, monomials, _ = _formal_setup(r)
 
         def draw_sigma():
             values = []
@@ -441,13 +531,38 @@ if st is not None:
         sa, sb = draw_sigma(), draw_sigma()
         report = verify_multiplicativity(ctx, sa, sb)
         assert report.ok, report.to_text()
-        for term, value in zip(TERMS, formal):
-            assert term(ctx, sa, sb) == _specialise(ctx, value, sa, sb), term.__name__
+        assert _specialisation_mismatches(r, sa, sb) == []
+
+
+@pytest.mark.parametrize("skip", [False, True], ids=["harness", "mutant"])
+def test_contraction_skipping_the_top_entry_fails_specialisation(monkeypatch, skip):
+    # the contraction is linear, so skipping entry (r, r) keeps every check of
+    # the specialised run passing; only the substituted rendering sees it
+    old = "for k, j, x in table.entries())"
+    new = "for k, j, x in table.entries() if k + j < 2 * ctx.r)" if skip else old
+    monkeypatch.setattr(flop_mod, "_contract", mutated(flop_mod._contract, old, new))
+    for r in (1, 2, 3):
+        ctx = _formal_setup(r)[0]
+        sigma = ctx.sigma([ctx.F.c(1) ** (r - k) for k in range(r + 1)])
+        assert verify_multiplicativity(ctx, sigma, sigma).ok
+        expected = [term.__name__ for term in TERMS] if skip else []
+        assert _specialisation_mismatches(r, sigma, sigma) == expected, r
+
+
+def test_a_formal_and_a_specialised_sigma_are_rejected():
+    ctx = FlopContext(2)
+    sigma = ctx.sigma([ctx.S.gen("c2"), ctx.S.gen("c1"), 1])
+    for sa, sb in ((None, sigma), (sigma, None)):
+        with pytest.raises(ValueError, match="both formal or both specialised"):
+            verify_multiplicativity(ctx, sa, sb)
+        for term in TERMS:
+            with pytest.raises(ValueError, match="both formal or both specialised"):
+                term(ctx, sa, sb)
 
 
 def test_homogeneity_fails_on_ungraded_sigma():
     ctx = FlopContext(2)
-    _, sb = ctx.formal_sigmas()
+    sb = ctx.sigma([ctx.S.gen("c2"), ctx.S.gen("c1"), 1])  # graded: deg sigma'_k = r - k
     report = verify_multiplicativity(ctx, ctx.sigma([1, 1, 1]), sb)
     failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
     assert set(failed) == {"flop.homogeneity"}
@@ -498,7 +613,8 @@ def test_verify_foundations():
 
 def test_failure_reported_with_witness():
     ctx = FlopContext(2)
-    sa, sb = ctx.formal_sigmas()
+    c1, c2 = ctx.S.gen("c1"), ctx.S.gen("c2")
+    sa, sb = ctx.sigma([c2, c1, 1]), ctx.sigma([c1 * c1, 2 * c1, 3])
     # a deliberately wrong sigma pairing must surface a nonzero witness
     a = term_A(ctx, sa, sb)
     b = term_B(ctx, sa, sb)
@@ -511,16 +627,16 @@ def test_failure_reported_with_witness():
 def test_long_witness_keeps_its_leading_terms(monkeypatch):
     # a doubled tau route at r = 8 leaves the whole pairing as the witness
     ctx = FlopContext(8)
-    sa, sb = ctx.formal_sigmas()
-    full = str(flop_mod.tau_pairing(ctx, sa, sb))
+    full = str(flop_mod.tau_pairing(ctx))
     assert len(full) > WITNESS_LIMIT
     original = flop_mod.tau_pairing
-    monkeypatch.setattr(flop_mod, "tau_pairing", lambda *args: original(*args) * 2)
-    failed = _failed(verify_multiplicativity(ctx, sa, sb))
+    monkeypatch.setattr(flop_mod, "tau_pairing", lambda ctx: original(ctx) + original(ctx))
+    failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
     witness = failed["flop.sigma_top_cross_route"]
     tail = f" ... ({len(full) - WITNESS_LIMIT} more characters)"
     assert witness == full[:WITNESS_LIMIT] + tail
-    assert witness.startswith("1 * c1^8*a8*b8 + -1 * c1^7*a7*b8 + ")
+    # the leading sigma term first: sigma_8 sigma'_8, whose coefficient is s_8(F)
+    assert witness.startswith("(1 * c1^8 + -7 * c1^6*c2 + 6 * c1^5*c3 + ")
 
 
 def test_corrupted_l_power_table_fails_every_reader():

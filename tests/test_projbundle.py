@@ -130,9 +130,9 @@ def _sparse_element(P, pool, rng) -> PBElement:
 
 def _flop_e_tower():
     """E over P' for r = 2, a tower over a tower, with base elements drawn from
-    l and pulled-back Chern and sigma classes (the sigma a2 has degree 0)."""
+    l and pulled-back Chern classes."""
     ctx = FlopContext(2)
-    pulled = (ctx.Pdual.pullback(ctx.S.gen(g)) for g in ("c1", "c3", "a1", "a2"))
+    pulled = (ctx.Pdual.pullback(ctx.S.gen(g)) for g in ("c1", "c2", "c3"))
     return ctx.E, [ctx.Pdual.one, ctx.l, *pulled]
 
 
@@ -178,10 +178,9 @@ if st is not None:
         ]
         slots = {k: x for k, x in enumerate(long) if x}
         cases.append((PBElement(P, P.reduce(slots)), _push_form_reduce(P, long)))
-        if isinstance(P.base, GradedRing):  # a base with degree-0 generators cannot draw
-            draw = random.Random(seed)
-            draws = [P.base.random_element(draw, 2) for _ in range(P.rank)]
-            cases.append((P.random_element(random.Random(seed), 2), tuple(draws)))
+        draw = random.Random(seed)  # E's base P' draws too: CH(S) has no degree-0 generator
+        draws = [P.base.random_element(draw, 2) for _ in range(P.rank)]
+        cases.append((P.random_element(random.Random(seed), 2), tuple(draws)))
         for value, expected in cases:
             assert _stored(P, value.slots) == expected
         assert a - b == P.dot(((a, P.one), (b, minus)))
@@ -235,9 +234,8 @@ def _segre_pushforward(P, a):
 
 
 def _random_formal(ring, rng):
-    """Random element of a tower over a ring with degree-0 generators, which
-    ``random_element`` cannot enumerate: small integer combinations of the
-    base generators in every coefficient slot."""
+    """Random element of a tower, inhomogeneous in every coefficient slot:
+    small integer combinations of 1 and three base generators."""
     if isinstance(ring, GradedRing):
         out = ring.one * rng.randint(-3, 3)
         for name in rng.sample(ring.generator_names, 3):

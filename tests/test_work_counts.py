@@ -21,19 +21,28 @@ from chowcalc.rings import GradedElement, GradedRing
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 # ProjBundleRing.mul calls for FlopContext(4), foundations and multiplicativity;
-# the Segre classes of every tower take one ProjBundleRing.dot per degree
-FLOP_R4_TOWER_PRODUCTS = 118
+# the Segre classes of every tower take one ProjBundleRing.dot per degree, and
+# a sigma-bilinear term is a table, so no term is multiplied by pull(sigma_r sigma'_r)
+FLOP_R4_TOWER_PRODUCTS = 116
 # ProjBundleRing.reduce calls for the same run: h·y reduces once, pull(c)·y
 # not at all, a product with a zero factor is zero at once, and T1's
 # right-hand side is swept by -l
-FLOP_R4_REDUCTIONS = 107
+FLOP_R4_REDUCTIONS = 103
 # GradedElement.__sub__ calls for the same run: a tower difference subtracts
 # only its stored right slots, and the help sweep forms pull(tau_{k,r}) once
 FLOP_R4_GRADED_SUBTRACTIONS = 28
 # GradedElement.__bool__ calls for the same run: tower elements store only
 # their nonzero slots, so only a computed slot is tested, and a tau row is a
-# slot dict, so the next row tests none of its entries before it reduces them
-FLOP_R4_ZERO_TESTS = 452
+# slot dict, so the next row tests none of its entries before it reduces them;
+# a sigma table stores its zero entries untested, and adds a zero right entry
+# by keeping the left one
+FLOP_R4_ZERO_TESTS = 442
+# GradedRing.dot calls for the same run: the sigma-bilinear terms are tables
+# of their (k, j) coefficients, so a product by sigma_k sigma'_j is an index
+FLOP_R4_GRADED_DOTS = 209
+# the largest term count of a GradedElement built in the same run: the tower
+# runs over Q[c_1..c_5] alone, so no sigma-tagged sum is formed
+FLOP_R4_MAX_TERMS = 5
 # GradedRing.dot calls for the same run whose every pair has a zero factor:
 # a tower product with a zero factor is zero without a base product, and a
 # tau row pulls c_j(F)·tau_{i-1,r} only when tau_{i-1,r} is nonzero
@@ -54,18 +63,19 @@ BLOWUP_LINEAR_4_1_TOWER_PRODUCTS = 2604
 BLOWUP_LINEAR_4_1_REDUCTIONS = 2002
 # GradedRing.dot calls for the same suite whose every pair has a zero factor.
 # The center P^1 kills c_2(N) and c_3(N), and the relation of CH(E) stores
-# only -c_1(N), so reduce makes none; the 12 left are i^*'s powers of u past
-# u^1 and products of embedding_validate's samples
-BLOWUP_LINEAR_4_1_ZERO_FACTOR_PRODUCTS = 12
+# only -c_1(N), so reduce makes none.  i^*'s powers of u stop at u^2 = 0, and
+# substitute drops a term with a zero factor, so the 5 left are products of
+# embedding_validate's samples
+BLOWUP_LINEAR_4_1_ZERO_FACTOR_PRODUCTS = 5
 # GradedRing.pack calls, each computing one monomial degree.  Only pack
 # computes a degree, once per monomial entering from outside; products, sums
 # and grade reads take it from the key's top field, and seeded draws read
 # keys each ring packed once per degree.  The Todd recurrence runs in the
 # bundle's own ring, so mukai_vector(E, T, 8) on charclass_inputs(1) packs
-# nothing.
+# nothing.  The flop packs one key per generator c_1..c_5 of its base.
 MUKAI_VECTOR_DEGREES = 0
 BLOWUP_LINEAR_4_1_DEGREES = 12
-FLOP_R4_DEGREES = 25
+FLOP_R4_DEGREES = 5
 # GradedElement.substitute calls for the blowup suite on linear:4,1: i^* reads
 # a table on ambient monomials, and substitutes each of t^0..t^4 once
 BLOWUP_LINEAR_4_1_SUBSTITUTIONS = 5
@@ -120,6 +130,24 @@ def test_zero_tests_of_flop_at_r4(monkeypatch):
     assert 0 < calls[0] <= FLOP_R4_ZERO_TESTS
 
 
+def test_graded_products_of_flop_at_r4(monkeypatch):
+    calls = _count_calls(monkeypatch, GradedRing, "dot")
+    _flop_r4()
+    assert 0 < calls[0] <= FLOP_R4_GRADED_DOTS
+
+
+def test_largest_graded_element_of_flop_at_r4(monkeypatch):
+    init, largest = GradedElement.__init__, [0]
+
+    def recorded(self, ring, terms):
+        largest[0] = max(largest[0], len(terms))
+        init(self, ring, terms)
+
+    monkeypatch.setattr(GradedElement, "__init__", recorded)
+    _flop_r4()
+    assert 0 < largest[0] <= FLOP_R4_MAX_TERMS
+
+
 def _count_zero_factor_products(monkeypatch) -> tuple[list[int], list[int]]:
     """Wrap ``GradedRing.dot``: the first counter bumps on each call, the
     second on each call whose every pair has a zero factor."""
@@ -170,12 +198,12 @@ def test_segre_classes_take_one_dot_per_degree(monkeypatch, make_bundle):
 
 
 def test_formal_sigmas_make_no_graded_product(monkeypatch):
+    # the base is Q[c_1..c_{r+1}] alone; the formal sigma are no ring elements
     ctx = FlopContext(4)
+    assert ctx.S.generator_names == tuple(f"c{i}" for i in range(1, 6))
     calls = _count_calls(monkeypatch, GradedRing, "dot")
-    sa, sb = ctx.formal_sigmas()
+    ctx.formal_sigmas()
     assert calls[0] == 0
-    assert sa == tuple(ctx.S.gen(f"a{k}") for k in range(5))
-    assert sb == tuple(ctx.S.gen(f"b{k}") for k in range(5))
 
 
 def test_blowup_products_on_linear_4_1(monkeypatch):
