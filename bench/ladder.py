@@ -10,7 +10,9 @@ it runs ``FlopContext(r)``, ``verify_foundations`` and
 interpreter, timed inside the child from the context build to the last
 check.  It stops at the first r that goes over the budget, fails a check or
 dies (a child may map at most 4 GiB), or after ``--r-max``; the headline is
-the last r that passed, null if the first rung did not.  Starting near the
+the last r that passed, null if the first rung did not, and ``stop`` says
+why the climb ended: ``budget`` (the last rung went over it), ``failed``
+(it failed a check or died) or ``r_max`` (every rung passed).  Starting near the
 headline spares the host the small rungs, which say nothing about it.
 
 Before and after each r it samples perfbench's ``reference_kernel``
@@ -33,7 +35,8 @@ of ``git diff HEAD --binary`` for such a tree or null for a clean one,
 nproc and ``session_ref_s``), one row per r (wall time, both ratios, check
 shares, the ``ProjBundleRing.mul`` call count, the child's peak RSS and, on
 a failed rung, ``failed_checks``: each failing check's name with the first
-line of its witness), ``r_min`` and ``headline_r``.  Standard library only.
+line of its witness), ``r_min``, ``r_max`` (null without ``--r-max``),
+``stop`` and ``headline_r``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -134,19 +137,23 @@ def rung(r: int, reference) -> dict:
     return row
 
 
-def climb(rung_at, r_min: int, r_max: int | None) -> tuple[list[dict], int | None]:
+def climb(rung_at, r_min: int, r_max: int | None) -> tuple[list[dict], int | None, str]:
     """Rows from ``r_min`` up to the first rung that fails or goes over the
-    budget, or to ``r_max``; and the last r that passed (None if none did)."""
+    budget, or to ``r_max``; the last r that passed (None if none did); and
+    why the climb stopped: ``"budget"`` (a timed-out rung counts here),
+    ``"failed"`` or ``"r_max"``."""
     rows, headline, r = [], None, r_min
     while r_max is None or r <= r_max:
         row = rung_at(r)
         rows.append(row)
         print(json.dumps({k: row.get(k) for k in ("r", "ok", "wall_s", "wall_ref")}),
               flush=True)
-        if not row["ok"] or row["over_budget"]:
-            break
+        if row["over_budget"]:
+            return rows, headline, "budget"
+        if not row["ok"]:
+            return rows, headline, "failed"
         headline, r = r, r + 1
-    return rows, headline
+    return rows, headline, "r_max"
 
 
 def session_normalise(rows: list[dict], samples: list[float]) -> float | None:
@@ -207,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         samples.append(kernel())
         return samples[-1]
 
-    rows, headline = climb(lambda r: rung(r, reference), args.r_min, args.r_max)
+    rows, headline, stop = climb(lambda r: rung(r, reference), args.r_min, args.r_max)
     result = {
         "env": {
             "python": platform.python_version(),
@@ -218,6 +225,8 @@ def main(argv: list[str] | None = None) -> int:
         },
         "budget_s": BUDGET_S,
         "r_min": args.r_min,
+        "r_max": args.r_max,
+        "stop": stop,
         "rows": rows,
         "headline_r": headline,
     }

@@ -4,14 +4,20 @@ Elements are sparse polynomials in named generators with assigned degrees,
 with `int` coefficients until a division makes a `fractions.Fraction` (whole
 inputs are stored as `int`), and all generators commute.  Terms are kept in
 canonical form: nonzero, and of total degree at most an optional dimension
-bound.  Every element is built through ``GradedRing._canonical``, which drops
-zeros and terms above the bound with one comparison per key.  The one product
+bound.  ``GradedRing._canonical`` drops zeros and terms above the bound with
+one comparison per key; ``-``, unary ``-`` and scaling by a number keep a
+canonical operand's keys and build their dict directly.  The one product
 kernel, ``GradedRing.dot``, adds Σ x·y into one dict, skipping a pair whose
-degrees add up past the bound; ``GradedRing.mul`` is its one-pair case.
+degrees add up past the bound; ``GradedRing.mul`` is its one-pair case.  A
+ring is marked ``rational``, for good, once a non-integer coefficient enters
+it (``scalar``, ``element``, ``parse`` or ``_scaled``); ``dot`` on a marked
+ring multiplies integer numerators over one common denominator, so a pair
+costs no ``Fraction`` gcd.  An integer ring runs the plain loop, which still
+handles a ``Fraction`` exactly: a missed mark costs only speed.
 ``RingElement`` owns ``+`` (the ring's ``sum``), ``*`` (its ``mul``) and
-``==`` for every element class; ``-`` on a graded element subtracts in one
-pass.  Each ring keeps the packed keys of a degree's monomials once
-enumerated, in enumeration order; seeded draws read them.
+``==`` for every element class.  Each ring keeps the packed keys of a
+degree's monomials once enumerated, in enumeration order; seeded draws read
+them.
 
 Each monomial is one ``int`` key, made by ``GradedRing.pack`` (the one way
 in) and read by ``GradedRing.exponents`` (the one way out): the weighted
@@ -24,6 +30,7 @@ and a field's top bit is a guard: ``pack`` and the product raise
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -41,7 +48,7 @@ FIELD_BITS = 16
 
 def exact(c) -> Coefficient:
     """The number c as a coefficient: an ``int`` when whole, else a ``Fraction``."""
-    c = c if isinstance(c, int) else Fraction(c)
+    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -136,6 +143,7 @@ class GradedRing:
         self.generator_names = tuple(names)
         self.degrees = tuple(deg for _, deg in gens)
         self.dim_bound = dim_bound
+        self.rational = False  # set once a non-integer coefficient enters
         self.nvars = len(gens)
         self._index = {name: i for i, name in enumerate(names)}
         self._keys: dict[int, tuple[int, ...]] = {}  # packed monomials, per degree
@@ -156,14 +164,20 @@ class GradedRing:
         return self._canonical({self.pack(exps): 1})
 
     def scalar(self, c) -> "GradedElement":
-        return self._canonical({0: exact(c)})
+        return self._canonical({0: self._marked(exact(c))})
+
+    def _marked(self, c: Coefficient) -> Coefficient:
+        """c, entering this ring; a non-integer marks the ring ``rational``."""
+        if not isinstance(c, int):
+            self.rational = True
+        return c
 
     def element(self, terms: Mapping[Exponents, object]) -> "GradedElement":
         """Build an element from an exponents -> coefficient mapping."""
         out: dict[int, Coefficient] = {}
         for exps, coeff in terms.items():
             key = self.pack(tuple(int(e) for e in exps))
-            coeff = exact(coeff)
+            coeff = self._marked(exact(coeff))
             if coeff:
                 out[key] = out.get(key, 0) + coeff
         return self._canonical(out)
@@ -205,9 +219,13 @@ class GradedRing:
 
     def dot(self, pairs: Iterable[tuple], start=None) -> "GradedElement":
         """``start`` + Σ x·y over ``pairs`` in one dict, canonicalised once; a
-        guard bit reached by a product key raises ``ValueError``."""
+        guard bit reached by a product key raises ``ValueError``.  On a
+        ``rational`` ring (read once) the loop runs on ``_numerators``."""
         if start is not None and start.ring is not self:
             raise ValueError("elements belong to different rings")
+        den = 1
+        if self.rational:
+            pairs, start, den = self._numerators(pairs, start)
         terms = {} if start is None else dict(start.terms)
         limit = self._limit
         for x, y in pairs:
@@ -222,7 +240,31 @@ class GradedRing:
                         terms[e] = terms.get(e, 0) + c1 * c2
         if terms and self._guard & functools.reduce(operator.or_, terms):
             raise ValueError(f"exponent overflow past 2**{FIELD_BITS - 1} in {self!r}")
+        if den != 1:
+            terms = {e: exact(Fraction(c, den)) for e, c in terms.items() if c}
         return self._canonical(terms)
+
+    def _numerators(self, pairs: Iterable[tuple], start):
+        """The pairs and ``start`` rescaled to integer coefficients, and the
+        denominator D they share: the lcm of start's and of each pair's
+        d_x·d_y.  x·y = (x·D/d_y)·(y·d_y) / D, and d_x divides D/d_y."""
+
+        def denominator(x) -> int:
+            return math.lcm(*[c.denominator for c in x.terms.values()])
+
+        def scaled(x, m: int) -> "GradedElement":  # m a multiple of x's denominator
+            terms = x.terms.items()
+            return GradedElement(self, {e: c.numerator * (m // c.denominator) for e, c in terms})
+
+        listed = []
+        for x, y in pairs:
+            if x.ring is not self or y.ring is not self:
+                raise ValueError("elements belong to different rings")
+            listed.append((x, y, denominator(y)))
+        den = math.lcm(1 if start is None else denominator(start),
+                       *[denominator(x) * dy for x, _, dy in listed])
+        pairs = [(scaled(x, den // dy), scaled(y, dy)) for x, y, dy in listed]
+        return pairs, None if start is None else scaled(start, den), den
 
     def mul(self, x: "GradedElement", y: "GradedElement") -> "GradedElement":
         return self.dot(((x, y),))
@@ -291,10 +333,10 @@ class GradedRing:
             chunk = chunk.strip()
             if " * " in chunk:
                 coeff_str, mono_str = chunk.split(" * ", 1)
-                coeff = _parse_coefficient(coeff_str)
+                coeff = self._marked(_parse_coefficient(coeff_str))
             else:
                 try:
-                    coeff, mono_str = _parse_coefficient(chunk), None
+                    coeff, mono_str = self._marked(_parse_coefficient(chunk)), None
                 except ValueError:
                     coeff, mono_str = 1, chunk  # bare monomial
             exps = [0] * self.nvars
@@ -347,7 +389,9 @@ class GradedElement(RingElement):
         return (self.terms,)
 
     def _scaled(self, c: Coefficient) -> "GradedElement":
-        return self.ring._canonical({e: k * c for e, k in self.terms.items()})
+        # a nonzero c keeps every key and makes no coefficient zero
+        c = self.ring._marked(c)
+        return GradedElement(self.ring, {e: k * c for e, k in self.terms.items()} if c else {})
 
     # Bound here by name: perfbench's tracer reads both from this class's
     # own ``__dict__``.
@@ -363,8 +407,13 @@ class GradedElement(RingElement):
             return NotImplemented
         if not other.terms:  # elements are never mutated, so self may be shared
             return self
-        terms = {e: self.terms.get(e, 0) - c for e, c in other.terms.items()}
-        return self.ring._canonical({**self.terms, **terms})
+        terms = dict(self.terms)
+        for e, c in other.terms.items():  # both canonical: every key is below the bound
+            if value := terms.get(e, 0) - c:
+                terms[e] = value
+            else:  # c is nonzero, so e was a key of self
+                del terms[e]
+        return GradedElement(self.ring, terms)
 
     # -------------------------------------------------------- substitution
 

@@ -318,3 +318,30 @@ def test_todd_class_from_log_q_fails_the_todd_oracles(monkeypatch, mutate):
                 oracle()
     finally:
         todd_universal.cache_clear()
+
+
+@pytest.mark.parametrize("mutate", [False, True], ids=["harness", "mutant"])
+def test_rational_kernel_missing_one_rescale_fails_the_todd_readers(monkeypatch, mutate):
+    # on a ring marked rational, dot leaves its first pair over that pair's
+    # own d_x·d_y instead of the common denominator D
+    old = "scaled(x, den // dy), scaled(y, dy)) for x, y, dy in listed]"
+    new = "scaled(x, den // dy if i else denominator(x)), scaled(y, dy))"
+    new += " for i, (x, y, dy) in enumerate(listed)]"
+    mutant = mutated(GradedRing._numerators, old, new if mutate else old)
+    monkeypatch.setattr(GradedRing, "_numerators", mutant)
+    status, report = run_suite(SuiteConfig(suite="all"))
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    hrr_failed = set()
+    for n in range(1, 9):
+        try:
+            test_hirzebruch_riemann_roch_on_projective_space(n)
+        except AssertionError:
+            hrr_failed.add(n)
+    if not mutate:
+        assert status == 0 and not failed and not hrr_failed
+        return
+    # ch, its twist and c(E)·s(E) add products over one denominator, which
+    # the mutant leaves right; the Todd recurrence, its square root and
+    # Riemann-Roch on P^n for n >= 3 mix denominators within one dot
+    assert failed == {"charclass.td_multiplicative", "charclass.sqrt_todd"}
+    assert hrr_failed == set(range(3, 9))

@@ -1,7 +1,7 @@
 """The headline ladder tool: a smoke test on its first two rungs, a start at
-``--r-min``, the headline of a climb on synthetic rungs, its reference
-sampling and session normalisation, the row of a failed rung on a synthetic
-report, and the diff hash that identifies a dirty tree."""
+``--r-min``, the headline of a climb on synthetic rungs and why it stopped,
+its reference sampling and session normalisation, the row of a failed rung
+on a synthetic report, and the diff hash that identifies a dirty tree."""
 
 import importlib.util
 import json
@@ -9,6 +9,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from chowcalc.errors import ConsistencyError
 from chowcalc.report import Report
@@ -34,6 +36,7 @@ def test_ladder_writes_rows_and_headline(tmp_path):
     env = result["env"]
     assert set(env) == {"python", "git_rev", "diff_sha256", "nproc", "session_ref_s"}
     assert result["headline_r"] == 2
+    assert result["r_max"] == 2 and result["stop"] == "r_max"
     assert [row["r"] for row in result["rows"]] == [1, 2]
     for row in result["rows"]:
         assert row["ok"] and not row["over_budget"]
@@ -69,12 +72,31 @@ def test_headline_is_the_last_passing_rung():
             return {"r": r, "ok": r != failing, "over_budget": r == over_budget}
         return rung_at
 
-    rows, headline = climb(rungs(failing=36, over_budget=0), 33, None)
+    rows, headline, _ = climb(rungs(failing=36, over_budget=0), 33, None)
     assert [row["r"] for row in rows] == [33, 34, 35, 36] and headline == 35
-    rows, headline = climb(rungs(failing=0, over_budget=33), 33, None)
+    rows, headline, _ = climb(rungs(failing=0, over_budget=33), 33, None)
     assert [row["r"] for row in rows] == [33] and headline is None
-    rows, headline = climb(rungs(failing=0, over_budget=0), 5, 6)
+    rows, headline, _ = climb(rungs(failing=0, over_budget=0), 5, 6)
     assert [row["r"] for row in rows] == [5, 6] and headline == 6
+
+
+@pytest.mark.parametrize(
+    "ok, over_budget, r_max, stop",
+    [
+        (True, True, 8, "budget"),  # passed its checks, but past the budget
+        (False, True, 8, "budget"),  # timed out
+        (False, False, 8, "failed"),  # a failed check, or a child that died
+        (True, False, 6, "r_max"),  # capped while every rung passed
+    ],
+)
+def test_climb_says_why_it_stopped(ok, over_budget, r_max, stop):
+    # rungs 5 and 6 pass; rung 7 stops the climb unless --r-max stops it first
+    def rung_at(r):
+        return {"r": r, "ok": ok or r < 7, "over_budget": over_budget and r == 7}
+
+    rows, headline, why = _load_ladder().climb(rung_at, 5, r_max)
+    assert headline == 6 and why == stop
+    assert [row["r"] for row in rows] == ([5, 6, 7] if r_max == 8 else [5, 6])
 
 
 def test_reference_is_the_median_of_samples_before_and_after():

@@ -357,6 +357,41 @@ if st is not None:
         assert ring.dot(pairs, start).terms == expected.terms
         assert ring.dot(iter(pairs), start).terms == expected.terms  # one pass
 
+    @pytest.mark.parametrize("bound", [None, 4])
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_rational_ring_matches_a_fraction_reference(bound, data):
+        # on a ring marked rational: dot over one common denominator, the
+        # one-pass - and _scaled against Counters of Fractions, truncated here
+        ring = GradedRing([("z", 0), ("x", 1), ("y", 2)], dim_bound=bound)
+        ring.scalar(Fraction(1, 3))
+        assert ring.rational
+        exponents = st.tuples(*[st.integers(0, 3)] * 3)
+        coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        raw = st.dictionaries(exponents, coefficient, max_size=6)
+        raw_pairs = data.draw(st.lists(st.tuples(raw, raw), max_size=5))
+        raw_start = data.draw(st.none() | raw)
+        full = Counter(raw_start or {})
+        for a, b in raw_pairs:
+            for (e1, c1), (e2, c2) in itertools.product(a.items(), b.items()):
+                full[tuple(map(operator.add, e1, e2))] += c1 * c2
+        pairs = [(ring.element(a), ring.element(b)) for a, b in raw_pairs]
+        start = None if raw_start is None else ring.element(raw_start)
+        a, b = data.draw(raw), data.draw(raw)
+        c = data.draw(st.sampled_from([0, 1, -3]) | coefficient)
+        x, y = ring.element(a), ring.element(b)
+        difference = Counter(a)
+        difference.subtract(b)
+        dot = ring.dot(pairs, start)
+        for got, reference in [
+            (dot, full),
+            (x - y, difference),
+            (x * c, Counter({e: k * c for e, k in a.items()})),
+        ]:
+            assert _tuple_terms(got) == _truncated(ring, reference)
+            assert all(k and e < ring._limit for e, k in got.terms.items())  # canonical
+        assert all(type(k) is int for k in dot.terms.values() if k.denominator == 1)
+
 
 @pytest.mark.parametrize(
     "text, token",

@@ -254,6 +254,26 @@ def test_mukai_vector_builds_no_ring_and_packs_no_monomial(monkeypatch):
     assert rings[0] == packs[0] == 0
 
 
+def test_only_a_ring_holding_a_fraction_is_marked_rational(monkeypatch):
+    # dot runs over a common denominator only on a marked ring; the flop and
+    # the blow-up work over the integers, and so run the plain loop
+    init, built = GradedRing.__init__, []
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(GradedRing, "__init__", recorded)
+    for run in (_flop_r4, _blowup_linear_4_1):
+        built.clear()
+        run()
+        assert built and not any(ring.rational for ring in built), run.__name__
+    ring, E, T = _charclass_inputs(1)
+    assert not ring.rational
+    chern.mukai_vector(E, T, 8)
+    assert ring.rational
+
+
 def test_monomial_degrees_of_blowup_linear_4_1(monkeypatch):
     calls = _count_calls(monkeypatch, GradedRing, "pack")
     _blowup_linear_4_1()
