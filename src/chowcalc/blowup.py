@@ -3,15 +3,18 @@
 A blow-up of X along P is described by an :class:`EmbeddingData`: ring
 models for CH(X) and CH(P), the restriction i^* (generator images), the
 pushforward i_* (a table on monomials), and the normal bundle N; i^* keeps
-a table on monomials too, each entry substituted once, on first use.
+a table on monomials too, each entry substituted once, on first use; both
+maps extend their table linearly through :func:`_linear`.
 Classes on the blown-up space are stored as a pair (ambient part, exceptional part),
 where the exceptional part lives in CH(E) = CH(P(N)) and is normalized to
-have zero pushforward to the center.  The normal bundle of E is O_{P(N)}(-1),
-so the exceptional self-intersection multiplies by -xi.
+have zero pushforward to the center; a class restricts to E once, on first
+use.  The normal bundle of E is O_{P(N)}(-1), so the exceptional
+self-intersection multiplies by -xi.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass, field
@@ -56,17 +59,31 @@ class EmbeddingData:
         table = self.pull_table
         for e in alpha.terms.keys() - table.keys():
             table[e] = GradedElement(self.ambient, {e: 1}).substitute(self.pull_images, self.center)
-        return self.center.sum(table[e] * c for e, c in alpha.terms.items())
+        return _linear(self.center, [(table[e], c) for e, c in alpha.terms.items()])
 
     def push(self, gamma: GradedElement) -> GradedElement:
         """i_*: extend the monomial table linearly."""
         if gamma.ring is not self.center:
             raise ValueError("elements belong to different rings")
-        rows = [(self.center.exponents(e), c) for e, c in gamma.terms.items()]
-        missing = [e for e, _ in rows if e not in self.push_table]
-        if missing:
-            raise KeyError(f"pushforward table has no entry for monomial {missing[0]}")
-        return self.ambient.sum(self.push_table[e] * c for e, c in rows)
+        table = self.push_table  # read live: tuple keys, edits included
+        try:
+            rows = [(table[self.center.exponents(e)], c) for e, c in gamma.terms.items()]
+        except KeyError as missing:
+            raise KeyError(f"pushforward table has no entry for monomial {missing}") from None
+        return _linear(self.ambient, rows)
+
+
+def _linear(target: GradedRing, rows: list) -> GradedElement:
+    """Σ c·image over ``(image, c)`` rows, images in ``target``, in one dict
+    with zeros dropped once; a non-integer c marks ``target`` rational."""
+    terms = {}
+    for image, c in rows:
+        if image.ring is not target:
+            raise ValueError("elements belong to different rings")
+        c = target._marked(c)
+        for e, k in image.terms.items():
+            terms[e] = terms.get(e, 0) + k * c
+    return GradedElement(target, {e: c for e, c in terms.items() if c})
 
 
 def embedding_validate(data: EmbeddingData, samples: int, seed: int = 0) -> None:
@@ -158,11 +175,9 @@ class BlowupRing:
     def mul(self, a: "BlowupClass", b: "BlowupClass") -> "BlowupClass":
         if a.ring is not self or b.ring is not self:
             raise ValueError("classes belong to a different blow-up")
-        restrict_a = self.E.pullback(self.data.pull(a.ambient))
-        restrict_b = self.E.pullback(self.data.pull(b.ambient))
         # phi^*a.phi^*b + mixed projection-formula terms + E self-intersection
         ea, eb = a.exceptional, b.exceptional
-        exc = self.E.dot(((restrict_a, eb), (restrict_b, ea), (-(self.xi * ea), eb)))
+        exc = self.E.dot(((a.restriction, eb), (b.restriction, ea), (-(self.xi * ea), eb)))
         mixed = self.exc_push(exc)
         ambient = self.data.ambient.dot(((a.ambient, b.ambient),), mixed.ambient)
         return BlowupClass(self, ambient, mixed.exceptional)
@@ -175,6 +190,11 @@ class BlowupClass(RingElement):
     ring: BlowupRing
     ambient: GradedElement
     exceptional: PBElement
+
+    @functools.cached_property
+    def restriction(self) -> PBElement:
+        """The ambient part restricted to E, E.pullback(i^* ambient)."""
+        return self.ring.E.pullback(self.ring.data.pull(self.ambient))
 
     def _state(self) -> tuple:
         return (self.ambient, self.exceptional)

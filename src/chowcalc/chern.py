@@ -101,6 +101,10 @@ class CharClass:
 
 
 def _truncate(x, max_deg: int):
+    """x up to degree ``max_deg``; x itself when its ring's bound cuts there."""
+    bound = getattr(x.ring, "dim_bound", None)
+    if bound is not None and bound <= max_deg:
+        return x
     return x.ring.sum(x.grade_component(d) for d in range(max_deg + 1))
 
 

@@ -4,11 +4,11 @@ Elements are sparse polynomials in named generators with assigned degrees,
 with `int` coefficients until a division makes a `fractions.Fraction` (whole
 inputs are stored as `int`), and all generators commute.  Terms are kept in
 canonical form: nonzero, and of total degree at most an optional dimension
-bound.  ``GradedRing._canonical`` drops zeros and terms above the bound with
-one comparison per key; ``-``, unary ``-`` and scaling by a number keep a
-canonical operand's keys and build their dict directly.  The one product
-kernel, ``GradedRing.dot``, adds Σ x·y into one dict, skipping a pair whose
-degrees add up past the bound; ``GradedRing.mul`` is its one-pair case.  A
+bound.  ``GradedRing._canonical`` drops zeros and terms above the bound for
+terms from outside; ``-``, unary ``-``, scaling and ``sum`` keep canonical
+operands' keys.  The one product kernel, ``GradedRing.dot``, adds Σ x·y into
+one dict, skipping a pair whose degrees add up past the bound, so it too
+drops only zeros; ``GradedRing.mul`` is its one-pair case.  A
 ring is marked ``rational``, for good, once a non-integer coefficient enters
 it (``scalar``, ``element``, ``parse`` or ``_scaled``); ``dot`` on a marked
 ring multiplies integer numerators over one common denominator, so a pair
@@ -24,7 +24,9 @@ in) and read by ``GradedRing.exponents`` (the one way out): the weighted
 degree above ``FIELD_BITS``-wide exponent fields, first generator most
 significant.  A product adds keys, int order is (degree, exponents) order,
 and a field's top bit is a guard: ``pack`` and the product raise
-``ValueError`` on an exponent that reaches it.
+``ValueError`` on an exponent that reaches it.  The product tests a guard
+only where a kept key can reach it: with no bound, a degree-0 generator or a
+bound of at least 2**(FIELD_BITS - 1); elsewhere no exponent passes the bound.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ Exponents = tuple[int, ...]
 Coefficient = int | Fraction
 
 
-# Coefficients of sampled elements are drawn uniformly from this range.
+# Coefficients of sampled elements are drawn uniformly from this range, by
+# randrange(lo, hi + 1): the call randint(lo, hi) makes, with one frame fewer.
 COEFF_RANGE = (-9, 9)
+_DRAW = (COEFF_RANGE[0], COEFF_RANGE[1] + 1)
 
 # Width of one exponent field of a packed key; its top bit is the guard.
 FIELD_BITS = 16
@@ -149,7 +153,8 @@ class GradedRing:
         self._keys: dict[int, tuple[int, ...]] = {}  # packed monomials, per degree
         self._degree_shift = FIELD_BITS * self.nvars
         self._shifts = tuple(range(self._degree_shift - FIELD_BITS, -1, -FIELD_BITS))
-        self._guard = sum(1 << FIELD_BITS - 1 << s for s in self._shifts)
+        reach = dim_bound is None or 0 in self.degrees or dim_bound >= 1 << FIELD_BITS - 1
+        self._guard = sum(1 << FIELD_BITS - 1 << s for s in self._shifts) if reach else 0
         # keys e1 + e2 < _limit are kept; unbounded, it tops any two guarded keys
         top = sum(self.degrees) << FIELD_BITS if dim_bound is None else dim_bound
         self._limit = top + 1 << self._degree_shift
@@ -205,22 +210,23 @@ class GradedRing:
         return "*".join(factors) or "1"
 
     def sum(self, elements: Iterable["GradedElement"]) -> "GradedElement":
-        """One dict for all summands, canonicalised once; empty gives ``zero``."""
+        """One dict for all summands, zeros dropped once; empty gives ``zero``."""
         terms: dict[int, Coefficient] = {}
         for x in elements:
             if getattr(x, "ring", None) is not self:
                 raise ValueError("elements belong to different rings")
             if terms:
-                for e, c in x.terms.items():
-                    terms[e] = terms.get(e, 0) + c
+                for e, c in x.terms.items():  # a new key's c is stored as it is
+                    terms[e] = terms[e] + c if e in terms else c
             else:
                 terms = dict(x.terms)  # the first summand is copied whole
-        return self._canonical(terms)
+        return GradedElement(self, {e: c for e, c in terms.items() if c})
 
     def dot(self, pairs: Iterable[tuple], start=None) -> "GradedElement":
-        """``start`` + Σ x·y over ``pairs`` in one dict, canonicalised once; a
-        guard bit reached by a product key raises ``ValueError``.  On a
-        ``rational`` ring (read once) the loop runs on ``_numerators``."""
+        """``start`` + Σ x·y over ``pairs`` in one dict, zeros dropped once (no
+        key passes the bound); a guard bit reached by a product key raises
+        ``ValueError``.  On a ``rational`` ring (read once) the loop runs on
+        ``_numerators``."""
         if start is not None and start.ring is not self:
             raise ValueError("elements belong to different rings")
         den = 1
@@ -238,11 +244,12 @@ class GradedRing:
                     if e2 < room:
                         e = e1 + e2
                         terms[e] = terms.get(e, 0) + c1 * c2
-        if terms and self._guard & functools.reduce(operator.or_, terms):
+        guard = self._guard
+        if guard and terms and guard & functools.reduce(operator.or_, terms):
             raise ValueError(f"exponent overflow past 2**{FIELD_BITS - 1} in {self!r}")
         if den != 1:
-            terms = {e: exact(Fraction(c, den)) for e, c in terms.items() if c}
-        return self._canonical(terms)
+            return GradedElement(self, {e: exact(Fraction(c, den)) for e, c in terms.items() if c})
+        return GradedElement(self, {e: c for e, c in terms.items() if c})
 
     def _numerators(self, pairs: Iterable[tuple], start):
         """The pairs and ``start`` rescaled to integer coefficients, and the
@@ -311,12 +318,12 @@ class GradedRing:
         return self._keys[d]
 
     def random_homogeneous(self, rng, degree: int) -> "GradedElement":
-        terms = {e: rng.randint(*COEFF_RANGE) for e in self._keys_of_degree(degree)}
+        terms = {e: rng.randrange(*_DRAW) for e in self._keys_of_degree(degree)}
         return self._canonical(terms)
 
     def random_element(self, rng, max_degree: int) -> "GradedElement":
         keys = (e for d in range(max_degree + 1) for e in self._keys_of_degree(d))
-        return self._canonical({e: rng.randint(*COEFF_RANGE) for e in keys})
+        return self._canonical({e: rng.randrange(*_DRAW) for e in keys})
 
     # ------------------------------------------------------------- parsing
 

@@ -18,6 +18,8 @@ from chowcalc import (
     load_embedding,
 )
 from chowcalc.cli import SuiteConfig, run_suite
+from chowcalc.rings import COEFF_RANGE
+from conftest import mutated
 
 try:
     from hypothesis import given, settings
@@ -179,6 +181,34 @@ if st is not None:
             pass
 
 
+    @pytest.mark.parametrize("embedding", sorted(EMBEDDINGS))
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32), den=st.sampled_from([1, 2, 3, 6]))
+    def test_one_pass_maps_equal_substitution_and_a_sum_of_scaled_rows(embedding, seed, den):
+        # i^* against substitute, i_* against Σ c·push_table[m] through
+        # ring.sum; den > 1 brings Fraction coefficients in, and a map marks
+        # its target ring rational exactly when a non-integer c enters it
+        for source in ("ambient", "center"):
+            data, rng = EMBEDDINGS[embedding](), random.Random(seed)
+            ring = getattr(data, source)
+            x = ring.random_element(rng, ring.dim_bound)
+            x = ring.element({ring.exponents(e): Fraction(c, den) for e, c in x.terms.items()})
+            fractional = any(type(c) is Fraction for c in x.terms.values())
+            target = data.center if source == "ambient" else data.ambient
+            assert ring.rational == fractional and not target.rational
+            if source == "ambient":
+                got = data.pull(x)
+                assert target.rational == fractional
+                want = x.substitute(data.pull_images, target)
+            else:
+                got = data.push(x)
+                assert target.rational == fractional
+                rows = ((data.push_table[ring.exponents(e)], c) for e, c in x.terms.items())
+                want = target.sum(image * c for image, c in rows)
+            assert got.ring is target and got == want
+            assert all(got.terms.values())  # zeros dropped
+
+
 def test_pull_on_an_unbounded_ambient_ring():
     data = load_embedding(WEIGHTED.replace("dim_bound: 4\n", ""))
     t, s = data.ambient.gen("t"), data.ambient.gen("s")
@@ -243,6 +273,50 @@ def test_doubled_pull_table_entry_is_caught(case, exps, law, monkeypatch):
     failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
     assert status == 1
     assert failed["blowup.embedding_valid"] == exc.value.witness
+
+
+@pytest.mark.parametrize(
+    "function, old, new, failing",
+    [
+        ("_linear", "k * c", "k", {"blowup.embedding_valid", "blowup.ring_laws"}),
+        ("_linear", "for image, c in rows:", "for image, c in rows[1:]:",
+         {"blowup.embedding_valid", "blowup.ring_laws"}),
+        ("BlowupRing.mul", "(b.restriction, ea)", "(a.restriction, ea)", {"blowup.ring_laws"}),
+    ],
+    ids=["map-ignores-c", "map-skips-a-row", "mul-restricts-a-twice"],
+)
+def test_blowup_mutants_fail_the_suite_on_linear_4_1(function, old, new, failing, monkeypatch):
+    # the one-pass linear map of i^* and i_*, and the cached restrictions of
+    # BlowupRing.mul: each mutant fails the named checks with a nonzero witness
+    import chowcalc.blowup as bl_mod
+
+    owner, _, name = function.rpartition(".")
+    owner = getattr(bl_mod, owner) if owner else bl_mod
+    monkeypatch.setattr(owner, name, mutated(getattr(owner, name), old, new))
+    status, report = run_suite(SuiteConfig(suite="blowup", case="linear:4,1"))
+    failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
+    assert status == 1 and set(failed) == failing
+    assert all(w and "diff 0" not in w and w != "0" for w in failed.values())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_seeded_draws_equal_a_randint_reference(seed):
+    # random_element and random_homogeneous call randrange(lo, hi + 1), the
+    # call randint(lo, hi) makes, so the stream is randint's draw for draw,
+    # on the ambient ring of linear:4,1 and on CH(E)
+    def reference(ring, rng, degrees):
+        monomials = (m for d in degrees for m in ring.monomials_of_degree(d))
+        return ring.element({m: rng.randint(*COEFF_RANGE) for m in monomials})
+
+    data = linear_blowup(4, 1)
+    ring, E = data.ambient, BlowupRing(data).E
+    drawn, ref = random.Random(seed), random.Random(seed)
+    for d in range(ring.dim_bound + 1):
+        assert ring.random_homogeneous(drawn, d) == reference(ring, ref, [d])
+    assert ring.random_element(drawn, 4) == reference(ring, ref, range(5))
+    slots = [reference(E.base, ref, range(5)) for _ in range(E.rank)]
+    assert E.random_element(drawn, 4) == E.element(dict(enumerate(slots)))
+    assert drawn.random() == ref.random()  # both streams stand at one place
 
 
 def test_cw_rank_one_is_one():

@@ -114,6 +114,35 @@ def test_product_past_the_guard_bit_raises():
         R.dot([(x, x), (R.one, R.one)])
 
 
+def test_a_bound_that_reaches_the_guard_keeps_the_guard_test():
+    # the product tests the guard only where a kept key can reach it; a
+    # bound of at least 2**(FIELD_BITS - 1) lets an exponent reach it
+    half = (TOP_EXPONENT + 1) // 2
+    for bound in (2 * half, 3 * half):
+        R = GradedRing([("x", 1)], dim_bound=bound)
+        x = R.element({(half,): 1})
+        with pytest.raises(ValueError, match="overflow"):
+            x * x
+        with pytest.raises(ValueError, match="overflow"):
+            R.dot([(R.one, x), (x, x)], start=R.one)
+    # one below: x^half squared is past the bound, skipped, and never tested
+    R = GradedRing([("x", 1), ("y", 2)], dim_bound=2 * half - 1)
+    x = R.element({(half, 0): 1})
+    assert x * x == R.zero and not R._guard
+    assert all(
+        GradedRing([("x", 1)], dim_bound=b)._guard for b in (None, 2 * half)
+    ) and GradedRing([("s", 0), ("x", 1)], dim_bound=3)._guard
+
+
+def test_sum_stores_a_new_key_as_it_is():
+    # no int + Fraction for a key the running sum does not hold yet
+    R = GradedRing([("x", 1), ("y", 1)], dim_bound=3)
+    x, y = R.gen("x") * Fraction(1, 3), R.gen("y") * Fraction(2, 5)
+    total = R.sum([x, y, -x])
+    assert total == y and total.terms[R.pack((0, 1))] is y.terms[R.pack((0, 1))]
+    assert R.pack((1, 0)) not in total.terms  # a cancelled key is dropped
+
+
 def test_guard_trip_inside_a_check_is_a_failed_entry():
     R = GradedRing([("x", 1)])
     x = R.element({((TOP_EXPONENT + 1) // 2,): 1})

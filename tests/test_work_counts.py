@@ -1,6 +1,7 @@
 """Work-count gate: tower and blow-up products, the monomial degrees the
-graded kernel computes, and the polynomial substitutions of the blow-up
-restriction stay within recorded bounds.
+graded kernel computes, the polynomial substitutions and restrictions of
+the blow-up, and the characteristic-class passes stay within recorded
+bounds.
 
 Counts are deterministic, so unlike wall time they do not drift between
 machines.  A change that lowers a count lowers its bound here as well.
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from chowcalc import FlopContext, chern, projbundle, verify_foundations, verify_multiplicativity
-from chowcalc.blowup import BlowupRing
+from chowcalc.blowup import BlowupRing, EmbeddingData
 from chowcalc.cli import SuiteConfig, run_suite
 from chowcalc.projbundle import ProjBundleRing
 from chowcalc.rings import GradedElement, GradedRing
@@ -79,6 +80,23 @@ FLOP_R4_DEGREES = 5
 # GradedElement.substitute calls for the blowup suite on linear:4,1: i^* reads
 # a table on ambient monomials, and substitutes each of t^0..t^4 once
 BLOWUP_LINEAR_4_1_SUBSTITUTIONS = 5
+# EmbeddingData.pull calls for the same suite: each class restricts its
+# ambient part once, whatever number of products it enters (1,000 classes
+# multiplied), plus four per sample of embedding_validate (5 samples)
+BLOWUP_LINEAR_4_1_PULLS = 1020
+# GradedRing.sum calls for the same suite: i^* and i_* extend their tables
+# in one dict each, so no map scales a row or sums the scaled rows
+BLOWUP_LINEAR_4_1_GRADED_SUMS = 1808
+# GradedElement._scaled calls for the same suite: a map's rows are scaled
+# inside its one dict, not one element each
+BLOWUP_LINEAR_4_1_SCALINGS = 13
+# chern.chern_character calls for the charclass suite at its default 5
+# trials: ch(E) is formed once for ch_twist, ch(E (x) L) once per line
+CHARCLASS_CHERN_CHARACTERS = 9
+# GradedElement.grade_component calls of mukai_vector(E, T, 8): the square
+# root reads degrees 0..8 once each; CharClass does not re-truncate on a
+# ring whose bound already cuts at max_deg
+MUKAI_VECTOR_GRADE_COMPONENTS = 9
 
 
 def _count_calls(monkeypatch, cls, name) -> list[int]:
@@ -290,3 +308,83 @@ def test_monomial_degrees_of_flop_at_r4(monkeypatch):
     calls = _count_calls(monkeypatch, GradedRing, "pack")
     _flop_r4()
     assert 0 < calls[0] <= FLOP_R4_DEGREES
+
+
+def test_restrictions_of_blowup_linear_4_1(monkeypatch):
+    # i^* runs once per class multiplied, however many products it enters
+    calls = _count_calls(monkeypatch, EmbeddingData, "pull")
+    mul, multiplied = BlowupRing.mul, {}
+
+    def recorded(self, a, b):
+        multiplied.update({id(a): a, id(b): b})  # held, so no id is reused
+        return mul(self, a, b)
+
+    monkeypatch.setattr(BlowupRing, "mul", recorded)
+    _blowup_linear_4_1()
+    assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_PULLS
+    # embedding_validate pulls four classes per sample
+    assert calls[0] - 4 * SuiteConfig(suite="blowup").trials <= len(multiplied)
+
+
+def test_embedding_maps_call_no_graded_sum(monkeypatch):
+    # a sum inside i^* or i_* is counted unless it is the substitution that
+    # fills an i^* table entry on first use
+    depth, nested, sums = [0], [0], [0]
+
+    def entering(cls, name, counter):
+        orig = getattr(cls, name)
+
+        def wrapped(self, *args):
+            counter[0] += 1
+            try:
+                return orig(self, *args)
+            finally:
+                counter[0] -= 1
+
+        monkeypatch.setattr(cls, name, wrapped)
+
+    entering(EmbeddingData, "pull", depth)
+    entering(EmbeddingData, "push", depth)
+    entering(GradedElement, "substitute", nested)
+    orig_sum = GradedRing.sum
+
+    def counted(self, elements):
+        sums[0] += bool(depth[0] and not nested[0])
+        return orig_sum(self, elements)
+
+    monkeypatch.setattr(GradedRing, "sum", counted)
+    _blowup_linear_4_1()
+    assert sums[0] == 0
+
+
+def test_graded_sums_of_blowup_linear_4_1(monkeypatch):
+    calls = _count_calls(monkeypatch, GradedRing, "sum")
+    _blowup_linear_4_1()
+    assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_GRADED_SUMS
+
+
+def test_scalings_of_blowup_linear_4_1(monkeypatch):
+    calls = _count_calls(monkeypatch, GradedElement, "_scaled")
+    _blowup_linear_4_1()
+    assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_SCALINGS
+
+
+def test_chern_characters_of_the_charclass_suite(monkeypatch):
+    calls, ch = [0], chern.chern_character
+
+    def counted(F, max_deg):
+        calls[0] += 1
+        return ch(F, max_deg)
+
+    monkeypatch.setattr(chern, "chern_character", counted)
+    status, report = run_suite(SuiteConfig(suite="charclass", seed=1))
+    assert status == 0, report.to_text()
+    assert 0 < calls[0] <= CHARCLASS_CHERN_CHARACTERS
+
+
+def test_grade_components_of_mukai_vector(monkeypatch):
+    _, E, T = _charclass_inputs(1)
+    chern.todd_universal.cache_clear()
+    calls = _count_calls(monkeypatch, GradedElement, "grade_component")
+    chern.mukai_vector(E, T, 8)
+    assert 0 < calls[0] <= MUKAI_VECTOR_GRADE_COMPONENTS
