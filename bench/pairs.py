@@ -1,16 +1,17 @@
 """Alternating benchmark pairs: two checkouts, one workload, N pairs.
 
     python3 bench/pairs.py --parent DIR --change DIR --workload NAME \\
-        [--workload NAME ...] [--pairs 10] [--seconds 30] [--seed 1] [--out FILE]
+        [--workload NAME ...] [--pairs 10] [--out FILE]
 
 Each pair runs ``python3 perfbench/run.py --workload NAME --seed S
 --seconds N --trace 0`` once in each checkout (its working directory is the
-checkout, so each side runs its own ``perfbench/`` on its own ``src/``).
-Pair i (counted from 0) uses seed ``--seed`` + i; the parent runs first in
-even pairs and the change runs first in odd pairs, so a drift in the host's
-speed falls on both sides alike.  A run is read from the last line of its
-standard output, the JSON object perfbench prints; a run that exits
-nonzero or prints no such line stops the tool with its error.
+checkout, so each side runs its own ``perfbench/`` on its own ``src/``),
+N being ``run_seconds`` of ``BENCHMARK.json``.  Pair i (counted from 0)
+uses seed 1 + i; the parent runs first in even pairs and the change runs
+first in odd pairs, so a drift in the host's speed falls on both sides
+alike.  A run is read from the last line of its standard output, the JSON
+object perfbench prints; a run that exits nonzero or prints no such line
+stops the tool with its error.
 
 For each workload and each metric the tool prints the median and the
 quartiles of each side, the median's change, and the pairs the change won:
@@ -35,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9  # share of pairs the change must win for a gain
+FIRST_SEED = 1  # the seed of pair 0
 
 
 def perfbench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -50,15 +52,14 @@ def perfbench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dic
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def run_pairs(runner, checkouts: dict, workload: str, pairs: int, seconds: int,
-              seed: int) -> list[dict]:
+def run_pairs(runner, checkouts: dict, workload: str, pairs: int, seconds: int) -> list[dict]:
     """``pairs`` rows of one workload; odd pairs run the change first."""
     rows = []
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        row = {"pair": i, "seed": seed + i, "first": order[0]}
+        row = {"pair": i, "seed": FIRST_SEED + i, "first": order[0]}
         for side in order:
-            row[side] = runner(checkouts[side], workload, seed + i, seconds)
+            row[side] = runner(checkouts[side], workload, FIRST_SEED + i, seconds)
         print(json.dumps(row), flush=True)
         rows.append(row)
     return rows
@@ -99,12 +100,12 @@ def summarise(rows: list[dict], better: dict) -> dict:
     return out
 
 
-def benchmark_directions(path: Path) -> dict:
-    """metric name -> ``"lower"`` or ``"higher"``, from ``BENCHMARK.json``."""
-    if not path.is_file():
-        return {}
+def benchmark_spec(path: Path) -> tuple[int, dict]:
+    """``run_seconds`` of ``BENCHMARK.json``, and metric name -> ``"lower"``
+    or ``"higher"``."""
     spec = json.loads(path.read_text())
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    metrics = spec.get("end_to_end", []) + spec.get("per_layer", [])
+    return spec["run_seconds"], {m["name"]: m["better"] for m in metrics}
 
 
 def report_lines(workload: str, summary: dict) -> list[str]:
@@ -126,27 +127,25 @@ def main(argv: list[str] | None = None, runner=perfbench_run) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=1, help="seed of pair 0")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds < 1:
-        parser.error("--pairs and --seconds must be >= 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, path in checkouts.items():
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {path} has no perfbench/run.py")
-    better = benchmark_directions(ROOT / "BENCHMARK.json")
+    seconds, better = benchmark_spec(ROOT / "BENCHMARK.json")
     result = {
         "env": {"python": platform.python_version(),
                 **{side: str(path) for side, path in checkouts.items()}},
-        "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+        "pairs": args.pairs, "seconds": seconds, "seed": FIRST_SEED,
         "workloads": {},
     }
     lines = []
     for workload in args.workload:
         try:
-            rows = run_pairs(runner, checkouts, workload, args.pairs, args.seconds, args.seed)
+            rows = run_pairs(runner, checkouts, workload, args.pairs, seconds)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -4,7 +4,7 @@ A blow-up of X along P is described by an :class:`EmbeddingData`: ring
 models for CH(X) and CH(P), the restriction i^* (generator images), the
 pushforward i_* (a table on monomials), and the normal bundle N; i^* keeps
 a table on monomials too, each entry substituted once, on first use; both
-maps extend their table linearly through :func:`_linear`.
+maps extend their table linearly, in one ``GradedRing.combine`` each.
 Classes on the blown-up space are stored as a pair (ambient part, exceptional part),
 where the exceptional part lives in CH(E) = CH(P(N)) and is normalized to
 have zero pushforward to the center; a class restricts to E once, on first
@@ -59,7 +59,7 @@ class EmbeddingData:
         table = self.pull_table
         for e in alpha.terms.keys() - table.keys():
             table[e] = GradedElement(self.ambient, {e: 1}).substitute(self.pull_images, self.center)
-        return _linear(self.center, [(table[e], c) for e, c in alpha.terms.items()])
+        return self.center.combine((table[e], c) for e, c in alpha.terms.items())
 
     def push(self, gamma: GradedElement) -> GradedElement:
         """i_*: extend the monomial table linearly."""
@@ -70,20 +70,7 @@ class EmbeddingData:
             rows = [(table[self.center.exponents(e)], c) for e, c in gamma.terms.items()]
         except KeyError as missing:
             raise KeyError(f"pushforward table has no entry for monomial {missing}") from None
-        return _linear(self.ambient, rows)
-
-
-def _linear(target: GradedRing, rows: list) -> GradedElement:
-    """Σ c·image over ``(image, c)`` rows, images in ``target``, in one dict
-    with zeros dropped once; a non-integer c marks ``target`` rational."""
-    terms = {}
-    for image, c in rows:
-        if image.ring is not target:
-            raise ValueError("elements belong to different rings")
-        c = target._marked(c)
-        for e, k in image.terms.items():
-            terms[e] = terms.get(e, 0) + k * c
-    return GradedElement(target, {e: c for e, c in terms.items() if c})
+        return self.ambient.combine(rows)
 
 
 def embedding_validate(data: EmbeddingData, samples: int, seed: int = 0) -> None:

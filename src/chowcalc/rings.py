@@ -5,12 +5,13 @@ with `int` coefficients until a division makes a `fractions.Fraction` (whole
 inputs are stored as `int`), and all generators commute.  Terms are kept in
 canonical form: nonzero, and of total degree at most an optional dimension
 bound.  ``GradedRing._canonical`` drops zeros and terms above the bound for
-terms from outside; ``-``, unary ``-``, scaling and ``sum`` keep canonical
-operands' keys.  The one product kernel, ``GradedRing.dot``, adds Σ x·y into
-one dict, skipping a pair whose degrees add up past the bound, so it too
-drops only zeros; ``GradedRing.mul`` is its one-pair case.  A
-ring is marked ``rational``, for good, once a non-integer coefficient enters
-it (``scalar``, ``element``, ``parse`` or ``_scaled``); ``dot`` on a marked
+terms from outside; ``-``, unary ``-``, scaling, ``sum`` and ``combine``
+(Σ c·x over elements x and numbers c) keep canonical operands' keys.  The
+one product kernel, ``GradedRing.dot``, adds Σ x·y into one dict, skipping
+a pair whose degrees add up past the bound, so it too drops only zeros;
+``GradedRing.mul`` is its one-pair case.  A ring is marked ``rational``,
+for good, once a non-integer coefficient enters it (``scalar``,
+``element``, ``parse``, ``_scaled`` or ``combine``); ``dot`` on a marked
 ring multiplies integer numerators over one common denominator, so a pair
 costs no ``Fraction`` gcd.  An integer ring runs the plain loop, which still
 handles a ``Fraction`` exactly: a missed mark costs only speed.
@@ -24,9 +25,7 @@ in) and read by ``GradedRing.exponents`` (the one way out): the weighted
 degree above ``FIELD_BITS``-wide exponent fields, first generator most
 significant.  A product adds keys, int order is (degree, exponents) order,
 and a field's top bit is a guard: ``pack`` and the product raise
-``ValueError`` on an exponent that reaches it.  The product tests a guard
-only where a kept key can reach it: with no bound, a degree-0 generator or a
-bound of at least 2**(FIELD_BITS - 1); elsewhere no exponent passes the bound.
+``ValueError`` on an exponent that reaches it.
 """
 
 from __future__ import annotations
@@ -41,10 +40,8 @@ Exponents = tuple[int, ...]
 Coefficient = int | Fraction
 
 
-# Coefficients of sampled elements are drawn uniformly from this range, by
-# randrange(lo, hi + 1): the call randint(lo, hi) makes, with one frame fewer.
+# Coefficients of sampled elements are drawn uniformly from this range.
 COEFF_RANGE = (-9, 9)
-_DRAW = (COEFF_RANGE[0], COEFF_RANGE[1] + 1)
 
 # Width of one exponent field of a packed key; its top bit is the guard.
 FIELD_BITS = 16
@@ -153,8 +150,7 @@ class GradedRing:
         self._keys: dict[int, tuple[int, ...]] = {}  # packed monomials, per degree
         self._degree_shift = FIELD_BITS * self.nvars
         self._shifts = tuple(range(self._degree_shift - FIELD_BITS, -1, -FIELD_BITS))
-        reach = dim_bound is None or 0 in self.degrees or dim_bound >= 1 << FIELD_BITS - 1
-        self._guard = sum(1 << FIELD_BITS - 1 << s for s in self._shifts) if reach else 0
+        self._guard = sum(1 << FIELD_BITS - 1 << s for s in self._shifts)
         # keys e1 + e2 < _limit are kept; unbounded, it tops any two guarded keys
         top = sum(self.degrees) << FIELD_BITS if dim_bound is None else dim_bound
         self._limit = top + 1 << self._degree_shift
@@ -222,6 +218,19 @@ class GradedRing:
                 terms = dict(x.terms)  # the first summand is copied whole
         return GradedElement(self, {e: c for e, c in terms.items() if c})
 
+    def combine(self, rows: Iterable[tuple]) -> "GradedElement":
+        """Σ c·x over ``(x, c)`` rows, c a number, in one dict as ``sum``
+        builds it; a non-integer c marks the ring ``rational``."""
+        terms: dict[int, Coefficient] = {}
+        for x, c in rows:
+            if x.ring is not self:
+                raise ValueError("elements belong to different rings")
+            c = self._marked(c)
+            for e, k in x.terms.items():
+                k *= c
+                terms[e] = terms[e] + k if e in terms else k
+        return GradedElement(self, {e: c for e, c in terms.items() if c})
+
     def dot(self, pairs: Iterable[tuple], start=None) -> "GradedElement":
         """``start`` + Σ x·y over ``pairs`` in one dict, zeros dropped once (no
         key passes the bound); a guard bit reached by a product key raises
@@ -244,8 +253,7 @@ class GradedRing:
                     if e2 < room:
                         e = e1 + e2
                         terms[e] = terms.get(e, 0) + c1 * c2
-        guard = self._guard
-        if guard and terms and guard & functools.reduce(operator.or_, terms):
+        if terms and self._guard & functools.reduce(operator.or_, terms):
             raise ValueError(f"exponent overflow past 2**{FIELD_BITS - 1} in {self!r}")
         if den != 1:
             return GradedElement(self, {e: exact(Fraction(c, den)) for e, c in terms.items() if c})
@@ -318,12 +326,12 @@ class GradedRing:
         return self._keys[d]
 
     def random_homogeneous(self, rng, degree: int) -> "GradedElement":
-        terms = {e: rng.randrange(*_DRAW) for e in self._keys_of_degree(degree)}
+        terms = {e: rng.randint(*COEFF_RANGE) for e in self._keys_of_degree(degree)}
         return self._canonical(terms)
 
     def random_element(self, rng, max_degree: int) -> "GradedElement":
         keys = (e for d in range(max_degree + 1) for e in self._keys_of_degree(d))
-        return self._canonical({e: rng.randrange(*_DRAW) for e in keys})
+        return self._canonical({e: rng.randint(*COEFF_RANGE) for e in keys})
 
     # ------------------------------------------------------------- parsing
 

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-PAIRS = Path(__file__).resolve().parent.parent / "bench" / "pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = ROOT / "bench" / "pairs.py"
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def _load_pairs():
@@ -44,12 +46,13 @@ def test_pairs_alternate_sides_and_summarise(tmp_path, capsys):
 
     out = tmp_path / "pairs.json"
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "cli_all",
-            "--pairs", "10", "--seconds", "7", "--out", str(out)]
+            "--pairs", "10", "--out", str(out)]
     assert pairs.main(argv, runner=fake) == 0
     # pair i runs seed 1 + i; even pairs run the parent first, odd the change
     assert [c[2] for c in calls] == [s for s in range(1, 11) for _ in range(2)]
     assert [c[0] for c in calls[::2]] == ["parent", "change"] * 5
-    assert {c[1] for c in calls} == {"cli_all"} and {c[3] for c in calls} == {7}
+    # every run is as long as the benchmark's own runs
+    assert {c[1] for c in calls} == {"cli_all"} and {c[3] for c in calls} == {RUN_SECONDS}
 
     result = json.loads(out.read_text())
     runs = result["workloads"]["cli_all"]["runs"]

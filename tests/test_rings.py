@@ -114,9 +114,9 @@ def test_product_past_the_guard_bit_raises():
         R.dot([(x, x), (R.one, R.one)])
 
 
-def test_a_bound_that_reaches_the_guard_keeps_the_guard_test():
-    # the product tests the guard only where a kept key can reach it; a
-    # bound of at least 2**(FIELD_BITS - 1) lets an exponent reach it
+def test_a_bound_that_reaches_the_guard_still_raises():
+    # a bound of at least 2**(FIELD_BITS - 1) lets a kept exponent reach the
+    # guard bit, as no bound and a degree-0 generator do above
     half = (TOP_EXPONENT + 1) // 2
     for bound in (2 * half, 3 * half):
         R = GradedRing([("x", 1)], dim_bound=bound)
@@ -125,13 +125,10 @@ def test_a_bound_that_reaches_the_guard_keeps_the_guard_test():
             x * x
         with pytest.raises(ValueError, match="overflow"):
             R.dot([(R.one, x), (x, x)], start=R.one)
-    # one below: x^half squared is past the bound, skipped, and never tested
+    # one below: x^half squared is past the bound, skipped, and never kept
     R = GradedRing([("x", 1), ("y", 2)], dim_bound=2 * half - 1)
     x = R.element({(half, 0): 1})
-    assert x * x == R.zero and not R._guard
-    assert all(
-        GradedRing([("x", 1)], dim_bound=b)._guard for b in (None, 2 * half)
-    ) and GradedRing([("s", 0), ("x", 1)], dim_bound=3)._guard
+    assert x * x == R.zero
 
 
 def test_sum_stores_a_new_key_as_it_is():
@@ -141,6 +138,17 @@ def test_sum_stores_a_new_key_as_it_is():
     total = R.sum([x, y, -x])
     assert total == y and total.terms[R.pack((0, 1))] is y.terms[R.pack((0, 1))]
     assert R.pack((1, 0)) not in total.terms  # a cancelled key is dropped
+
+
+def test_combine_is_a_sum_of_scaled_rows():
+    R = GradedRing([("x", 1), ("y", 1)], dim_bound=3)
+    x, y = R.gen("x"), R.gen("y")
+    rows = [(x + y, 2), (x * y, -1), (x - y, 2), (y, 0)]
+    assert R.combine(rows) == R.sum(a * c for a, c in rows) == 4 * x - x * y
+    assert not R.rational  # whole coefficients leave the ring unmarked
+    assert R.combine([(x, Fraction(1, 2)), (x, Fraction(1, 2))]) == x and R.rational
+    with pytest.raises(ValueError, match="different rings"):
+        R.combine([(GradedRing([("x", 1)]).gen("x"), 1)])
 
 
 def test_guard_trip_inside_a_check_is_a_failed_entry():
