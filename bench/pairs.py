@@ -19,14 +19,19 @@ those where it is strictly better, lower or higher as the metric's
 ``better`` in ``BENCHMARK.json`` says (lower if the metric is not listed).
 A gain is shown when the change won at least nine in ten pairs and its
 median beats the parent's by more than the parent's interquartile distance.
-The JSON written to ``--out`` holds every run and this summary.  It reads
-``BENCHMARK.json`` and nothing under ``perfbench/``.  Standard library only.
+The JSON written to ``--out`` holds every run and this summary, and in its
+``env`` what a cold start depends on: for each checkout, whether
+``src/chowcalc/__pycache__`` existed before the first run, and whether
+``PYTHONDONTWRITEBYTECODE`` was set (without it, the first run writes the
+bytecode that later runs read).  It reads ``BENCHMARK.json`` and nothing
+under ``perfbench/``.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -50,6 +55,13 @@ def perfbench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dic
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exit {proc.returncode}: {tail}")
     result = json.loads(lines[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def bytecode_state(checkout: Path) -> dict:
+    """Whether ``checkout`` holds compiled bytecode of ``chowcalc``, and
+    whether the runs may write it."""
+    return {"pycache": (checkout / "src" / "chowcalc" / "__pycache__").is_dir(),
+            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 
 def run_pairs(runner, checkouts: dict, workload: str, pairs: int, seconds: int) -> list[dict]:
@@ -138,7 +150,8 @@ def main(argv: list[str] | None = None, runner=perfbench_run) -> int:
     seconds, better = benchmark_spec(ROOT / "BENCHMARK.json")
     result = {
         "env": {"python": platform.python_version(),
-                **{side: str(path) for side, path in checkouts.items()}},
+                **{side: str(path) for side, path in checkouts.items()},
+                "bytecode": {side: bytecode_state(path) for side, path in checkouts.items()}},
         "pairs": args.pairs, "seconds": seconds, "seed": FIRST_SEED,
         "workloads": {},
     }

@@ -20,11 +20,10 @@ to projective-bundle Chow rings.  Powers of the line class of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import GradedRing, powers
+from .rings import GradedElement, GradedRing, powers
 
 
 def binomial(a: int, b: int) -> int:
@@ -72,12 +71,17 @@ def generic_bundle(rank: int, dim_bound: int | None = None) -> BundleClass:
     return BundleClass(ring, rank, [ring.gen(n) for n in ring.generator_names])
 
 
-@dataclass
 class CharClass:
     """An inhomogeneous class trusted up to degree ``max_deg``."""
 
-    value: object
-    max_deg: int
+    __slots__ = ("value", "max_deg")
+
+    def __init__(self, value, max_deg: int):
+        self.value = value
+        self.max_deg = max_deg
+
+    def __repr__(self) -> str:
+        return f"CharClass(value={self.value!r}, max_deg={self.max_deg!r})"
 
     def component(self, d: int):
         return self.value.grade_component(d)
@@ -101,11 +105,17 @@ class CharClass:
 
 
 def _truncate(x, max_deg: int):
-    """x up to degree ``max_deg``; x itself when its ring's bound cuts there."""
-    bound = getattr(x.ring, "dim_bound", None)
+    """x up to degree ``max_deg``; x itself when its ring's bound cuts there.
+    A graded element is cut in one pass over its keys, whose top field is
+    the degree; any other element is summed from its components."""
+    ring = x.ring
+    bound = getattr(ring, "dim_bound", None)
     if bound is not None and bound <= max_deg:
         return x
-    return x.ring.sum(x.grade_component(d) for d in range(max_deg + 1))
+    if isinstance(x, GradedElement):
+        top = max_deg + 1 << ring._degree_shift
+        return GradedElement(ring, {e: c for e, c in x.terms.items() if e < top})
+    return ring.sum(x.grade_component(d) for d in range(max_deg + 1))
 
 
 # ----------------------------------------------------------- basic calculus

@@ -337,30 +337,57 @@ def test_exceptional_self_intersection(bl41):
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("identity", ["vanishing", "degree", "self_intersection"])
-@pytest.mark.parametrize("n, m", [(2, 0), (3, 0), (3, 1), (4, 1), (5, 2), (6, 0)])
-def test_linear_blowup_closed_forms(n, m, identity):
+CLOSED_FORMS = ("vanishing", "degree", "self_intersection", "center_class")
+
+
+def _closed_form_holds(n: int, m: int, identity: str) -> bool:
     """Closed forms on the blow-up of P^n along a linear P^m, an oracle that
     does not restate ``BlowupRing.mul``.  H is the pulled-back hyperplane, E
     the exceptional divisor and the integral the t^n coefficient of the
     pushforward to P^n.  H - E pulls back the hyperplane of P^{n-m-1} under
     the projection from P^m, so (H - E)^{n-m} = 0 and the degree of
     (H - E)^{n-m-1} H^{m+1} is 1; E^n integrates to (-1)^{n-1} s_m(N) over
-    P^m, with N = O(1)^{n-m} and s_m(N) = (-1)^m C(n-1, m)."""
+    P^m, with N = O(1)^{n-m} and s_m(N) = (-1)^m C(n-1, m); and the class of
+    the center, i_*(1), is t^{n-m}."""
     bl = BlowupRing(linear_blowup(n, m))
-    H, E = bl.pull(bl.data.ambient.gen("t")), bl.exc_push(bl.E.one)
+    t = bl.data.ambient.gen("t")
+    H, E = bl.pull(t), bl.exc_push(bl.E.one)
 
     def integral(x) -> int:
         pushed = bl.push(x)
         assert pushed.is_homogeneous(n)
         return pushed.terms.get(bl.data.ambient.pack((n,)), 0)
 
-    if identity == "vanishing":
-        assert (H - E) ** (n - m) == bl.zero
-    elif identity == "degree":
-        assert integral((H - E) ** (n - m - 1) * H ** (m + 1)) == 1
-    else:
-        assert integral(E ** n) == (-1) ** (n - 1) * (-1) ** m * math.comb(n - 1, m)
+    forms = {
+        "vanishing": lambda: (H - E) ** (n - m) == bl.zero,
+        "degree": lambda: integral((H - E) ** (n - m - 1) * H ** (m + 1)) == 1,
+        "self_intersection": lambda: (
+            integral(E ** n) == (-1) ** (n - 1) * (-1) ** m * math.comb(n - 1, m)),
+        "center_class": lambda: bl.data.push(bl.data.center.one) == t ** (n - m),
+    }
+    return forms[identity]()
+
+
+@pytest.mark.parametrize("identity", CLOSED_FORMS)
+@pytest.mark.parametrize("n, m", [(2, 0), (3, 0), (3, 1), (4, 1), (5, 2), (6, 0)])
+def test_linear_blowup_closed_forms(n, m, identity):
+    assert _closed_form_holds(n, m, identity)
+
+
+@pytest.mark.parametrize("mutate", [False, True], ids=["harness", "mutant"])
+@pytest.mark.parametrize("n", [2, 6])
+def test_map_skipping_a_row_fails_the_closed_forms_on_a_point(n, mutate, monkeypatch):
+    # A combine that skips its first row (the map-skips-a-row mutant above)
+    # sends every class of a point center to 0 under i^* and i_*.  Zero maps
+    # satisfy every sampled law, so the blowup suite still passes on
+    # linear:n,0; every closed form but the degree fails.
+    if mutate:
+        skip = mutated(GradedRing.combine, "for x, c in rows:", "for x, c in list(rows)[1:]:")
+        monkeypatch.setattr(GradedRing, "combine", skip)
+    status, report = run_suite(SuiteConfig(suite="blowup", case=f"linear:{n},0"))
+    assert status == 0, report.to_text()
+    held = {identity: _closed_form_holds(n, 0, identity) for identity in CLOSED_FORMS}
+    assert held == {identity: not mutate or identity == "degree" for identity in CLOSED_FORMS}
 
 
 def test_mul_matches_pullback_on_ambient_classes(bl41, data41):

@@ -234,6 +234,36 @@ def test_sqrt_squares_back_randomly(ring):
         assert root * root == a
 
 
+@pytest.mark.parametrize("dim_bound", [None, 3, 6, 8])
+def test_charclass_cuts_at_max_deg_as_its_components_sum(dim_bound):
+    # the one-pass cut on the keys' degree field against the component sum,
+    # on rings bounded below, at and above max_deg and on an unbounded ring
+    ring = GradedRing([("a", 1), ("b", 2), ("l", 1)], dim_bound=dim_bound)
+    rng = random.Random(7)
+    x, y = (ring.one + ring.random_element(rng, 4) for _ in range(2))
+    full = x * y
+    for max_deg in range(6):
+        product = (CharClass(x, max_deg) * CharClass(y, max_deg)).value
+        assert product == ring.sum(full.grade_component(d) for d in range(max_deg + 1))
+        assert product.ring is ring and all(product.terms.values())
+
+
+def test_charclass_cuts_tower_classes_by_their_components(bundle):
+    # P(F) has no packed keys: its classes are cut component by component
+    h = ProjBundleRing(bundle).h
+    x = CharClass(h.ring.one + h, 1)
+    assert (x * x).value == h.ring.one + h * 2
+
+
+def test_charclass_repr_and_equality(ring):
+    x = CharClass(ring.gen("a"), 3)
+    assert repr(x) == "CharClass(value=<1 * a>, max_deg=3)"
+    assert x == CharClass(ring.gen("a"), 3) != CharClass(ring.gen("a"), 4)
+    assert x.__eq__(ring.gen("a")) is NotImplemented
+    with pytest.raises(AttributeError):
+        x.extra = 1  # slotted: value and max_deg only
+
+
 def test_sqrt_requires_unit(ring):
     with pytest.raises(ValueError):
         sqrt_one_series(CharClass(ring.gen("a"), 3))

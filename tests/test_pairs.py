@@ -1,6 +1,7 @@
 """The alternating-pairs tool, on a fake runner: the order of the sides in
 each pair, the seeds, the quartiles, the pairs won and the gain rule, the
-JSON it writes, and a failed run.  No perfbench run is started."""
+JSON it writes with the bytecode state of each checkout, and a failed run.
+No perfbench run is started."""
 
 import ast
 import importlib.util
@@ -69,6 +70,32 @@ def test_pairs_alternate_sides_and_summarise(tmp_path, capsys):
     assert summary["pass_ratio"]["won"] == 0 and not summary["pass_ratio"]["gain"]
     printed = capsys.readouterr().out
     assert "cli_all verdict_ref_mean: parent 1.055" in printed and "won 9/10 GAIN" in printed
+
+
+@pytest.mark.parametrize("dont_write", [None, "", "1"])
+def test_env_records_the_bytecode_state_of_each_checkout(tmp_path, monkeypatch, dont_write):
+    pairs = _load_pairs()
+    parent, change = _checkouts(tmp_path)
+    (parent / "src" / "chowcalc" / "__pycache__").mkdir(parents=True)
+    (change / "src" / "chowcalc").mkdir(parents=True)  # source, never compiled
+    if dont_write is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", dont_write)
+
+    def fake(checkout, workload, seed, seconds):
+        return {"verdict_ref_mean": 1.0}
+
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "charclass_cold",
+            "--pairs", "1", "--out", str(out)]
+    assert pairs.main(argv, runner=fake) == 0
+    env = json.loads(out.read_text())["env"]
+    assert env["parent"] == str(parent) and env["change"] == str(change)
+    # an empty value does not stop Python writing bytecode
+    written = dont_write == "1"
+    assert env["bytecode"] == {"parent": {"pycache": True, "dont_write_bytecode": written},
+                               "change": {"pycache": False, "dont_write_bytecode": written}}
 
 
 def test_too_few_wins_or_a_small_gap_is_no_gain():

@@ -97,6 +97,10 @@ CHARCLASS_CHERN_CHARACTERS = 9
 # root reads degrees 0..8 once each; CharClass does not re-truncate on a
 # ring whose bound already cuts at max_deg
 MUKAI_VECTOR_GRADE_COMPONENTS = 9
+# GradedElement.grade_component calls for the charclass suite (seed 1): a
+# CharClass on a ring bounded above max_deg (8 against 6) is cut in one pass
+# over its keys, not summed from max_deg + 1 components
+CHARCLASS_GRADE_COMPONENTS = 15
 
 
 def _count_calls(monkeypatch, cls, name) -> list[int]:
@@ -388,3 +392,10 @@ def test_grade_components_of_mukai_vector(monkeypatch):
     calls = _count_calls(monkeypatch, GradedElement, "grade_component")
     chern.mukai_vector(E, T, 8)
     assert 0 < calls[0] <= MUKAI_VECTOR_GRADE_COMPONENTS
+
+
+def test_grade_components_of_the_charclass_suite(monkeypatch):
+    calls = _count_calls(monkeypatch, GradedElement, "grade_component")
+    status, report = run_suite(SuiteConfig(suite="charclass", seed=1))
+    assert status == 0, report.to_text()
+    assert 0 < calls[0] <= CHARCLASS_GRADE_COMPONENTS
