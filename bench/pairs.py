@@ -23,8 +23,10 @@ The JSON written to ``--out`` holds every run and this summary, and in its
 ``env`` what a cold start depends on: for each checkout, whether
 ``src/chowcalc/__pycache__`` existed before the first run, and whether
 ``PYTHONDONTWRITEBYTECODE`` was set (without it, the first run writes the
-bytecode that later runs read).  It reads ``BENCHMARK.json`` and nothing
-under ``perfbench/``.  Standard library only.
+bytecode that later runs read), and the length of each checkout's path:
+cli_all's ``peak_rss_mb`` grows with it, so the tool warns on standard error
+when the two lengths differ.  It reads ``BENCHMARK.json`` and nothing under
+``perfbench/``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -148,9 +150,14 @@ def main(argv: list[str] | None = None, runner=perfbench_run) -> int:
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {path} has no perfbench/run.py")
     seconds, better = benchmark_spec(ROOT / "BENCHMARK.json")
+    lengths = {side: len(str(path)) for side, path in checkouts.items()}
+    if len(set(lengths.values())) > 1:
+        print(f"warning: checkout paths differ in length {lengths}; cli_all's peak_rss_mb"
+              " depends on it", file=sys.stderr)
     result = {
         "env": {"python": platform.python_version(),
                 **{side: str(path) for side, path in checkouts.items()},
+                "path_length": lengths,
                 "bytecode": {side: bytecode_state(path) for side, path in checkouts.items()}},
         "pairs": args.pairs, "seconds": seconds, "seed": FIRST_SEED,
         "workloads": {},

@@ -1,15 +1,14 @@
 """Chow rings of blow-ups along smoothly embedded projective centers.
 
 A blow-up of X along P is described by an :class:`EmbeddingData`: ring
-models for CH(X) and CH(P), the restriction i^* (generator images), the
-pushforward i_* (a table on monomials), and the normal bundle N; i^* keeps
-a table on monomials too, each entry substituted once, on first use; both
-maps extend their table linearly, in one ``GradedRing.combine`` each.
-Classes on the blown-up space are stored as a pair (ambient part, exceptional part),
-where the exceptional part lives in CH(E) = CH(P(N)) and is normalized to
-have zero pushforward to the center; a class restricts to E once, on first
-use.  The normal bundle of E is O_{P(N)}(-1), so the exceptional
-self-intersection multiplies by -xi.
+models for CH(X) and CH(P), i^* (generator images, and a table on monomials
+filled once per entry), i_* (a table on monomials), and the normal bundle N;
+both maps extend their table linearly, in one ``GradedRing.combine`` each.
+A class is a pair (ambient part, exceptional part) with the exceptional part
+in CH(E) = CH(P(N)) of zero pushforward to the center, restricted to E once.
+E's normal bundle is O(-1), so E·E multiplies by -xi: a slot shift up and a
+negation.  ``exc_push`` and ``mul`` share one normalization by c_{r-1}(W)
+(Fulton, Thm 6.7): one base product per stored slot, and one ambient ``dot``.
 """
 
 from __future__ import annotations
@@ -127,6 +126,7 @@ class BlowupRing:
         self.E = ProjBundleRing(data.normal, hyperplane="xi")
         self.xi = self.E.h
         self.cW = cw_top(self.E)  # c_{r-1} of the universal quotient bundle
+        self._minus_cw = [(k, -c) for k, c in self.cW.slots.items()]
         self.zero = self.pull(data.ambient.zero)
         self.one = self.pull(data.ambient.one)
         if validate_samples:
@@ -147,9 +147,23 @@ class BlowupRing:
 
     def exc_push(self, eps: PBElement) -> "BlowupClass":
         """j_*: push a class on E into the blow-up, in normalized form."""
-        eta_push = self.E.pushforward(eps)
-        normalized = eps - self.cW * self.E.pullback(eta_push)
-        return BlowupClass(self, self.data.push(eta_push), normalized)
+        if eps.ring is not self.E:
+            raise ValueError("elements belong to different rings")
+        return self._normalized(eps.slots)
+
+    def _normalized(self, slots: dict, pairs=()) -> "BlowupClass":
+        """phi^*(Σ a·b over ambient ``pairs``) + j_*(reduced ``slots``), normalized:
+        eta = slot r-1 goes in through i_*, and each stored slot k of c_{r-1}(W)
+        takes c_k·eta from slot k in one ``base.dot``, emptying slot r-1."""
+        eta, ambient = slots.get(self.E.rank - 1), self.data.ambient.zero
+        if eta is not None:
+            slots, dot = dict(slots), self.E.base.dot
+            for k, minus_c in self._minus_cw:
+                if value := dot(((minus_c, eta),), slots.pop(k, None)):
+                    slots[k] = value
+            ambient = self.data.push(eta)
+        ambient = self.data.ambient.dot(pairs, ambient) if pairs else ambient
+        return BlowupClass(self, ambient, PBElement(self.E, slots))
 
     def sum(self, elements) -> "BlowupClass":
         """Ambient and exceptional parts, each through its own ring's ``sum``."""
@@ -162,12 +176,11 @@ class BlowupRing:
     def mul(self, a: "BlowupClass", b: "BlowupClass") -> "BlowupClass":
         if a.ring is not self or b.ring is not self:
             raise ValueError("classes belong to a different blow-up")
-        # phi^*a.phi^*b + mixed projection-formula terms + E self-intersection
-        ea, eb = a.exceptional, b.exceptional
-        exc = self.E.dot(((a.restriction, eb), (b.restriction, ea), (-(self.xi * ea), eb)))
-        mixed = self.exc_push(exc)
-        ambient = self.data.ambient.dot(((a.ambient, b.ambient),), mixed.ambient)
-        return BlowupClass(self, ambient, mixed.exceptional)
+        # phi^*a.phi^*b + projection-formula terms + E·E, -xi·ea as a slot shift
+        E, ea, eb = self.E, a.exceptional, b.exceptional
+        shifted = PBElement(E, E.reduce({k + 1: -x for k, x in ea.slots.items()}))
+        exc = E.dot(((a.restriction, eb), (b.restriction, ea), (shifted, eb)))
+        return self._normalized(exc.slots, ((a.ambient, b.ambient),))
 
 
 @dataclass(repr=False, eq=False)

@@ -274,6 +274,27 @@ def test_doubled_pull_table_entry_is_caught(case, exps, law, monkeypatch):
     assert failed["blowup.embedding_valid"] == exc.value.witness
 
 
+# (function, code, mutant) of the -xi·ea slot shift in BlowupRing.mul and
+# of the normalization by c_{r-1}(W) that exc_push and mul share
+PRODUCT_MUTANTS = {
+    "shift-loses-its-sign": ("BlowupRing.mul", "{k + 1: -x for", "{k + 1: x for"),
+    "shift-forgets-the-plus-one": ("BlowupRing.mul", "{k + 1: -x for", "{k: -x for"),
+    "normalization-skips-a-cw-slot": (
+        "BlowupRing._normalized", "in self._minus_cw:", "in self._minus_cw[1:]:"),
+}
+
+
+def _mutate(monkeypatch, function: str, old: str, new: str) -> None:
+    owner, name = function.split(".")
+    owner = {"GradedRing": GradedRing, "BlowupRing": BlowupRing}[owner]
+    monkeypatch.setattr(owner, name, mutated(getattr(owner, name), old, new))
+
+
+def _failed_blowup_checks(case: str) -> tuple[int, dict]:
+    status, report = run_suite(SuiteConfig(suite="blowup", case=case))
+    return status, {c.name: c.witness for c in report.checks if c.status == "fail"}
+
+
 @pytest.mark.parametrize(
     "function, old, new, failing",
     [
@@ -281,19 +302,35 @@ def test_doubled_pull_table_entry_is_caught(case, exps, law, monkeypatch):
         ("GradedRing.combine", "for x, c in rows:", "for x, c in list(rows)[1:]:",
          {"blowup.embedding_valid", "blowup.ring_laws"}),
         ("BlowupRing.mul", "(b.restriction, ea)", "(a.restriction, ea)", {"blowup.ring_laws"}),
+        (*PRODUCT_MUTANTS["shift-forgets-the-plus-one"], {"blowup.ring_laws"}),
+        (*PRODUCT_MUTANTS["normalization-skips-a-cw-slot"],
+         {"blowup.key_formula", "blowup.ring_laws"}),
     ],
-    ids=["map-ignores-c", "map-skips-a-row", "mul-restricts-a-twice"],
+    ids=["map-ignores-c", "map-skips-a-row", "mul-restricts-a-twice",
+         "shift-forgets-the-plus-one", "normalization-skips-a-cw-slot"],
 )
 def test_blowup_mutants_fail_the_suite_on_linear_4_1(function, old, new, failing, monkeypatch):
-    # the one-pass linear map of i^* and i_*, and the cached restrictions of
-    # BlowupRing.mul: each mutant fails the named checks with a nonzero witness
-    owner, name = function.split(".")
-    owner = {"GradedRing": GradedRing, "BlowupRing": BlowupRing}[owner]
-    monkeypatch.setattr(owner, name, mutated(getattr(owner, name), old, new))
-    status, report = run_suite(SuiteConfig(suite="blowup", case="linear:4,1"))
-    failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
+    # the one-pass linear map of i^* and i_*, the cached restrictions, the
+    # -xi·ea shift and the shared normalization of BlowupRing.mul: each
+    # mutant fails the named checks with a nonzero witness
+    _mutate(monkeypatch, function, old, new)
+    status, failed = _failed_blowup_checks("linear:4,1")
     assert status == 1 and set(failed) == failing
     assert all(w and "diff 0" not in w and w != "0" for w in failed.values())
+
+
+def test_a_shift_that_loses_its_sign_fails_ring_laws_on_linear_6_3(monkeypatch):
+    # With E·E = j_*(lam·e·e'), the two bracketings of three exceptional
+    # classes differ by j_* of (eta^*c_r(N) - lam·c_{r-1}(W))·eta^*eta_*(lam·e·e')·e''
+    # and its permutations.  The Whitney formula makes that factor 0 at
+    # lam = -xi and 2·eta^*c_r(N) at lam = xi, so a lost sign is still a ring
+    # wherever c_r(N) = 0: on linear:n,m with m < r (c_r(N) = u^r), which
+    # includes linear:4,1.  There only the closed forms below see it; on
+    # linear:6,3, c_3(N) = u^3 is not 0 and the samples see it.
+    _mutate(monkeypatch, *PRODUCT_MUTANTS["shift-loses-its-sign"])
+    status, failed = _failed_blowup_checks("linear:6,3")
+    assert status == 1 and set(failed) == {"blowup.ring_laws"}
+    assert all(w and w != "0" for w in failed.values())
 
 
 def test_cw_rank_one_is_one():
@@ -388,6 +425,58 @@ def test_map_skipping_a_row_fails_the_closed_forms_on_a_point(n, mutate, monkeyp
     assert status == 0, report.to_text()
     held = {identity: _closed_form_holds(n, 0, identity) for identity in CLOSED_FORMS}
     assert held == {identity: not mutate or identity == "degree" for identity in CLOSED_FORMS}
+
+
+@pytest.mark.parametrize("mutant", sorted(PRODUCT_MUTANTS))
+def test_product_mutants_fail_the_closed_forms_on_a_point(mutant, monkeypatch):
+    # on linear:6,0 the samples may miss a mutant (a lost sign is still a
+    # ring there); (H - E)^6 = 0 and the value of ∫E^6 do not
+    _mutate(monkeypatch, *PRODUCT_MUTANTS[mutant])
+    held = {identity: _closed_form_holds(6, 0, identity) for identity in CLOSED_FORMS}
+    assert held == {"vanishing": False, "degree": True,
+                    "self_intersection": False, "center_class": True}
+
+
+def _whitney_holds(bl: BlowupRing) -> bool:
+    """eta^*c_r(N) = -xi·c_{r-1}(W) in CH(E), an oracle that does not share
+    the blow-up's normalization: the Whitney formula for
+    0 -> O(-1) -> eta^*N -> W -> 0 (Fulton §3.2) gives
+    c_r(eta^*N) = (1 - xi)·c(W) in degree r, and c_r(W) = 0 as W has rank r - 1."""
+    r = bl.E.rank
+    return bl.E.pullback(bl.data.normal.c(r)) == -(bl.xi * bl.cW)
+
+
+WHITNEY_CASES = {
+    f"linear:{n},{m}": (lambda n=n, m=m: linear_blowup(n, m))
+    for n in range(1, 7) for m in range(n)
+}
+WHITNEY_CASES["weighted"] = EMBEDDINGS["weighted"]
+
+
+@pytest.mark.parametrize("case", sorted(WHITNEY_CASES))
+def test_cw_satisfies_the_whitney_formula(case):
+    assert _whitney_holds(BlowupRing(WHITNEY_CASES[case]()))
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 2), (6, 2)])
+def test_a_corrupted_cw_passes_the_key_formula_but_not_the_whitney_formula(
+    n, m, monkeypatch
+):
+    # cW + 5·xi^{r-2}·pull(u) still pushes to 1, and key_formula reads the
+    # same cW on both sides (the normalization and cW·pull(gamma)), so it
+    # holds by construction; on linear:3,1 the whole suite passes.  The
+    # Whitney formula does not read the normalization and fails.
+    import chowcalc.blowup as bl_mod
+
+    def corrupted(E):
+        return cw_top(E) + E.element({E.rank - 2: E.base.gen("u") * 5})
+
+    monkeypatch.setattr(bl_mod, "cw_top", corrupted)
+    status, failed = _failed_blowup_checks(f"linear:{n},{m}")
+    assert "blowup.key_formula" not in failed
+    if (n, m) == (3, 1):
+        assert status == 0
+    assert not _whitney_holds(BlowupRing(linear_blowup(n, m)))
 
 
 def test_mul_matches_pullback_on_ambient_classes(bl41, data41):

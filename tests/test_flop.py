@@ -296,9 +296,10 @@ def test_sigma_top_route_mutant_fails_sigma_top(monkeypatch, mutant):
 
 
 # (code in ProjBundleRing.mul, mutant, flop checks that must fail at r = 2, 3,
-# blow-up checks that must fail on linear:4,1).  Dropping the top slot of y
-# in h·y is invisible to the blow-up: its h product, -xi·eps, takes an
-# exceptional part eps, whose top slot is 0 because eta_*(eps) = 0.
+# blow-up checks that must fail on linear:4,1).  BlowupRing.mul forms -xi·eps
+# as a slot shift of its own and normalizes by c_{r-1}(W) slot by slot, so no
+# blow-up product takes the h shape; only key_formula's cW·pull(gamma) takes
+# the pullback shape.
 SHORTCUT_MUTANTS = {
     "h_shift_drops_the_top_slot": (
         "{k + 1: t for k, t in y.slots.items()}",
@@ -310,13 +311,13 @@ SHORTCUT_MUTANTS = {
         "{k + 1: t for k, t in y.slots.items()}",
         "{k: t for k, t in y.slots.items()}",
         {"flop.t1_identity", "flop.help_sum_identity"},
-        {"blowup.ring_laws"},
+        set(),
     ),
     "pullback_scales_only_slot_0": (
         "if (v := t * c)}",
         "if (v := t * c if not k else t)}",
         {"flop.t1_identity", "flop.help_sum_identity"},
-        {"blowup.key_formula", "blowup.ring_laws"},
+        {"blowup.key_formula"},
     ),
 }
 

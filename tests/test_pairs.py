@@ -1,6 +1,7 @@
 """The alternating-pairs tool, on a fake runner: the order of the sides in
 each pair, the seeds, the quartiles, the pairs won and the gain rule, the
-JSON it writes with the bytecode state of each checkout, and a failed run.
+JSON it writes with the bytecode state and path length of each checkout, the
+warning on unequal path lengths, and a failed run.
 No perfbench run is started."""
 
 import ast
@@ -96,6 +97,29 @@ def test_env_records_the_bytecode_state_of_each_checkout(tmp_path, monkeypatch, 
     written = dont_write == "1"
     assert env["bytecode"] == {"parent": {"pycache": True, "dont_write_bytecode": written},
                                "change": {"pycache": False, "dont_write_bytecode": written}}
+
+
+@pytest.mark.parametrize("names", [("parent", "change"), ("parent", "changed")])
+def test_env_records_the_path_length_of_each_checkout(tmp_path, capsys, names):
+    pairs = _load_pairs()
+    checkouts = []
+    for name in names:
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+        checkouts.append(tmp_path / name)
+
+    def fake(checkout, workload, seed, seconds):
+        return {"peak_rss_mb": 17.0}
+
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(checkouts[0]), "--change", str(checkouts[1]),
+            "--workload", "cli_all", "--pairs", "1", "--out", str(out)]
+    assert pairs.main(argv, runner=fake) == 0
+    lengths = json.loads(out.read_text())["env"]["path_length"]
+    assert lengths == {side: len(str(path)) for side, path in zip(("parent", "change"), checkouts)}
+    # a path one character longer is warned about, an equal one is not
+    warned = "paths differ in length" in capsys.readouterr().err
+    assert warned == (len(names[0]) != len(names[1]))
 
 
 def test_too_few_wins_or_a_small_gap_is_no_gain():

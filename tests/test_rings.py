@@ -20,7 +20,7 @@ from chowcalc import (
 from chowcalc.blowup import BlowupClass
 from chowcalc.chern import generic_bundle
 from chowcalc.report import Report
-from chowcalc.rings import FIELD_BITS, GradedElement, RingElement, powers
+from chowcalc.rings import COEFF_RANGE, FIELD_BITS, GradedElement, RingElement, powers
 
 try:
     from hypothesis import given, settings
@@ -533,6 +533,33 @@ def test_seeded_draws_are_unchanged():
             R.random_homogeneous(rng, 5),
         ]
         assert [str(x) for x in drawn] == expected
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GradedRing([("t", 1)], dim_bound=4),
+        lambda: GradedRing([("x", 1), ("y", 2), ("z", 3)], dim_bound=5),
+        lambda: GradedRing([("x", 1), ("y", 2)]),
+    ],
+    ids=["one-generator-bounded", "weighted-bounded", "unbounded"],
+)
+def test_draws_follow_the_randint_stream(make):
+    # the samplers draw by rng.choice over COEFF_RANGE; a reference drawing
+    # each coefficient by randint(*COEFF_RANGE) gets the same values and
+    # leaves the generator in the same state
+    ring = make()
+
+    def reference(rng, degrees) -> GradedElement:
+        keys = [ring.pack(m) for d in degrees for m in ring.monomials_of_degree(d)]
+        return ring.element({ring.exponents(e): rng.randint(*COEFF_RANGE) for e in keys})
+
+    for seed in range(20):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for d in range(7):
+            assert ring.random_element(ours, d) == reference(theirs, range(d + 1)), (seed, d)
+            assert ring.random_homogeneous(ours, d) == reference(theirs, [d]), (seed, d)
+        assert ours.getstate() == theirs.getstate(), seed
 
 
 def test_consistency_error_carries_witness():

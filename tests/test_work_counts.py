@@ -54,14 +54,23 @@ FLOP_R4_ZERO_FACTOR_PRODUCTS = 0
 FLOP_R4_SEGRE_EXTENSIONS = 4
 # BlowupRing.mul calls for the blowup suite on linear:4,1
 BLOWUP_LINEAR_4_1_PRODUCTS = 1000
-# ProjBundleRing.mul calls in CH(E) for the same suite: two per blow-up product
-# (-xi times one exceptional part, and the cW twist of exc_push); the other
-# exceptional terms go into one ProjBundleRing.dot
-BLOWUP_LINEAR_4_1_TOWER_PRODUCTS = 2604
+# ProjBundleRing.mul calls in CH(E) for the same suite: none per blow-up
+# product, which shifts -xi·eps itself, puts every exceptional term into one
+# ProjBundleRing.dot and normalizes by c_{r-1}(W) slot by slot; the two left
+# are key_formula's cW·pull(gamma)
+BLOWUP_LINEAR_4_1_TOWER_PRODUCTS = 2
 # ProjBundleRing.reduce calls in CH(E) for the same suite: two per blow-up
-# product, its one ProjBundleRing.dot and the shift -(xi·eps); the cW twist
-# of exc_push is a scaling and reduces nothing
+# product, its one ProjBundleRing.dot and the shift -xi·eps (kept, so that
+# a class whose slots are not reduced stays correct); the normalization
+# reduces nothing
 BLOWUP_LINEAR_4_1_REDUCTIONS = 2002
+# GradedRing.dot calls for the same suite: the base products themselves, one
+# per convolution slot, per cW slot of the normalization and per ambient
+# product.  The tower entry points no longer see them, so they are pinned here
+BLOWUP_LINEAR_4_1_GRADED_DOTS = 9255
+# GradedElement.__sub__ calls for the same suite: the normalization takes
+# c_k·eta from slot k inside a base.dot, with no slot-wise subtraction
+BLOWUP_LINEAR_4_1_GRADED_SUBTRACTIONS = 0
 # GradedRing.dot calls for the same suite whose every pair has a zero factor.
 # The center P^1 kills c_2(N) and c_3(N), and the relation of CH(E) stores
 # only -c_1(N), so reduce makes none.  i^*'s powers of u stop at u^2 = 0, and
@@ -244,6 +253,18 @@ def test_tower_reductions_on_blowup_linear_4_1(monkeypatch):
     calls = _count_calls(monkeypatch, ProjBundleRing, "reduce")
     _blowup_linear_4_1()
     assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_REDUCTIONS
+
+
+def test_graded_products_of_blowup_linear_4_1(monkeypatch):
+    calls = _count_calls(monkeypatch, GradedRing, "dot")
+    _blowup_linear_4_1()
+    assert 0 < calls[0] <= BLOWUP_LINEAR_4_1_GRADED_DOTS
+
+
+def test_graded_subtractions_of_blowup_linear_4_1(monkeypatch):
+    calls = _count_calls(monkeypatch, GradedElement, "__sub__")
+    _blowup_linear_4_1()
+    assert calls[0] <= BLOWUP_LINEAR_4_1_GRADED_SUBTRACTIONS
 
 
 def test_zero_factor_products_of_blowup_linear_4_1(monkeypatch):
