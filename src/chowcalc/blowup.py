@@ -200,7 +200,7 @@ class BlowupClass(RingElement):
         return (self.ambient, self.exceptional)
 
     def _scaled(self, c) -> "BlowupClass":
-        return BlowupClass(self.ring, self.ambient * c, self.exceptional * c)
+        return BlowupClass(self.ring, self.ambient._scaled(c), self.exceptional._scaled(c))
 
     def __neg__(self) -> "BlowupClass":
         return BlowupClass(self.ring, -self.ambient, -self.exceptional)
@@ -262,6 +262,13 @@ def load_embedding(text: str) -> EmbeddingData:
             raise ValueError(f"section [{name}] has no {key!r} entry")
         return entries[key]
 
+    def parse(ring: GradedRing, text: str, where: str) -> GradedElement:
+        """``ring.parse(text)``; a malformed text names the entry ``where``."""
+        try:
+            return ring.parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+
     def build_ring(name: str, bound: str | None) -> GradedRing:
         gens = []
         for part in entry(name, "generators").split(","):
@@ -278,16 +285,16 @@ def load_embedding(text: str) -> EmbeddingData:
     missing = [g for g in ambient.generator_names if g not in pull]
     if missing:
         raise ValueError(f"[pull] has no entry for ambient generators {missing}")
-    pull_images = {k: center.parse(v) for k, v in pull.items()}
+    pull_images = {k: parse(center, v, f"[pull] entry {k!r}") for k, v in pull.items()}
     push_table = {}
     for mono_str, value in section("push").items():
-        mono = center.parse(mono_str)
+        mono = parse(center, mono_str, f"[push] key {mono_str!r}")
         if len(mono.terms) != 1 or next(iter(mono.terms.values())) != 1:
             raise ValueError(f"push key must be a single monomial: {mono_str!r}")
         exps = center.exponents(next(iter(mono.terms)))
         if exps in push_table:  # the same monomial spelt two ways
             raise ValueError(f"duplicate key {mono_str!r} in section [push]")
-        push_table[exps] = ambient.parse(value)
+        push_table[exps] = parse(ambient, value, f"[push] entry {mono_str!r}")
     monomials = (m for d in range(center.dim_bound + 1) for m in center.monomials_of_degree(d))
     missing = [m for m in monomials if m not in push_table]
     if missing:  # the first ten are named, the rest counted
@@ -296,7 +303,8 @@ def load_embedding(text: str) -> EmbeddingData:
             f"[push] has no entry for center monomials {names} ({len(missing)} missing)"
         )
     rank = int(entry("normal", "rank"))
-    chern = [center.parse(entry("normal", f"c{i}")) for i in range(1, rank + 1)]
+    chern = [parse(center, entry("normal", f"c{i}"), f"[normal] entry 'c{i}'")
+             for i in range(1, rank + 1)]
     section("normal", ["rank", *(f"c{i}" for i in range(1, rank + 1))])
     unknown = sorted(set(sections) - {"ambient", "center", "pull", "push", "normal"})
     if unknown:

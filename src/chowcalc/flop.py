@@ -63,30 +63,36 @@ class FlopContext:
         term_B reads.  Row j holds the same sums lhs(j, q) over tau_{n+j,r-q}
         for q <= r, row 0 by definition and row j+1 by the tau recursion as
         lhs(j, q+1) - pull(c_{q+1}(F)) . lhs(j, 0), where lhs(j, r+1) = 0.
-        Every cell is checked against (-l)^j c_q(G), q >= 1 swept by -l, q = 0 from lpow."""
+        The sweep carries (-1)^j lhs(j, q), so no cell is negated: q = 0 is
+        checked against lpow[j], q >= 1 against l^j c_q(G), swept by l, and a
+        failing cell's witness is lhs(j, q) - (-l)^j c_q(G)."""
         r, tau, pull, zero = self.r, self.P.tau, self.Pdual.pullback, self.Pdual.zero
         row = [
             self.Pdual.dot((self.G.c(r - n), pull(tau(n, r - q))) for n in range(r + 1))
             for q in range(r + 1)
         ]
+        pulled = [pull(self.F.c(q + 1)) for q in range(r + 1)]
         swept = [self.G.c(q) for q in range(1, r + 1)]
         sums = []
         for j in range(r + 1):
-            for q, (lhs, rhs) in enumerate(zip(row, [self.lpow[j] * (-1) ** j, *swept])):
-                require_equal(lhs, rhs, f"T1 identity fails at j={j}, q={q}")
-            sums.append(row[0])
+            sign = (-1) ** j
+            for q, (lhs, rhs) in enumerate(zip(row, [self.lpow[j], *swept])):
+                if lhs != rhs:
+                    require_equal(lhs * sign, rhs * sign, f"T1 identity fails at j={j}, q={q}")
+            sums.append(-row[0] if sign < 0 else row[0])
             if j < r:
                 tail = [*row[1:], zero]
-                row = [t - pull(self.F.c(q + 1)) * row[0] for q, t in enumerate(tail)]
-                swept = [-(self.l * x) for x in swept]
+                row = [pulled[q] * row[0] - t for q, t in enumerate(tail)]
+                swept = [self.l * x for x in swept]
         return tuple(sums)
 
     def _help_table(self) -> MappingProxyType:
         """help(j, k) = sum_{i<j} (-1)^i l^i eta'_*(H^{k+j-i-1}) for j, k <= r,
         the entries term_A reads.  Row j is swept from help(0, k) = 0 by
-        help(j+1, k) = eta'_*(H^{k+j}) - l . help(j, k), and every k <= 2r - j
-        is checked against col[k+j] - (-1)^j l^j col[k], col[k] = pull(tau_{k,r})
-        formed once for k <= 2r and (-1)^j l^j once per row."""
+        help(j+1, k) = eta'_*(H^{k+j}) - l . help(j, k), one pass over the
+        slots of both (``_minus_l_times``), and every k <= 2r - j is checked
+        against col[k+j] - (-1)^j l^j col[k], col[k] = pull(tau_{k,r}) formed
+        once for k <= 2r and (-1)^j l^j once per row."""
         r = self.r
         col = [self.Pdual.pullback(self.P.tau(k, r)) for k in range(2 * r + 1)]
         self.E.segre(r)  # the top class the sweep reads: G's Segre list grows once
@@ -101,8 +107,22 @@ class FlopContext:
                 if k <= r:
                     table[j, k] = lhs
             if j < r:
-                row = [push(k + j) - self.l * row[k] for k in range(2 * r - j)]
+                row = [self._minus_l_times(push(k + j), row[k]) for k in range(2 * r - j)]
         return MappingProxyType(table)
+
+    def _minus_l_times(self, a: PBElement, y: PBElement) -> PBElement:
+        """a - l.y in CH(P'), one pass over y's slots: slot k is taken from
+        a's slot k + 1 as ``PBElement.__sub__`` takes it from slot k, and the
+        dict is reduced only when y's top slot r reached slot r + 1."""
+        slots = dict(a.slots)
+        for k, x in y.slots.items():
+            if k + 1 not in slots:
+                slots[k + 1] = -x
+            elif value := slots[k + 1] - x:
+                slots[k + 1] = value
+            else:
+                del slots[k + 1]
+        return PBElement(self.Pdual, self.Pdual.reduce(slots) if self.r in y.slots else slots)
 
     # each table is built, every cell checked, on first read, then kept
     t1_sums = cached_property(_t1_table)

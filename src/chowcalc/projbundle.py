@@ -246,16 +246,17 @@ class PBElement(RingElement):
             return self.ring.pullback(other)
         return super()._coerce(other)
 
-    def _state(self) -> tuple:
-        return (self.slots,)
+    def _state(self) -> dict:
+        return self.slots
 
     def _scaled(self, c) -> "PBElement":
-        return PBElement(self.ring, {k: x * c for k, x in self.slots.items()} if c else {})
+        return PBElement(self.ring, {k: x._scaled(c) for k, x in self.slots.items()} if c else {})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not PBElement or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         slots = dict(self.slots)
         for k, y in other.slots.items():
             if k not in slots:

@@ -66,9 +66,11 @@ def powers(x, n: int) -> list:
 
 class RingElement:
     """``+`` (``ring.sum``), ``*`` (``ring.mul``, or ``_scaled`` by a number),
-    ``==`` (of ``_state()``), ``-``, powers and repr, behind one ``_coerce``;
-    ``==`` between elements of one class and one ring skips ``_coerce``.  A
-    subclass supplies ``_state``, ``_scaled``, unary ``-`` and ``str``."""
+    ``==`` (of ``_state()``), ``-``, powers and repr, behind one ``_coerce``.
+    An operand of the same class whose ring ``is`` this ring goes straight to
+    the ring, and an ``int`` factor straight to ``_scaled``, with no
+    ``_coerce``.  A subclass supplies ``_state``, ``_scaled``, unary ``-``
+    and ``str``."""
 
     __slots__ = ()
 
@@ -84,14 +86,19 @@ class RingElement:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not type(self) or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self.ring.sum((self, other))
 
     __radd__ = __add__
 
     def __mul__(self, other):
+        if type(other) is type(self) and other.ring is self.ring:
+            return self.ring.mul(self, other)
+        if type(other) is int:
+            return self._scaled(other)
         if isinstance(other, (int, Fraction)):
             return self._scaled(exact(other))
         other = self._coerce(other)
@@ -347,6 +354,8 @@ class GradedRing:
         terms: dict[int, Coefficient] = {}
         for chunk in text.split(" + "):
             chunk = chunk.strip()
+            if not chunk:
+                raise ValueError(f"empty term in {text!r}")
             if " * " in chunk:
                 coeff_str, mono_str = chunk.split(" * ", 1)
                 coeff = self._marked(_parse_coefficient(coeff_str))
@@ -358,7 +367,7 @@ class GradedRing:
             exps = [0] * self.nvars
             for factor in mono_str.split("*") if mono_str else ():
                 name, caret, exponent = factor.strip().partition("^")
-                if caret and not exponent.isdigit():
+                if caret and not (exponent.isascii() and exponent.isdigit()):
                     raise ValueError(f"bad exponent {exponent!r} in {factor!r}")
                 if name not in self._index:
                     raise ValueError(f"unknown generator {name!r} in {text!r}")
@@ -396,13 +405,15 @@ class GradedElement(RingElement):
         )
 
     def is_homogeneous(self, d: int) -> bool:
-        shift = self.ring._degree_shift
-        return all(e >> shift == d for e in self.terms)
+        # the degree is a key's top field, so every key lies in d's range
+        # when the least and the greatest do
+        shift, terms = self.ring._degree_shift, self.terms
+        return not terms or d << shift <= min(terms) and max(terms) < d + 1 << shift
 
     # ---------------------------------------------------------- arithmetic
 
-    def _state(self) -> tuple:
-        return (self.terms,)
+    def _state(self) -> dict:
+        return self.terms
 
     def _scaled(self, c: Coefficient) -> "GradedElement":
         # a nonzero c keeps every key and makes no coefficient zero
@@ -418,9 +429,10 @@ class GradedElement(RingElement):
         return GradedElement(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not GradedElement or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if not other.terms:  # elements are never mutated, so self may be shared
             return self
         terms = dict(self.terms)

@@ -136,8 +136,9 @@ def test_file_case_reports_as_its_linear_case(tmp_path, monkeypatch, capsys):
         ("dim_bound: 4\n", "", "the ambient ring needs a dim_bound"),
         ("t = u", "t = v", "unknown generator 'v'"),
         ("c3 = 0", "", "has no 'c3' entry"),
+        ("t = u", "t =", "[pull] entry 't': empty term in ''"),
     ],
-    ids=["unbounded-ambient", "unknown-generator", "missing-chern-class"],
+    ids=["unbounded-ambient", "unknown-generator", "missing-chern-class", "empty-pull-entry"],
 )
 def test_bad_file_case_is_usage_error(old, new, token, tmp_path, capsys):
     path = tmp_path / "embedding.txt"

@@ -137,38 +137,55 @@ def test_substituted_help_sum_fails_term_a():
             assert "flop.help_sum_identity" not in failed  # read, not rebuilt
 
 
-def _install_mutant(monkeypatch, table: str, old: str, new: str) -> None:
-    """Build ``FlopContext.<table>`` from a mutated copy of its method."""
-    method = vars(FlopContext)[table].func
-    monkeypatch.setattr(FlopContext, table, property(mutated(method, old, new)))
+def _install_mutant(monkeypatch, name: str, old: str, new: str) -> None:
+    """Replace ``FlopContext.<name>`` by a mutated copy: a table's method,
+    read as a property, or a plain method."""
+    attr = vars(FlopContext)[name]
+    if isinstance(attr, functools.cached_property):
+        monkeypatch.setattr(FlopContext, name, property(mutated(attr.func, old, new)))
+    else:
+        monkeypatch.setattr(FlopContext, name, mutated(attr, old, new))
 
 
-# (table, code in its sweep, mutant, checks that must fail)
+# (table or the method its sweep calls, code in it, mutant, checks that must
+# fail, at each of these r).  The T1 sweep carries (-1)^j lhs(j, q); the help
+# sweep's slot pass takes l·help(j, k) from eta'_*(H^{k+j}) by shifting
+# help's slots up one.  At r = 1 the one pass has help(0, k) = 0 to shift,
+# so no mutant of the shift can change a value there
 SWEEP_MUTANTS = {
     "t1_without_c_term": (
         "t1_sums",
-        "t - pull(self.F.c(q + 1)) * row[0] for",
-        "t for",
+        "pulled[q] * row[0] - t for",
+        "-t for",
         {"flop.t1_identity", "flop.term_B_routes"},
+        (1, 2, 3),
     ),
     "help_off_by_one": (
         "help_sums",
         "push(k + j)",
         "push(k + j - 1)",
         {"flop.help_sum_identity", "flop.term_A_routes"},
+        (1, 2, 3),
+    ),
+    "help_slot_pass_loses_the_shift": (
+        "_minus_l_times",
+        "for k, x in y.slots.items():",
+        "for k, x in ((k - 1, x) for k, x in y.slots.items()):",
+        {"flop.help_sum_identity", "flop.term_A_routes"},
+        (2, 3),
     ),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(SWEEP_MUTANTS))
 def test_sweep_mutant_fails_its_checks(monkeypatch, mutant):
-    table, old, new, readers = SWEEP_MUTANTS[mutant]
+    table, old, new, readers, ranks = SWEEP_MUTANTS[mutant]
     _install_mutant(monkeypatch, table, old, old)  # the harness alone passes
     ctx = FlopContext(2)
     assert verify_multiplicativity(ctx, *ctx.formal_sigmas()).ok
     monkeypatch.undo()
     _install_mutant(monkeypatch, table, old, new)
-    for r in (1, 2, 3):
+    for r in ranks:
         ctx = FlopContext(r)
         failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
         assert readers <= {k for k, w in failed.items() if w not in ("", "0")}, r

@@ -439,6 +439,10 @@ if st is not None:
         ("x^k", "'k'"),
         ("x^-1", "'-1'"),
         ("x^2^3", "'2^3'"),
+        ("x^²", "bad exponent '²'"),  # a digit to str.isdigit, not to int()
+        ("", "empty term in ''"),
+        ("  ", "empty term in ''"),
+        ("x +  + y", "empty term in 'x +  + y'"),
     ],
 )
 def test_parse_rejects_malformed_text(ring, text, token):
@@ -657,16 +661,58 @@ def test_equality_compares_every_part_of_the_state():
     assert bl.exc_push(bl.xi) != bl.zero  # the exceptional part differs, the ambient agrees
 
 
+def _graded_rings(ring) -> list:
+    """The graded rings under a graded, tower or blow-up ring."""
+    if isinstance(ring, GradedRing):
+        return [ring]
+    if isinstance(ring, ProjBundleRing):
+        return _graded_rings(ring.base)
+    return [ring.data.ambient, *_graded_rings(ring.E)]
+
+
+SAME_RING_OPS = (operator.eq, operator.add, operator.mul, operator.sub)
+
+
 @MAKERS
 def test_equality_within_one_class_and_ring_skips_coercion(monkeypatch, make):
+    # so do +, * and -: an operand of the same class and ring goes to the ring
     ring, x = make()
-    _, foreign = make()  # same class, second ring
     y, three = x * 1, ring.one * 3  # equal to x and to 3, built before the patch
-    with pytest.raises(ValueError, match="different rings"):
-        x == foreign
+    expected = {op: op(x, y) for op in SAME_RING_OPS}
     assert three == 3 and 3 == three and x != 3
     monkeypatch.setattr(type(x), "_coerce", None)  # a call would raise TypeError
     assert x == y and y == x and three != x
+    for op in SAME_RING_OPS:
+        assert op(x, y) == expected[op] and op(y, x) == expected[op], op.__name__
+    assert x - x == ring.zero and x * three == x + x + x
+
+
+@MAKERS
+def test_a_foreign_operand_of_the_same_class_never_reaches_the_ring(monkeypatch, make):
+    ring, x = make()
+    _, foreign = make()  # same class, second ring
+    for name in ("sum", "mul"):  # a call would raise TypeError
+        monkeypatch.setattr(type(ring), name, None)
+    for op in SAME_RING_OPS:
+        for a, b in ((x, foreign), (foreign, x), (ring.zero, foreign)):
+            with pytest.raises(ValueError, match="different rings"):
+                op(a, b)
+
+
+@MAKERS
+def test_numbers_scale_as_exact_coefficients(make):
+    # an int goes straight to _scaled; True and Fraction(3, 1) are whole, so
+    # they scale as 1 and 3 and mark nothing; Fraction(1, 2) marks the ring
+    ring, x = make()
+    for c, whole in ((True, 1), (Fraction(3, 1), 3)):
+        for got in (x * c, c * x):
+            assert got == x * whole, c
+            assert all(type(k) is int for k in _coefficients(got)), c
+    assert not any(R.rational for R in _graded_rings(ring))
+    half = x * Fraction(1, 2)
+    assert half == Fraction(1, 2) * x and half + half == x
+    assert any(type(k) is Fraction for k in _coefficients(half))
+    assert any(R.rational for R in _graded_rings(ring))
 
 
 @pytest.mark.parametrize(

@@ -16,19 +16,22 @@ import pytest
 from chowcalc import FlopContext, chern, projbundle, verify_foundations, verify_multiplicativity
 from chowcalc.blowup import BlowupRing, EmbeddingData
 from chowcalc.cli import SuiteConfig, run_suite
-from chowcalc.projbundle import ProjBundleRing
-from chowcalc.rings import GradedElement, GradedRing
+from chowcalc.projbundle import PBElement, ProjBundleRing
+from chowcalc.rings import GradedElement, GradedRing, RingElement
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 # ProjBundleRing.mul calls for FlopContext(4), foundations and multiplicativity;
-# the Segre classes of every tower take one ProjBundleRing.dot per degree, and
-# a sigma-bilinear term is a table, so no term is multiplied by pull(sigma_r sigma'_r)
-FLOP_R4_TOWER_PRODUCTS = 116
+# the Segre classes of every tower take one ProjBundleRing.dot per degree, a
+# sigma-bilinear term is a table, so no term is multiplied by pull(sigma_r
+# sigma'_r), and the help sweep takes l·help(j, k) from eta'_*(H^{k+j}) in one
+# pass over the slots, with no product
+FLOP_R4_TOWER_PRODUCTS = 90
 # ProjBundleRing.reduce calls for the same run: h·y reduces once, pull(c)·y
-# not at all, a product with a zero factor is zero at once, and T1's
-# right-hand side is swept by -l
-FLOP_R4_REDUCTIONS = 103
+# not at all, a product with a zero factor is zero at once, T1's right-hand
+# side is swept by l, and a help step reduces only when help(j, k) holds
+# slot r
+FLOP_R4_REDUCTIONS = 91
 # GradedElement.__sub__ calls for the same run: a tower difference subtracts
 # only its stored right slots, and the help sweep forms pull(tau_{k,r}) once
 FLOP_R4_GRADED_SUBTRACTIONS = 28
@@ -36,8 +39,12 @@ FLOP_R4_GRADED_SUBTRACTIONS = 28
 # their nonzero slots, so only a computed slot is tested, and a tau row is a
 # slot dict, so the next row tests none of its entries before it reduces them;
 # a sigma table stores its zero entries untested, and adds a zero right entry
-# by keeping the left one
-FLOP_R4_ZERO_TESTS = 442
+# by keeping the left one; the T1 sweep pulls each c_{q+1}(F) back (a zero
+# test) once, not once per row
+FLOP_R4_ZERO_TESTS = 427
+# _coerce calls for the same run: an operand of the same class and ring goes
+# straight to the ring, and an int factor straight to _scaled
+FLOP_R4_COERCIONS = 0
 # GradedRing.dot calls for the same run: the sigma-bilinear terms are tables
 # of their (k, j) coefficients, so a product by sigma_k sigma'_j is an index
 FLOP_R4_GRADED_DOTS = 209
@@ -159,6 +166,12 @@ def test_zero_tests_of_flop_at_r4(monkeypatch):
     calls = _count_calls(monkeypatch, GradedElement, "__bool__")
     _flop_r4()
     assert 0 < calls[0] <= FLOP_R4_ZERO_TESTS
+
+
+def test_coercions_of_flop_at_r4(monkeypatch):
+    calls = [_count_calls(monkeypatch, cls, "_coerce") for cls in (RingElement, PBElement)]
+    _flop_r4()
+    assert calls[0][0] + calls[1][0] <= FLOP_R4_COERCIONS
 
 
 def test_graded_products_of_flop_at_r4(monkeypatch):
