@@ -178,8 +178,7 @@ class BlowupRing:
             raise ValueError("classes belong to a different blow-up")
         # phi^*a.phi^*b + projection-formula terms + E·E, -xi·ea as a slot shift
         E, ea, eb = self.E, a.exceptional, b.exceptional
-        shifted = PBElement(E, E.reduce({k + 1: -x for k, x in ea.slots.items()}))
-        exc = E.dot(((a.restriction, eb), (b.restriction, ea), (shifted, eb)))
+        exc = E.dot(((a.restriction, eb), (b.restriction, ea), (E.sub(E.zero, ea, 1), eb)))
         return self._normalized(exc.slots, ((a.ambient, b.ambient),))
 
 

@@ -10,8 +10,8 @@ The base is formal: CH(S) = Q[c_1..c_{r+1}].  Every quantity checked is
 sigma-bilinear, sum_{k,j} sigma_k sigma'_j X_kj with X_kj over CH(S) and
 deg sigma_k = r - k; the sigma_k sigma'_j are free over CH(S) (Fulton,
 *Intersection Theory*, §3.2), so a :class:`SigmaTable` of the X_kj checks an
-identity entrywise, for every specialised base.  Formal sigma (None) keep the
-checked tables; specialised sigma enter only by contracting them.
+identity entrywise, for every specialised base.  Sigma are only formal: each
+term returns its checked table, and a numeric sigma is a substitution into it.
 
 Every intermediate identity of the multiplicativity computation is verified
 by two independent routes (a raw expansion through pushforward tables, and
@@ -89,10 +89,10 @@ class FlopContext:
     def _help_table(self) -> MappingProxyType:
         """help(j, k) = sum_{i<j} (-1)^i l^i eta'_*(H^{k+j-i-1}) for j, k <= r,
         the entries term_A reads.  Row j is swept from help(0, k) = 0 by
-        help(j+1, k) = eta'_*(H^{k+j}) - l . help(j, k), one pass over the
-        slots of both (``_minus_l_times``), and every k <= 2r - j is checked
-        against col[k+j] - (-1)^j l^j col[k], col[k] = pull(tau_{k,r}) formed
-        once for k <= 2r and (-1)^j l^j once per row."""
+        help(j+1, k) = eta'_*(H^{k+j}) - l . help(j, k), one ``Pdual.sub`` of
+        shift 1, and every k <= 2r - j is checked against col[k+j] - (-1)^j
+        l^j col[k], col[k] = pull(tau_{k,r}) formed once for k <= 2r and
+        (-1)^j l^j once per row."""
         r = self.r
         col = [self.Pdual.pullback(self.P.tau(k, r)) for k in range(2 * r + 1)]
         self.E.segre(r)  # the top class the sweep reads: G's Segre list grows once
@@ -107,22 +107,8 @@ class FlopContext:
                 if k <= r:
                     table[j, k] = lhs
             if j < r:
-                row = [self._minus_l_times(push(k + j), row[k]) for k in range(2 * r - j)]
+                row = [self.Pdual.sub(push(k + j), row[k], 1) for k in range(2 * r - j)]
         return MappingProxyType(table)
-
-    def _minus_l_times(self, a: PBElement, y: PBElement) -> PBElement:
-        """a - l.y in CH(P'), one pass over y's slots: slot k is taken from
-        a's slot k + 1 as ``PBElement.__sub__`` takes it from slot k, and the
-        dict is reduced only when y's top slot r reached slot r + 1."""
-        slots = dict(a.slots)
-        for k, x in y.slots.items():
-            if k + 1 not in slots:
-                slots[k + 1] = -x
-            elif value := slots[k + 1] - x:
-                slots[k + 1] = value
-            else:
-                del slots[k + 1]
-        return PBElement(self.Pdual, self.Pdual.reduce(slots) if self.r in y.slots else slots)
 
     # each table is built, every cell checked, on first read, then kept
     t1_sums = cached_property(_t1_table)
@@ -130,14 +116,9 @@ class FlopContext:
 
     # ------------------------------------------------------------- helpers
 
-    def sigma(self, values) -> tuple:
-        values = tuple(self.S.one * v for v in values)
-        if len(values) != self.r + 1:
-            raise ValueError(f"sigma vector must have length {self.r + 1}")
-        return values
-
     def formal_sigmas(self) -> tuple[None, None]:
-        """The formal sigma vectors, None each: the terms keep their tables."""
+        """The formal sigma vectors, None each, the only sigma the checks
+        take: a numeric sigma is a substitution into the terms' tables."""
         return None, None
 
 
@@ -194,22 +175,6 @@ def incidence(pb: ProjBundleRing, hyperplane: str) -> ProjBundleRing:
 # --------------------------------------------------------------- operations
 
 
-def _contract(ctx: FlopContext, sa, sb, table: SigmaTable):
-    """The checked ``table`` for formal sigma, else its contraction
-    sum pull(sigma_k sigma'_j) X_kj, in one ``Pdual.dot``: the one place where
-    sigma values are multiplied."""
-    if _formal(sa, sb):
-        return table
-    pull = ctx.Pdual.pullback
-    return ctx.Pdual.dot((pull(sa[k] * sb[j]), x) for k, j, x in table.entries())
-
-
-def _formal(sa, sb) -> bool:
-    if (sa is None) != (sb is None):
-        raise ValueError("sigma vectors must be both formal or both specialised")
-    return sa is None
-
-
 def _top_row(ctx: FlopContext, row: dict) -> SigmaTable:
     """The table over CH(P') whose row r holds ``row`` (j -> X_rj), zero elsewhere."""
     zero, js = ctx.Pdual.zero, range(ctx.r + 1)
@@ -229,7 +194,7 @@ def l_pairing(ctx: FlopContext) -> SigmaTable:
     return _top_row(ctx, {j: x * (-1) ** j for j, x in enumerate(ctx.lpow)})
 
 
-def sigma_top_product(ctx: FlopContext, sa, sb):
+def sigma_top_product(ctx: FlopContext) -> SigmaTable:
     """The top sigma coefficient of the product, cross-checked two ways."""
     top = tau_pairing(ctx)
     # independent route: entry (k, j) is p_*(h^m), m = k + j >= r, of the convolution slot m
@@ -240,10 +205,10 @@ def sigma_top_product(ctx: FlopContext, sa, sb):
         for k in range(m - r, r + 1):
             rows[k][m - k] = push
     require_equal(top, SigmaTable(rows), "top sigma coefficient routes disagree")
-    return _contract(ctx, sa, sb, top.map(ctx.Pdual.pullback))
+    return top.map(ctx.Pdual.pullback)
 
 
-def term_A(ctx: FlopContext, sa, sb):
+def term_A(ctx: FlopContext) -> SigmaTable:
     """Correction term from the pure pullback products and the first mixed
     product, computed both raw (pushforward expansion) and in closed form."""
     ks = range(ctx.r + 1)
@@ -251,10 +216,10 @@ def term_A(ctx: FlopContext, sa, sb):
     # raw route: the pre-simplification double sum through eta'_* tables
     raw = SigmaTable([ctx.help_sums[j, k] for j in ks] for k in ks)
     require_equal(raw, closed, "first correction term: raw and closed routes disagree")
-    return _contract(ctx, sa, sb, closed)
+    return closed
 
 
-def term_B(ctx: FlopContext, sa, sb):
+def term_B(ctx: FlopContext) -> SigmaTable:
     """Correction term from the second mixed product; the defining sums T1(j)
     and T2 are compared against their closed forms before being used."""
     r = ctx.r
@@ -268,7 +233,7 @@ def term_B(ctx: FlopContext, sa, sb):
     require_equal(t2_raw, t2_closed, "T2 closed form disagrees with its defining sum")
     closed = l_pairing(ctx) + _top_row(ctx, {r: t2_closed})
     require_equal(raw, closed, "second correction term: raw and closed routes disagree")
-    return _contract(ctx, sa, sb, closed)
+    return closed
 
 
 def cotangent_top_expansion(ctx: FlopContext) -> PBElement:
@@ -278,14 +243,14 @@ def cotangent_top_expansion(ctx: FlopContext) -> PBElement:
     return ctx.Pdual.dot(pairs)
 
 
-def term_C(ctx: FlopContext, sa, sb):
+def term_C(ctx: FlopContext) -> SigmaTable:
     """Correction term from the self-intersection of the pushed top classes;
     the cotangent class expansion is cross-checked against the generic
     cotangent Chern class formula of P'."""
     expansion, generic = cotangent_top_expansion(ctx), ctx.Pdual.cotangent_chern(ctx.r)
     message = "cotangent class expansion disagrees with the generic formula"
     require_equal(expansion, generic, message)
-    return _contract(ctx, sa, sb, _top_row(ctx, {ctx.r: expansion}))
+    return _top_row(ctx, {ctx.r: expansion})
 
 
 # ------------------------------------------------------------ verification
@@ -318,18 +283,19 @@ def _run(report: Report, name: str, check):
 
 def verify_multiplicativity(ctx: FlopContext, sa, sb) -> Report:
     """Check that the three correction terms add up to the top sigma
-    coefficient of the product, including every dual-route sub-claim; a
-    formal and a specialised sigma vector together raise ``ValueError``."""
-    _formal(sa, sb)
+    coefficient of the product, including every dual-route sub-claim.  The
+    sigma must be ``ctx.formal_sigmas()``; any other raises ``ValueError``."""
+    if sa is not None or sb is not None:
+        raise ValueError("sigma must be formal: pass ctx.formal_sigmas()")
     report = Report()
-    rhs = _run(report, "flop.sigma_top_cross_route", lambda: sigma_top_product(ctx, sa, sb))
+    rhs = _run(report, "flop.sigma_top_cross_route", lambda: sigma_top_product(ctx))
     _run(report, "flop.t1_identity", lambda: ctx.t1_sums)
     _run(report, "flop.help_sum_identity", lambda: ctx.help_sums)
     box = {
         "rhs": rhs,
-        "A": _run(report, "flop.term_A_routes", lambda: term_A(ctx, sa, sb)),
-        "B": _run(report, "flop.term_B_routes", lambda: term_B(ctx, sa, sb)),
-        "C": _run(report, "flop.term_C_routes", lambda: term_C(ctx, sa, sb)),
+        "A": _run(report, "flop.term_A_routes", lambda: term_A(ctx)),
+        "B": _run(report, "flop.term_B_routes", lambda: term_B(ctx)),
+        "C": _run(report, "flop.term_C_routes", lambda: term_C(ctx)),
     }
 
     def terms() -> list:

@@ -11,14 +11,15 @@ slot, and ``reduce`` forms each slot once, top down, by the defining relation
 h^n = -sum_j pull(c_j(F)) h^{n-j}; a dict with nothing at or above h^n it
 returns as it is.  ``mul`` first tries two shapes (Fulton, *Intersection
 Theory*, §3.2): h·y is y shifted one slot up plus one reduction step, pull(c)·y
-is y scaled slot by slot; a zero factor gives zero.  ``reduce(…, stop)``
-forms only the slots from ``stop`` up.  As p_*(h^k) = s_{k-n+1}(F) is 0 for
-k < n-1 and 1 at k = n-1, the pushforward of a reduced element is its top
-coefficient.  The h-power table tau_{i,j} (reduced h^i) is built row by row
-by the c_j(F) recursion, each row checked against the reduction of
-h * h^{i-1}; its column n-1 past row n-1 is p_*(h^i) = s_{i-n+1}(F) (Fulton
-§3.1), read from the Segre classes without a row.  The base may be a
-projective-bundle ring too: towers such as E over P' nest.
+is y scaled slot by slot; a zero factor gives zero.  ``sub(a, y, shift)``,
+a - h^shift·y, is the one slot loop of every subtraction in a tower.
+``reduce(…, stop)`` forms only the slots from ``stop`` up.  As p_*(h^k) =
+s_{k-n+1}(F) is 0 for k < n-1 and 1 at k = n-1, the pushforward of a reduced
+element is its top coefficient.  The h-power table tau_{i,j} (reduced h^i) is
+built row by row by the c_j(F) recursion, each row checked against the
+reduction of h * h^{i-1}; its column n-1 past row n-1 is p_*(h^i) =
+s_{i-n+1}(F) (Fulton §3.1), read from the Segre classes without a row.  The
+base may be a projective-bundle ring too: towers such as E over P' nest.
 """
 
 from __future__ import annotations
@@ -104,6 +105,20 @@ class ProjBundleRing:
                 for j, y in right:
                     slots.setdefault(i + j, []).append((x, y))
         return PBElement(self, self.reduce({k: v for k, p in slots.items() if (v := base.dot(p))}))
+
+    def sub(self, a: "PBElement", y: "PBElement", shift: int) -> "PBElement":
+        """a - h^shift·y, y's slot j taken from a's slot j + shift in one pass;
+        reduced only when y holds slot n - shift, the one that reaches slot n."""
+        slots = dict(a.slots)
+        for j, x in y.slots.items():
+            k = j + shift
+            if k not in slots:
+                slots[k] = -x
+            elif value := slots[k] - x:
+                slots[k] = value
+            else:
+                del slots[k]
+        return PBElement(self, self.reduce(slots) if self.rank - shift in y.slots else slots)
 
     def mul(self, a: "PBElement", b: "PBElement") -> "PBElement":
         if a.ring is not self or b.ring is not self:
@@ -257,15 +272,7 @@ class PBElement(RingElement):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        slots = dict(self.slots)
-        for k, y in other.slots.items():
-            if k not in slots:
-                slots[k] = -y
-            elif value := slots[k] - y:
-                slots[k] = value
-            else:
-                del slots[k]
-        return PBElement(self.ring, slots)
+        return self.ring.sub(self, other, 0)
 
     def __neg__(self):
         return PBElement(self.ring, {k: -c for k, c in self.slots.items()})

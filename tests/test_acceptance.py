@@ -112,8 +112,7 @@ def test_criterion_5_help_sum_and_t_identities():
             # each build checks every cell: j <= r, k <= 2r - j; j, q <= r
             assert len(ctx.help_sums) == (r + 1) ** 2
             assert len(ctx.t1_sums) == r + 1
-            sa, sb = ctx.formal_sigmas()
-            flop_mod.term_B(ctx, sa, sb)  # includes the T2 route comparison
+            flop_mod.term_B(ctx)  # includes the T2 route comparison
 
     criterion(5, "help-sum and alternating Chern-sum identities, r <= 4", 30.0, run)
 
@@ -241,10 +240,7 @@ def test_criterion_10_mutations(monkeypatch):
 
         # mutation 3: flip the sign of the second correction term
         orig_term_b = flop_mod.term_B
-
-        def bad_term_b(ctx, sa, sb):
-            return -orig_term_b(ctx, sa, sb)
-
+        bad_term_b = lambda ctx: -orig_term_b(ctx)
         monkeypatch.setattr(flop_mod, "term_B", bad_term_b)
         assert_fails_with_witness(run_headline(), {"flop.final_cancellation"})
         monkeypatch.undo()

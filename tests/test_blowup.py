@@ -274,11 +274,12 @@ def test_doubled_pull_table_entry_is_caught(case, exps, law, monkeypatch):
     assert failed["blowup.embedding_valid"] == exc.value.witness
 
 
-# (function, code, mutant) of the -xi·ea slot shift in BlowupRing.mul and
-# of the normalization by c_{r-1}(W) that exc_push and mul share
+# (function, code, mutant) of the -xi·ea slot shift in BlowupRing.mul, one
+# ProjBundleRing.sub, and of the normalization by c_{r-1}(W) that exc_push
+# and mul share
 PRODUCT_MUTANTS = {
-    "shift-loses-its-sign": ("BlowupRing.mul", "{k + 1: -x for", "{k + 1: x for"),
-    "shift-forgets-the-plus-one": ("BlowupRing.mul", "{k + 1: -x for", "{k: -x for"),
+    "shift-loses-its-sign": ("BlowupRing.mul", "E.sub(E.zero, ea, 1)", "E.sub(E.zero, -ea, 1)"),
+    "shift-forgets-the-plus-one": ("BlowupRing.mul", "E.sub(E.zero, ea, 1)", "E.sub(E.zero, ea, 0)"),
     "normalization-skips-a-cw-slot": (
         "BlowupRing._normalized", "in self._minus_cw:", "in self._minus_cw[1:]:"),
 }

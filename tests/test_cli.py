@@ -247,8 +247,8 @@ def test_run_suite_returns_failure_exit(monkeypatch):
 
     orig = flop_mod.term_B
 
-    def broken(ctx, sa, sb):
-        return -orig(ctx, sa, sb)
+    def broken(ctx):
+        return -orig(ctx)
 
     monkeypatch.setattr(flop_mod, "term_B", broken)
     status, report = run_suite(SuiteConfig(suite="flop", r=1))

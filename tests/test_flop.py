@@ -50,20 +50,6 @@ def test_context_shape():
         assert ctx.Pdual.bundle.c(i) == ctx.F.c(i) * (-1) ** i
 
 
-def test_sigma_vector_validation():
-    ctx = FlopContext(2)
-    with pytest.raises(ValueError):
-        ctx.sigma([ctx.S.one])  # wrong length
-    sv = ctx.sigma([ctx.S.gen("c2"), ctx.S.gen("c1"), 1])
-    assert sv[2] == ctx.S.one
-
-
-def test_sigma_rejects_an_element_of_another_ring():
-    ctx = FlopContext(1)
-    with pytest.raises(ValueError, match="different rings"):
-        ctx.sigma([GradedRing([("c1", 1)]).gen("c1"), 1])
-
-
 def test_eta_push_table():
     for r in range(1, 6):
         ctx = FlopContext(r)
@@ -81,9 +67,7 @@ def test_eta_push_table():
 def test_sigma_top_product_routes():
     for r in (1, 2, 3):
         ctx = FlopContext(r)
-        sa, sb = ctx.formal_sigmas()
-        top = sigma_top_product(ctx, sa, sb)
-        assert top.is_homogeneous(r)
+        assert sigma_top_product(ctx).is_homogeneous(r)
 
 
 def test_help_sum_identity():
@@ -121,7 +105,7 @@ def test_substituted_t1_sum_fails_term_b():
             t1[j] = t1[j] + ctx.lpow[j] * ctx.Pdual.pullback(ctx.F.c(1))
             ctx.t1_sums = tuple(t1)
             with pytest.raises(ConsistencyError, match="second correction term"):
-                term_B(ctx, *ctx.formal_sigmas())
+                term_B(ctx)
 
 
 def test_substituted_help_sum_fails_term_a():
@@ -138,20 +122,17 @@ def test_substituted_help_sum_fails_term_a():
 
 
 def _install_mutant(monkeypatch, name: str, old: str, new: str) -> None:
-    """Replace ``FlopContext.<name>`` by a mutated copy: a table's method,
-    read as a property, or a plain method."""
+    """Replace the table ``FlopContext.<name>`` by a property that builds it
+    with a mutated copy of its method."""
     attr = vars(FlopContext)[name]
-    if isinstance(attr, functools.cached_property):
-        monkeypatch.setattr(FlopContext, name, property(mutated(attr.func, old, new)))
-    else:
-        monkeypatch.setattr(FlopContext, name, mutated(attr, old, new))
+    monkeypatch.setattr(FlopContext, name, property(mutated(attr.func, old, new)))
 
 
-# (table or the method its sweep calls, code in it, mutant, checks that must
-# fail, at each of these r).  The T1 sweep carries (-1)^j lhs(j, q); the help
-# sweep's slot pass takes l·help(j, k) from eta'_*(H^{k+j}) by shifting
-# help's slots up one.  At r = 1 the one pass has help(0, k) = 0 to shift,
-# so no mutant of the shift can change a value there
+# (table, code in its method, mutant, checks that must fail, at each of these
+# r).  The T1 sweep carries (-1)^j lhs(j, q); the help sweep takes
+# l·help(j, k) from eta'_*(H^{k+j}) in one Pdual.sub of shift 1.  At r = 1
+# the one step has help(0, k) = 0 to shift, so no mutant of the shift can
+# change a value there
 SWEEP_MUTANTS = {
     "t1_without_c_term": (
         "t1_sums",
@@ -168,9 +149,9 @@ SWEEP_MUTANTS = {
         (1, 2, 3),
     ),
     "help_slot_pass_loses_the_shift": (
-        "_minus_l_times",
-        "for k, x in y.slots.items():",
-        "for k, x in ((k - 1, x) for k, x in y.slots.items()):",
+        "help_sums",
+        "row[k], 1)",
+        "row[k], 0)",
         {"flop.help_sum_identity", "flop.term_A_routes"},
         (2, 3),
     ),
@@ -361,7 +342,8 @@ def test_tower_shortcut_mutant_fails_its_checks(monkeypatch, mutant):
 # ((owner, name), code in it, mutant, checks that must fail at r = 1, 2, 3):
 # each lets a zero-slot shortcut fire where the slot is not zero.  A zero
 # left slot is a missing key, so skipping it and visiting only the right
-# slots the left also holds both forget -y; they mutate two places of the code.
+# slots the left also holds both forget -y; they mutate two places of the
+# slot loop every tower subtraction runs through.
 ZERO_SLOT_MUTANTS = {
     "reduce_returns_one_slot_past_the_basis": (
         (ProjBundleRing, "reduce"), "if top < n:", "if top < n + 1:",
@@ -369,13 +351,13 @@ ZERO_SLOT_MUTANTS = {
          "flop.t1_identity", "flop.term_B_routes"},
     ),
     "sub_skips_a_zero_left_slot": (
-        (PBElement, "__sub__"), "slots[k] = -y", "continue",
+        (ProjBundleRing, "sub"), "slots[k] = -x", "continue",
         {"foundations.symmetry", "flop.help_sum_identity",
          "flop.t1_identity", "flop.term_A_routes"},
     ),
     "sub_drops_a_slot_only_on_the_right": (
-        (PBElement, "__sub__"), "in other.slots.items():",
-        "in [(k, y) for k, y in other.slots.items() if k in self.slots]:",
+        (ProjBundleRing, "sub"), "in y.slots.items():",
+        "in [(j, x) for j, x in y.slots.items() if j + shift in a.slots]:",
         {"foundations.symmetry", "flop.help_sum_identity",
          "flop.t1_identity", "flop.term_A_routes"},
     ),
@@ -414,18 +396,14 @@ def test_term_c_rank_one():
     ctx = FlopContext(1)
     expected = ctx.Pdual.pullback(ctx.F.c(1)) - 2 * ctx.l
     assert ctx.Pdual.cotangent_chern(1) == expected
-    value = term_C(ctx, *ctx.formal_sigmas())
+    value = term_C(ctx)
     assert value == _table_with(ctx.Pdual, 1, 1, 1, expected)  # the sigma_1 sigma'_1 term
 
 
 def test_headline_cancellation_formal():
     for r in (1, 2, 3):
         ctx = FlopContext(r)
-        sa, sb = ctx.formal_sigmas()
-        a = term_A(ctx, sa, sb)
-        b = term_B(ctx, sa, sb)
-        c = term_C(ctx, sa, sb)
-        rhs = sigma_top_product(ctx, sa, sb)
+        a, b, c, rhs = term_A(ctx), term_B(ctx), term_C(ctx), sigma_top_product(ctx)
         assert a + b + c == rhs
         assert rhs and not (a + b + c - rhs)  # a table is true when an entry is nonzero
 
@@ -490,7 +468,7 @@ def test_formal_tables_match_the_sigma_tagged_formulas(r):
     assert oracle.render(tau_pairing(ctx)) == oracle.tau
     assert oracle.render(l_pairing(ctx)) == oracle.L
     for term, expected in oracle.terms.items():
-        assert oracle.render(term(ctx, *ctx.formal_sigmas())) == expected, term.__name__
+        assert oracle.render(term(ctx)) == expected, term.__name__
 
 
 @functools.cache
@@ -501,7 +479,7 @@ def _formal_setup(r: int):
     monomials = [
         [ctx.S.element({m: 1}) for m in ctx.S.monomials_of_degree(d)] for d in range(r + 1)
     ]
-    formal = [oracle.render(term(ctx, *ctx.formal_sigmas())) for term in TERMS]
+    formal = [oracle.render(term(ctx)) for term in TERMS]
     return ctx, monomials, formal
 
 
@@ -515,25 +493,15 @@ def _specialise(ctx, value, sa, sb):
     return PBElement(ctx.Pdual, slots)
 
 
-def _specialisation_mismatches(r: int, sa, sb) -> list[str]:
-    """The terms whose specialised value is not the substituted rendering."""
-    ctx, _, formal = _formal_setup(r)
-    return [
-        term.__name__
-        for term, value in zip(TERMS, formal)
-        if term(ctx, sa, sb) != _specialise(ctx, value, sa, sb)
-    ]
-
-
 if st is not None:
 
     @settings(max_examples=25)
     @given(r=st.sampled_from([1, 2, 3]), data=st.data())
     def test_specialisation_commutes_with_every_route(r, data):
-        # every route is built from ring operations alone, so a numeric sigma
-        # (a graded substitution of the formal one) must pass and give the
-        # substituted formal terms
-        ctx, monomials, _ = _formal_setup(r)
+        # a numeric sigma is a graded substitution into the rendered formal
+        # tables; a ring map keeps A + B + C = rhs and the degree r of each
+        # term, so a formal pass covers every numeric sigma
+        ctx, monomials, formal = _formal_setup(r)
 
         def draw_sigma():
             values = []
@@ -544,45 +512,32 @@ if st is not None:
                              min_size=len(basis), max_size=len(basis))
                 )
                 values.append(sum((m * c for m, c in zip(basis, coeffs)), ctx.S.zero))
-            return ctx.sigma(values)
+            return values
 
         sa, sb = draw_sigma(), draw_sigma()
-        report = verify_multiplicativity(ctx, sa, sb)
-        assert report.ok, report.to_text()
-        assert _specialisation_mismatches(r, sa, sb) == []
+        rhs, a, b, c = (_specialise(ctx, value, sa, sb) for value in formal)
+        assert a + b + c == rhs
+        for key, value in zip(("rhs", "A", "B", "C"), (rhs, a, b, c)):
+            assert value.is_homogeneous(r), key
 
 
-@pytest.mark.parametrize("skip", [False, True], ids=["harness", "mutant"])
-def test_contraction_skipping_the_top_entry_fails_specialisation(monkeypatch, skip):
-    # the contraction is linear, so skipping entry (r, r) keeps every check of
-    # the specialised run passing; only the substituted rendering sees it
-    old = "for k, j, x in table.entries())"
-    new = "for k, j, x in table.entries() if k + j < 2 * ctx.r)" if skip else old
-    monkeypatch.setattr(flop_mod, "_contract", mutated(flop_mod._contract, old, new))
-    for r in (1, 2, 3):
-        ctx = _formal_setup(r)[0]
-        sigma = ctx.sigma([ctx.F.c(1) ** (r - k) for k in range(r + 1)])
-        assert verify_multiplicativity(ctx, sigma, sigma).ok
-        expected = [term.__name__ for term in TERMS] if skip else []
-        assert _specialisation_mismatches(r, sigma, sigma) == expected, r
-
-
-def test_a_formal_and_a_specialised_sigma_are_rejected():
+def test_a_specialised_sigma_is_rejected():
     ctx = FlopContext(2)
-    sigma = ctx.sigma([ctx.S.gen("c2"), ctx.S.gen("c1"), 1])
-    for sa, sb in ((None, sigma), (sigma, None)):
-        with pytest.raises(ValueError, match="both formal or both specialised"):
+    sigma = (ctx.S.gen("c2"), ctx.S.gen("c1"), ctx.S.one)
+    for sa, sb in ((None, sigma), (sigma, None), (sigma, sigma)):
+        with pytest.raises(ValueError, match=r"ctx\.formal_sigmas\(\)"):
             verify_multiplicativity(ctx, sa, sb)
-        for term in TERMS:
-            with pytest.raises(ValueError, match="both formal or both specialised"):
-                term(ctx, sa, sb)
 
 
-def test_homogeneity_fails_on_ungraded_sigma():
+def test_homogeneity_fails_on_ungraded_sigma(monkeypatch):
+    # an ungraded sigma leaves an entry of the wrong degree: the same table,
+    # Pdual.one at entry (0, 0) where degree -r is due, added to rhs and to A
+    # keeps every route and the cancellation passing
     ctx = FlopContext(2)
-    sb = ctx.sigma([ctx.S.gen("c2"), ctx.S.gen("c1"), 1])  # graded: deg sigma'_k = r - k
-    report = verify_multiplicativity(ctx, ctx.sigma([1, 1, 1]), sb)
-    failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
+    extra = _table_with(ctx.Pdual, ctx.r, 0, 0, ctx.Pdual.one)
+    for name in ("sigma_top_product", "term_A"):
+        monkeypatch.setattr(flop_mod, name, lambda ctx, f=getattr(flop_mod, name): f(ctx) + extra)
+    failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
     assert set(failed) == {"flop.homogeneity"}
     assert re.fullmatch(
         r"term (rhs|A|B|C) is not homogeneous of degree r", failed["flop.homogeneity"]
@@ -592,7 +547,7 @@ def test_homogeneity_fails_on_ungraded_sigma():
 def test_missing_term_fails_its_readers(monkeypatch):
     import chowcalc.flop as flop_mod
 
-    def crash(ctx, sa, sb):
+    def crash(ctx):
         raise ZeroDivisionError("injected")
 
     monkeypatch.setattr(flop_mod, "term_A", crash)
@@ -627,19 +582,6 @@ def test_verify_foundations():
     for r in (1, 2, 3):
         report = verify_foundations(FlopContext(r))
         assert report.ok, report.to_text()
-
-
-def test_failure_reported_with_witness():
-    ctx = FlopContext(2)
-    c1, c2 = ctx.S.gen("c1"), ctx.S.gen("c2")
-    sa, sb = ctx.sigma([c2, c1, 1]), ctx.sigma([c1 * c1, 2 * c1, 3])
-    # a deliberately wrong sigma pairing must surface a nonzero witness
-    a = term_A(ctx, sa, sb)
-    b = term_B(ctx, sa, sb)
-    c = term_C(ctx, sa, sb)
-    wrong = sigma_top_product(ctx, sa, sa)  # sb swapped out
-    diff = a + b + c - wrong
-    assert diff
 
 
 def test_long_witness_keeps_its_leading_terms(monkeypatch):

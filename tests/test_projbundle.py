@@ -157,8 +157,8 @@ if st is not None:
     @given(seed=st.integers(0, 2**32))
     def test_slot_arithmetic_matches_the_dot_kernel(tower, seed):
         # every operation on stored slots keeps the invariant and gives the
-        # dense references' value; -, unary -, h·a and pull(c)·a also give
-        # the value formed through the convolution of ``dot``
+        # dense references' value; -, a - h·b, unary -, h·a and pull(c)·a
+        # also give the value formed through the convolution of ``dot``
         (P, pool), rng = SLOT_TOWERS[tower], random.Random(seed)
         a, b = _sparse_element(P, pool, rng), _sparse_element(P, pool, rng)
         c, minus = P.pullback(rng.choice(pool) * rng.randint(-9, 9)), P.scalar(-1)
@@ -167,6 +167,8 @@ if st is not None:
         d = rng.randint(0, 3)
         cases = [
             (a - b, _push_form_reduce(P, [x - y for x, y in zip(da, db)])),
+            (P.sub(a, b, 1),
+             _push_form_reduce(P, [x - y for x, y in zip([*da, zero], [zero, *db])])),
             (-a, _push_form_reduce(P, [-x for x in da])),
             (3 * a, _push_form_reduce(P, [x * 3 for x in da])),
             (0 * a, _push_form_reduce(P, [])),
@@ -184,6 +186,7 @@ if st is not None:
         for value, expected in cases:
             assert _stored(P, value.slots) == expected
         assert a - b == P.dot(((a, P.one), (b, minus)))
+        assert P.sub(a, b, 1) == P.dot(((a, P.one), (P.h, -b)))
         assert -a == P.dot(((a, minus),))
         assert P.h * a == P.dot(((P.h, a),))
         assert c * a == P.dot(((c, a),))

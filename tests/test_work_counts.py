@@ -66,11 +66,12 @@ BLOWUP_LINEAR_4_1_PRODUCTS = 1000
 # ProjBundleRing.dot and normalizes by c_{r-1}(W) slot by slot; the two left
 # are key_formula's cW·pull(gamma)
 BLOWUP_LINEAR_4_1_TOWER_PRODUCTS = 2
-# ProjBundleRing.reduce calls in CH(E) for the same suite: two per blow-up
-# product, its one ProjBundleRing.dot and the shift -xi·eps (kept, so that
-# a class whose slots are not reduced stays correct); the normalization
-# reduces nothing
-BLOWUP_LINEAR_4_1_REDUCTIONS = 2002
+# ProjBundleRing.reduce calls in CH(E) for the same suite: one per blow-up
+# product, its one ProjBundleRing.dot.  The shift -xi·eps is a
+# ProjBundleRing.sub, which reduces only when eps holds the top slot r - 1,
+# and a normalized exceptional part never does; the normalization reduces
+# nothing
+BLOWUP_LINEAR_4_1_REDUCTIONS = 1002
 # GradedRing.dot calls for the same suite: the base products themselves, one
 # per convolution slot, per cW slot of the normalization and per ambient
 # product.  The tower entry points no longer see them, so they are pinned here
