@@ -23,44 +23,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "BlowupClass",
-    "BlowupRing",
-    "BundleClass",
-    "CharClass",
-    "CheckResult",
-    "ConsistencyError",
-    "EmbeddingData",
-    "FlopContext",
-    "GradedElement",
-    "GradedRing",
-    "PBElement",
-    "ProjBundleRing",
-    "Report",
-    "binomial",
-    "binomial_identity_check",
-    "binomial_identity_sum",
-    "chern_character",
-    "cw_top",
-    "dual_bundle",
-    "embedding_validate",
-    "key_formula_check",
-    "linear_blowup",
-    "load_embedding",
-    "mukai_vector",
-    "power_sums",
-    "segre_classes",
-    "sigma_top_product",
-    "sqrt_one_series",
-    "tensor_by_line",
-    "term_A",
-    "term_B",
-    "term_C",
-    "todd_class",
-    "verify_foundations",
-    "verify_multiplicativity",
-    "whitney_sum",
-]
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
 

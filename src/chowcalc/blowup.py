@@ -134,9 +134,6 @@ class BlowupRing:
 
     # ------------------------------------------------------------- classes
 
-    def scalar(self, c) -> "BlowupClass":
-        return self.pull(self.data.ambient.scalar(c))
-
     def pull(self, alpha: GradedElement) -> "BlowupClass":
         """phi^*: ambient part alpha, no exceptional part."""
         return BlowupClass(self, alpha, self.E.zero)

@@ -92,7 +92,8 @@ class FlopContext:
         help(j+1, k) = eta'_*(H^{k+j}) - l . help(j, k), one ``Pdual.sub`` of
         shift 1, and every k <= 2r - j is checked against col[k+j] - (-1)^j
         l^j col[k], col[k] = pull(tau_{k,r}) formed once for k <= 2r and
-        (-1)^j l^j once per row."""
+        (-1)^j l^j once per row.  help(j, k) holds slots 0 and j only, so a
+        step never reaches slot r + 1 and ``sub`` never reduces."""
         r = self.r
         col = [self.Pdual.pullback(self.P.tau(k, r)) for k in range(2 * r + 1)]
         self.E.segre(r)  # the top class the sweep reads: G's Segre list grows once

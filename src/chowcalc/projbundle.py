@@ -53,9 +53,6 @@ class ProjBundleRing:
         """Build an element from a mapping k -> coefficient of h^k; k >= n is reduced."""
         return PBElement(self, self.reduce({k: c for k, c in coeffs.items() if c}))
 
-    def scalar(self, c) -> "PBElement":
-        return self.pullback(self.base.one * c)
-
     def pullback(self, a) -> "PBElement":
         """Ring pullback from the base: a in slot 0."""
         return PBElement(self, {0: a} if a else {})
@@ -256,11 +253,6 @@ class PBElement(RingElement):
 
     # ---------------------------------------------------------- arithmetic
 
-    def _coerce(self, other) -> "PBElement | None":
-        if getattr(other, "ring", None) is self.ring.base:
-            return self.ring.pullback(other)
-        return super()._coerce(other)
-
     def _state(self) -> dict:
         return self.slots
 
@@ -269,9 +261,7 @@ class PBElement(RingElement):
 
     def __sub__(self, other):
         if type(other) is not PBElement or other.ring is not self.ring:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._refused(other)
         return self.ring.sub(self, other, 0)
 
     def __neg__(self):

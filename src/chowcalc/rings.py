@@ -10,15 +10,16 @@ terms from outside; ``-``, unary ``-``, scaling, ``sum`` and ``combine``
 one product kernel, ``GradedRing.dot``, adds Σ x·y into one dict, skipping
 a pair whose degrees add up past the bound, so it too drops only zeros;
 ``GradedRing.mul`` is its one-pair case.  A ring is marked ``rational``,
-for good, once a non-integer coefficient enters it (``scalar``,
-``element``, ``parse``, ``_scaled`` or ``combine``); ``dot`` on a marked
-ring multiplies integer numerators over one common denominator, so a pair
-costs no ``Fraction`` gcd.  An integer ring runs the plain loop, which still
-handles a ``Fraction`` exactly: a missed mark costs only speed.
-``RingElement`` owns ``+`` (the ring's ``sum``), ``*`` (its ``mul``) and
-``==`` for every element class.  Each ring keeps the packed keys of a
-degree's monomials once enumerated, in enumeration order; seeded draws read
-them.
+for good, once a non-integer coefficient enters it (``element``, ``parse``,
+``_scaled`` or ``combine``); ``dot`` on a marked ring multiplies integer
+numerators over one common denominator, so a pair costs no ``Fraction``
+gcd.  An integer ring runs the plain loop, which still handles a
+``Fraction`` exactly: a missed mark costs only speed.  ``RingElement`` owns
+``+`` (the ring's ``sum``), ``*`` (its ``mul``) and ``==`` for every
+element class, on operands of one ring only: a number enters as
+``ring.one * c``, never by implicit coercion.  Each ring keeps the packed
+keys of a degree's monomials once enumerated, in enumeration order; seeded
+draws read them.
 
 Each monomial is one ``int`` key, made by ``GradedRing.pack`` (the one way
 in) and read by ``GradedRing.exponents`` (the one way out): the weighted
@@ -65,34 +66,26 @@ def powers(x, n: int) -> list:
 
 
 class RingElement:
-    """``+`` (``ring.sum``), ``*`` (``ring.mul``, or ``_scaled`` by a number),
-    ``==`` (of ``_state()``), ``-``, powers and repr, behind one ``_coerce``.
-    An operand of the same class whose ring ``is`` this ring goes straight to
-    the ring, and an ``int`` factor straight to ``_scaled``, with no
-    ``_coerce``.  A subclass supplies ``_state``, ``_scaled``, unary ``-``
-    and ``str``."""
+    """``+`` (``ring.sum``), ``*`` (``ring.mul``, or ``_scaled`` by an ``int``
+    or a ``Fraction``), ``==`` (of ``_state()``), ``-``, powers and repr.  An
+    operand is an element of the same class and ring; ``_refused`` answers
+    any other.  A subclass supplies ``_state``, ``_scaled``, unary ``-`` and
+    ``str``."""
 
     __slots__ = ()
 
-    def _coerce(self, other):
-        """``other`` in this ring: same class needs the same ring (else
-        ``ValueError``), a number becomes ``ring.scalar``, else None."""
+    def _refused(self, other):
+        """An operand that is not an element of this ring: ``ValueError`` for
+        the same class, else ``NotImplemented``.  No ring map is implicit:
+        numbers enter through ``*``, base classes through a pullback."""
         if isinstance(other, type(self)):
-            if other.ring is not self.ring:
-                raise ValueError("elements belong to different rings")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.scalar(other)
-        return None
+            raise ValueError("elements belong to different rings")
+        return NotImplemented
 
     def __add__(self, other):
         if type(other) is not type(self) or other.ring is not self.ring:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._refused(other)
         return self.ring.sum((self, other))
-
-    __radd__ = __add__
 
     def __mul__(self, other):
         if type(other) is type(self) and other.ring is self.ring:
@@ -101,25 +94,17 @@ class RingElement:
             return self._scaled(other)
         if isinstance(other, (int, Fraction)):
             return self._scaled(exact(other))
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ring.mul(self, other)
+        return self._refused(other)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self) or other.ring is not self.ring:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._refused(other)
         return self._state() == other._state()
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __pow__(self, n: int):
         """self ** n as one * self * ... * self, multiplied left to right."""
@@ -172,9 +157,6 @@ class GradedRing:
         i = self._index[name]
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
         return self._canonical({self.pack(exps): 1})
-
-    def scalar(self, c) -> "GradedElement":
-        return self._canonical({0: self._marked(exact(c))})
 
     def _marked(self, c: Coefficient) -> Coefficient:
         """c, entering this ring; a non-integer marks the ring ``rational``."""
@@ -422,7 +404,7 @@ class GradedElement(RingElement):
 
     # Bound here by name: perfbench's tracer reads both from this class's
     # own ``__dict__``.
-    __add__ = __radd__ = RingElement.__add__
+    __add__ = RingElement.__add__
     __mul__ = __rmul__ = RingElement.__mul__
 
     def __neg__(self):
@@ -430,9 +412,7 @@ class GradedElement(RingElement):
 
     def __sub__(self, other):
         if type(other) is not GradedElement or other.ring is not self.ring:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._refused(other)
         if not other.terms:  # elements are never mutated, so self may be shared
             return self
         terms = dict(self.terms)

@@ -211,7 +211,7 @@ if st is not None:
 def test_pull_on_an_unbounded_ambient_ring():
     data = load_embedding(WEIGHTED.replace("dim_bound: 4\n", ""))
     t, s = data.ambient.gen("t"), data.ambient.gen("s")
-    alpha = t ** 9 * s + 3 * s - 2 * t + 5
+    alpha = t ** 9 * s + 3 * s - 2 * t + data.ambient.one * 5
     assert data.ambient.dim_bound is None
     assert str(data.pull(alpha)) == "3 * v + -2 * u + 5"
     assert data.pull(alpha) == alpha.substitute(data.pull_images, data.center)

@@ -79,6 +79,14 @@ def test_help_sum_identity():
             table[0, 0] = ctx.Pdual.zero  # stored read-only
 
 
+def test_help_sums_hold_slots_0_and_j_only():
+    # so l·help(j, k), j < r, stays below slot r + 1: the sweep's Pdual.sub
+    # never reduces
+    for r in (1, 2, 3, 4):
+        for (j, k), value in FlopContext(r).help_sums.items():
+            assert set(value.slots) <= {0, j}, (r, j, k)
+
+
 def test_t1_identity_all_indices():
     for r in (1, 2, 3):
         ctx = FlopContext(r)
@@ -385,7 +393,7 @@ def test_corrupted_tau_row_fails_t1_identity():
             ctx = FlopContext(r)
             rows = ctx.P.tau_rows(2 * r)  # built and checked before the corruption
             row = dict(rows[i])
-            row[i] = row[i] + 1  # h^i reduced as 2 h^i, still homogeneous
+            row[i] = row[i] + ctx.P.base.one  # h^i reduced as 2 h^i, still homogeneous
             ctx.P._tau_rows[i] = MappingProxyType(row)
             failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
             assert failed.get("flop.t1_identity") not in (None, "", "0"), (r, i)

@@ -1,4 +1,6 @@
 """Every imported name is used: read in its module or listed in ``__all__``.
+Only a literal list or tuple of ``__all__`` exempts a name; a computed one
+exempts none.
 
 No linter is a dependency, so this walks each module's syntax tree with the
 standard library's ``ast``.  ``from __future__`` imports are exempt.
@@ -34,8 +36,10 @@ def unused_imports(source: str) -> list[str]:
     }
     exported = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         ):
             exported |= {elt.value for elt in node.value.elts}
     return sorted(
@@ -50,6 +54,7 @@ def test_checker_flags_an_unused_name():
     assert unused_imports(source) == ["d (line 2)", "os (line 1)"]
     assert unused_imports("from __future__ import annotations\n") == []
     assert unused_imports("import os.path\nos.sep\n") == []
+    assert unused_imports("import os\n__all__ = sorted(['os'])\n") == ["os (line 1)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -1,5 +1,6 @@
-"""The opcode-count tool: its JSON line at r = 2, and the same counts from
-a fresh interpreter and from this one."""
+"""The opcode-count tool: its JSON line for a flop unit at r = 2 and for the
+two seeded workloads, and the same counts from a fresh interpreter and from
+this one."""
 
 import importlib.util
 import json
@@ -7,6 +8,8 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 OPCOUNT = Path(__file__).resolve().parent.parent / "bench" / "opcount.py"
 
@@ -41,3 +44,23 @@ def test_opcount_rejects_a_rank_below_one():
         [sys.executable, str(OPCOUNT), "--r", "0"], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 2 and "--r must be >= 1" in proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["cli_all", "charclass_cold"])
+def test_opcount_counts_a_seeded_workload_the_same_twice(workload):
+    proc = subprocess.run(
+        [sys.executable, str(OPCOUNT), "--workload", workload],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert list(result) == ["workload", "seed", "python", "bytecodes", "calls", "ok"]
+    assert result["workload"] == workload and result["seed"] == 1 and result["ok"] is True
+    again = _load_opcount().count(workload=workload)
+    assert (again["bytecodes"], again["calls"]) == (result["bytecodes"], result["calls"])
+
+
+def test_opcount_takes_a_rank_for_the_flop_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load_opcount().main(["--workload", "cli_all", "--r", "4"])
+    assert exc.value.code == 2 and "--r applies to flop_formal only" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 import types
@@ -161,7 +162,7 @@ if st is not None:
         # also give the value formed through the convolution of ``dot``
         (P, pool), rng = SLOT_TOWERS[tower], random.Random(seed)
         a, b = _sparse_element(P, pool, rng), _sparse_element(P, pool, rng)
-        c, minus = P.pullback(rng.choice(pool) * rng.randint(-9, 9)), P.scalar(-1)
+        c, minus = P.pullback(rng.choice(pool) * rng.randint(-9, 9)), P.one * -1
         da, db, zero = _dense(P, a.slots), _dense(P, b.slots), P.base.zero
         long = [rng.choice([zero, *pool]) * rng.randint(-9, 9) for _ in range(2 * P.rank + 1)]
         d = rng.randint(0, 3)
@@ -459,10 +460,19 @@ def test_binomial_identity_sum_values():
 def test_element_coercion():
     P = generic_tower(2)
     c1 = P.bundle.c(1)
-    # base elements and integers promote into the bundle ring
-    assert c1 * P.h == P.pullback(c1) * P.h
-    assert P.h + 1 == P.h + P.one
+    # a base element enters the bundle ring only through the pullback p^*,
+    # an integer only as a scale factor
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((c1, P.h), (P.h, c1)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    for op in (operator.add, operator.sub):
+        for a, b in ((P.h, 1), (1, P.h)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert (c1 == P.pullback(c1)) is False
     assert (P.h * 2).slots == {1: 2 * P.base.one}
+    assert 2 * P.h == P.h + P.h
 
 
 def test_grade_component_and_homogeneity():

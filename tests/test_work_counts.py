@@ -16,7 +16,7 @@ import pytest
 from chowcalc import FlopContext, chern, projbundle, verify_foundations, verify_multiplicativity
 from chowcalc.blowup import BlowupRing, EmbeddingData
 from chowcalc.cli import SuiteConfig, run_suite
-from chowcalc.projbundle import PBElement, ProjBundleRing
+from chowcalc.projbundle import ProjBundleRing
 from chowcalc.rings import GradedElement, GradedRing, RingElement
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
@@ -42,8 +42,9 @@ FLOP_R4_GRADED_SUBTRACTIONS = 28
 # by keeping the left one; the T1 sweep pulls each c_{q+1}(F) back (a zero
 # test) once, not once per row
 FLOP_R4_ZERO_TESTS = 427
-# _coerce calls for the same run: an operand of the same class and ring goes
-# straight to the ring, and an int factor straight to _scaled
+# RingElement._refused calls for the same run, and for ``all --seed 1``: no
+# ring map is implicit, so every operand is of the same class and ring, or a
+# number under *
 FLOP_R4_COERCIONS = 0
 # GradedRing.dot calls for the same run: the sigma-bilinear terms are tables
 # of their (k, j) coefficients, so a product by sigma_k sigma'_j is an index
@@ -170,9 +171,12 @@ def test_zero_tests_of_flop_at_r4(monkeypatch):
 
 
 def test_coercions_of_flop_at_r4(monkeypatch):
-    calls = [_count_calls(monkeypatch, cls, "_coerce") for cls in (RingElement, PBElement)]
+    calls = _count_calls(monkeypatch, RingElement, "_refused")
     _flop_r4()
-    assert calls[0][0] + calls[1][0] <= FLOP_R4_COERCIONS
+    assert calls[0] <= FLOP_R4_COERCIONS
+    status, report = run_suite(SuiteConfig(suite="all", seed=1))
+    assert status == 0, report.to_text()
+    assert calls[0] <= FLOP_R4_COERCIONS
 
 
 def test_graded_products_of_flop_at_r4(monkeypatch):
