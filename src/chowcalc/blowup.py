@@ -124,7 +124,6 @@ class BlowupRing:
     def __init__(self, data: EmbeddingData, validate_samples: int = 0, seed: int = 0):
         self.data = data
         self.E = ProjBundleRing(data.normal, hyperplane="xi")
-        self.xi = self.E.h
         self.cW = cw_top(self.E)  # c_{r-1} of the universal quotient bundle
         self._minus_cw = [(k, -c) for k, c in self.cW.slots.items()]
         self.zero = self.pull(data.ambient.zero)

@@ -371,7 +371,7 @@ def test_exceptional_self_intersection(bl41):
         e1 = bl41.E.random_element(rng, 3)
         e2 = bl41.E.random_element(rng, 3)
         lhs = bl41.exc_push(e1) * bl41.exc_push(e2)
-        rhs = bl41.exc_push(-bl41.xi * e1 * e2)
+        rhs = bl41.exc_push(-bl41.E.h * e1 * e2)
         assert lhs == rhs
 
 
@@ -444,7 +444,7 @@ def _whitney_holds(bl: BlowupRing) -> bool:
     0 -> O(-1) -> eta^*N -> W -> 0 (Fulton §3.2) gives
     c_r(eta^*N) = (1 - xi)·c(W) in degree r, and c_r(W) = 0 as W has rank r - 1."""
     r = bl.E.rank
-    return bl.E.pullback(bl.data.normal.c(r)) == -(bl.xi * bl.cW)
+    return bl.E.pullback(bl.data.normal.c(r)) == -(bl.E.h * bl.cW)
 
 
 WHITNEY_CASES = {

@@ -94,6 +94,61 @@ def test_t1_identity_all_indices():
         assert ctx.t1_sums == tuple(ctx.lpow[j] * (-1) ** j for j in range(r + 1))
 
 
+def _reference_segre(F: BundleClass, k_max: int) -> list:
+    """s_0..s_{k_max} of F, inverting c(F) with plain products and sums:
+    s_m = -(c_1 s_{m-1} + ... + c_m s_0)."""
+    s = [F.ring.one]
+    for m in range(1, k_max + 1):
+        total = F.ring.zero
+        for i in range(1, min(m, F.rank) + 1):
+            total = total + F.c(i) * s[m - i]
+        s.append(-total)
+    return s
+
+
+def _euler_form_failures(r: int) -> list[int]:
+    """The k <= 2r + 1 where s_k(G) != pull(s_k(F)) + l . pull(s_{k-1}(F)) in
+    CH(P'): the Segre classes of G = Omega_{P'|S}(1) by the relative Euler
+    sequence (Fulton, *Intersection Theory*, §3.2 and B.5.8), sharing nothing
+    with the series inversion of c(G) behind ``E.segre``."""
+    ctx = FlopContext(r)
+    pull, top = ctx.Pdual.pullback, 2 * r + 1
+    s = [ctx.S.zero, *_reference_segre(ctx.F, top)]  # s[k + 1] = s_k(F), s_{-1} = 0
+    return [
+        k for k in range(top + 1)
+        if ctx.E.segre(k) != pull(s[k + 1]) + ctx.l * pull(s[k])
+    ]
+
+
+# (function, code in it, mutant, the module attributes the mutant replaces)
+EULER_FORM_MUTANTS = {
+    "segre_drops_its_last_term": (
+        chern_mod.segre_classes, "for i in range(1, m + 1)", "for i in range(1, m)",
+        [(chern_mod, "segre_classes"), (pb_mod, "segre_classes")],
+    ),
+    "c1_of_G_doubled": (
+        flop_mod.incidence,
+        "pb.cotangent_twist_chern(i) for",
+        "pb.cotangent_twist_chern(i) * (1 + (i == 1)) for",
+        [(flop_mod, "incidence")],
+    ),
+}
+
+
+def test_segre_classes_of_g_have_the_euler_form():
+    for r in range(1, 9):
+        assert _euler_form_failures(r) == [], r
+
+
+@pytest.mark.parametrize("mutant", sorted(EULER_FORM_MUTANTS))
+def test_euler_form_mutant_fails_the_euler_form(monkeypatch, mutant):
+    function, old, new, owners = EULER_FORM_MUTANTS[mutant]
+    for owner, name in owners:
+        monkeypatch.setattr(owner, name, mutated(function, old, new))
+    for r in range(1, 6):
+        assert _euler_form_failures(r), r
+
+
 def _failed(report) -> dict:
     return {c.name: c.witness for c in report.checks if c.status == "fail"}
 

@@ -468,7 +468,7 @@ def test_products_without_division_keep_int_coefficients():
     ctx = FlopContext(3)
     entries = [entry for row in ctx.P.tau_rows(6) for entry in row.values()]
     bl, x = _blowup_class()
-    for value in [*entries, x * x, x * x * x, bl.xi * x.exceptional]:
+    for value in [*entries, x * x, x * x * x, bl.E.h * x.exceptional]:
         assert all(type(c) is int for c in _coefficients(value)), value
 
 
@@ -584,7 +584,7 @@ def _projbundle_element():
 
 def _blowup_class():
     bl = BlowupRing(linear_blowup(4, 1))
-    return bl, bl.pull(bl.data.ambient.gen("t")) + bl.exc_push(bl.xi)
+    return bl, bl.pull(bl.data.ambient.gen("t")) + bl.exc_push(bl.E.h)
 
 
 MAKERS = pytest.mark.parametrize(
@@ -674,7 +674,7 @@ def test_equality_compares_every_part_of_the_state():
         assert x != x + top and x + top != x
     assert x + hpow[3] == hpow[3] + x  # equal values, distinct objects
     bl, _ = _blowup_class()
-    assert bl.exc_push(bl.xi) != bl.zero  # the exceptional part differs, the ambient agrees
+    assert bl.exc_push(bl.E.h) != bl.zero  # the exceptional part differs, the ambient agrees
 
 
 def _graded_rings(ring) -> list:
