@@ -21,8 +21,10 @@ Its entry (k, j) is read as tau_{k+j,r}, tau's column r being Segre classes,
 and as p_*(h^{k+j}), over the convolution slots m = k + j >= r, each
 p_*(h^m) reduced by the defining relation of P.  The two lemma tables, the
 alternating Chern sums T1(j) and the eta'_* help sums, each have one owner on
-the context, swept row by row by a recurrence: the build checks every cell,
-and the raw routes of term_B and term_A read the stored values.
+the context, swept row by row by a recurrence: the build checks every cell it
+keeps (the help sums' cells past k = r through the one-step identities of
+eta'_* that telescope to them), and the raw routes of term_B and term_A read
+the stored values.
 """
 
 from __future__ import annotations
@@ -88,27 +90,43 @@ class FlopContext:
 
     def _help_table(self) -> MappingProxyType:
         """help(j, k) = sum_{i<j} (-1)^i l^i eta'_*(H^{k+j-i-1}) for j, k <= r,
-        the entries term_A reads.  Row j is swept from help(0, k) = 0 by
-        help(j+1, k) = eta'_*(H^{k+j}) - l . help(j, k), one ``Pdual.sub`` of
-        shift 1, and every k <= 2r - j is checked against col[k+j] - (-1)^j
-        l^j col[k], col[k] = pull(tau_{k,r}) formed once for k <= 2r and
-        (-1)^j l^j once per row.  help(j, k) holds slots 0 and j only, so a
-        step never reaches slot r + 1 and ``sub`` never reduces."""
-        r = self.r
+        the entries term_A reads, each checked to be col[k+j] - (-l)^j col[k],
+        col[k] = pull(tau_{k,r}).  The 2r one-step identities eta'_*(H^m) =
+        col[m+1] + l col[m], m < 2r, telescope to the cells with k > r, which
+        are never formed.  The row is swept in place by help(j+1, k) =
+        eta'_*(H^{k+j}) - l help(j, k), one ``Pdual.sub`` of shift 1 that never
+        reaches slot r + 1, and a cell is compared slot by slot: for (-l)^j =
+        e l^s, the sign e and s >= 1 read from lpow[j], slot 0 holds
+        tau_{k+j,r}, slot s holds -e tau_{k,r} and no other slot is stored; at
+        (-l)^0 = 1 the cell is 0.  Any other cell meets ``require_equal``."""
+        r, zero, one = self.r, self.S.zero, self.S.one
         col = [self.Pdual.pullback(self.P.tau(k, r)) for k in range(2 * r + 1)]
-        self.E.segre(r)  # the top class the sweep reads: G's Segre list grows once
+        self.E.segre(r)  # the top class the checks read: G's Segre list grows once
         push = self.E.pushforward_power  # eta'_*(H^k), through the Segre table of G
-        row = [self.Pdual.zero] * (2 * r + 1)
-        table = {}
+        for m in range(2 * r):
+            message = f"eta'_* one-step identity fails at m={m}"
+            require_equal(col[m + 1] - push(m), -(self.lpow[1] * col[m]), message)
+        tau = [x.slots.get(0, zero) for x in col]
+        signed = {1: [-t for t in tau[: r + 1]], -1: tau}  # slot s of cell k: -e tau_{k,r}
+        row, table = [self.Pdual.zero] * (r + 1), {}
         for j in range(r + 1):
             lj = self.lpow[j] * (-1) ** j
+            [(s, u)] = lj.slots.items() if len(lj.slots) == 1 else [(None, zero)]
+            e, kept = 1 if u == one else -1 if u == -one else 0, {0, s}
             for k, lhs in enumerate(row):
-                rhs = col[k + j] - lj * col[k]
-                require_equal(lhs, rhs, f"help-sum identity fails at j={j}, k={k}")
-                if k <= r:
-                    table[j, k] = lhs
+                slots = lhs.slots
+                if s:
+                    held = e and slots.keys() <= kept and slots.get(0, zero) == tau[k + j] and (
+                        slots.get(s, zero) == signed[e][k])
+                else:
+                    held = j == 0 and e == 1 and not slots
+                if not held:
+                    rhs = col[k + j] - lj * col[k]
+                    require_equal(lhs, rhs, f"help-sum identity fails at j={j}, k={k}")
+                table[j, k] = lhs
             if j < r:
-                row = [self.Pdual.sub(push(k + j), row[k], 1) for k in range(2 * r - j)]
+                for k in range(r + 1):
+                    row[k] = self.Pdual.sub(push(k + j), row[k], 1)
         return MappingProxyType(table)
 
     # each table is built, every cell checked, on first read, then kept

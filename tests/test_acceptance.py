@@ -109,7 +109,8 @@ def test_criterion_5_help_sum_and_t_identities():
     def run():
         for r in range(1, 5):
             ctx = FlopContext(r)
-            # each build checks every cell: j <= r, k <= 2r - j; j, q <= r
+            # each build checks every cell it keeps, j, k <= r (after the 2r
+            # one-step identities of eta'_*) and j, q <= r
             assert len(ctx.help_sums) == (r + 1) ** 2
             assert len(ctx.t1_sums) == r + 1
             flop_mod.term_B(ctx)  # includes the T2 route comparison

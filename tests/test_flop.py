@@ -73,7 +73,9 @@ def test_sigma_top_product_routes():
 def test_help_sum_identity():
     for r in (1, 2, 3, 4):
         ctx = FlopContext(r)
-        table = ctx.help_sums  # the build checks every j <= r, k <= 2r - j
+        # the build checks every j, k <= r and the one-step identities that
+        # telescope to the cells with k > r
+        table = ctx.help_sums
         assert set(table) == {(j, k) for j in range(r + 1) for k in range(r + 1)}
         with pytest.raises(TypeError):
             table[0, 0] = ctx.Pdual.zero  # stored read-only
@@ -184,6 +186,44 @@ def test_substituted_help_sum_fails_term_a():
             assert "flop.help_sum_identity" not in failed  # read, not rebuilt
 
 
+def test_corrupted_segre_class_of_g_fails_the_one_step_identity_it_enters():
+    # eta'_*(H^m) = s_{m-r+1}(G): a corrupted s_i(G) first breaks the one-step
+    # identity at m = i + r - 1, whose witness is the corruption, negated
+    for r in (2, 3, 4):
+        for i in range(r + 1):
+            ctx = FlopContext(r)
+            ctx.E.segre(r)
+            ctx.E._segre[i] = ctx.E._segre[i] + ctx.lpow[i]  # still homogeneous
+            witness = str(-ctx.lpow[i])
+            failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
+            assert failed.get("flop.help_sum_identity") == witness != "0", (r, i)
+            with pytest.raises(ConsistencyError, match=rf"at m={i + r - 1}: ") as info:
+                ctx.help_sums
+            assert info.value.witness == witness, (r, i)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2], ids=["slot_0", "slot_j", "third_slot"])
+def test_a_wrong_slot_of_a_help_cell_fails_the_check(slot):
+    # the first step of the sweep, help(1, 0) = eta'_*(H^0) = 0 for r >= 2,
+    # returned with l^slot added: slot 0, the slot j = 1 of l^j, or a slot
+    # help(1, 0) may not hold.  The slot-wise comparison reads each of them
+    for r in (2, 3):
+        ctx, steps = FlopContext(r), []
+        sub = ctx.Pdual.sub
+
+        def wrong_first_step(a, y, shift):
+            value = sub(a, y, shift)
+            if shift != 1:  # a subtraction, not a step of the sweep
+                return value
+            steps.append(value)
+            return value + ctx.lpow[slot] if len(steps) == 1 else value
+
+        ctx.Pdual.sub = wrong_first_step
+        with pytest.raises(ConsistencyError, match="fails at j=1, k=0: ") as info:
+            ctx.help_sums
+        assert info.value.witness == str(ctx.lpow[slot]), (r, slot)
+
+
 def _install_mutant(monkeypatch, name: str, old: str, new: str) -> None:
     """Replace the table ``FlopContext.<name>`` by a property that builds it
     with a mutated copy of its method."""
@@ -195,7 +235,10 @@ def _install_mutant(monkeypatch, name: str, old: str, new: str) -> None:
 # r).  The T1 sweep carries (-1)^j lhs(j, q); the help sweep takes
 # l·help(j, k) from eta'_*(H^{k+j}) in one Pdual.sub of shift 1.  At r = 1
 # the one step has help(0, k) = 0 to shift, so no mutant of the shift can
-# change a value there
+# change a value there.  A help cell is compared slot by slot and, failing
+# that, whole against col[k+j] - (-l)^j col[k]; a mutant of the slot-wise
+# comparison alone only sends a sound cell to the whole one, so the sign
+# mutant drops the (-1)^j that both read
 SWEEP_MUTANTS = {
     "t1_without_c_term": (
         "t1_sums",
@@ -217,6 +260,27 @@ SWEEP_MUTANTS = {
         "row[k], 0)",
         {"flop.help_sum_identity", "flop.term_A_routes"},
         (2, 3),
+    ),
+    "help_slot_sign_taken_as_plus": (
+        "help_sums",
+        "self.lpow[j] * (-1) ** j",
+        "self.lpow[j]",
+        {"flop.help_sum_identity", "flop.term_A_routes"},
+        (1, 2, 3),
+    ),
+    "help_one_step_reads_col_m_for_col_m_plus_1": (
+        "help_sums",
+        "col[m + 1] - push(m)",
+        "col[m] - push(m)",
+        {"flop.help_sum_identity", "flop.term_A_routes"},
+        (1, 2, 3),
+    ),
+    "help_sweep_skips_the_last_k": (
+        "help_sums",
+        "for k in range(r + 1):",
+        "for k in range(r):",
+        {"flop.help_sum_identity", "flop.term_A_routes"},
+        (1, 2, 3),
     ),
 }
 

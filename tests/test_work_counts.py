@@ -25,30 +25,33 @@ CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 # the Segre classes of every tower take one ProjBundleRing.dot per degree, a
 # sigma-bilinear term is a table, so no term is multiplied by pull(sigma_r
 # sigma'_r), and the help sweep takes l·help(j, k) from eta'_*(H^{k+j}) in one
-# pass over the slots, with no product
-FLOP_R4_TOWER_PRODUCTS = 90
+# pass over the slots and compares each cell slot by slot, with no product;
+# its 2r one-step identities take l·col[m] once each
+FLOP_R4_TOWER_PRODUCTS = 63
 # ProjBundleRing.reduce calls for the same run: h·y reduces once, pull(c)·y
 # not at all, a product with a zero factor is zero at once, T1's right-hand
 # side is swept by l, and a help step reduces only when help(j, k) holds
 # slot r
 FLOP_R4_REDUCTIONS = 91
 # GradedElement.__sub__ calls for the same run: a tower difference subtracts
-# only its stored right slots, and the help sweep forms pull(tau_{k,r}) once
-FLOP_R4_GRADED_SUBTRACTIONS = 28
+# only its stored right slots, the help sweep forms pull(tau_{k,r}) once and
+# steps only the cells with k <= r
+FLOP_R4_GRADED_SUBTRACTIONS = 25
 # GradedElement.__bool__ calls for the same run: tower elements store only
 # their nonzero slots, so only a computed slot is tested, and a tau row is a
 # slot dict, so the next row tests none of its entries before it reduces them;
 # a sigma table stores its zero entries untested, and adds a zero right entry
 # by keeping the left one; the T1 sweep pulls each c_{q+1}(F) back (a zero
-# test) once, not once per row
-FLOP_R4_ZERO_TESTS = 427
+# test) once, not once per row, and the help sweep forms no cell with k > r
+FLOP_R4_ZERO_TESTS = 413
 # RingElement._refused calls for the same run, and for ``all --seed 1``: no
 # ring map is implicit, so every operand is of the same class and ring, or a
 # number under *
 FLOP_R4_COERCIONS = 0
 # GradedRing.dot calls for the same run: the sigma-bilinear terms are tables
-# of their (k, j) coefficients, so a product by sigma_k sigma'_j is an index
-FLOP_R4_GRADED_DOTS = 209
+# of their (k, j) coefficients, so a product by sigma_k sigma'_j is an index,
+# and a help cell is compared slot by slot, with no (-l)^j·col[k]
+FLOP_R4_GRADED_DOTS = 198
 # the largest term count of a GradedElement built in the same run: the tower
 # runs over Q[c_1..c_5] alone, so no sigma-tagged sum is formed
 FLOP_R4_MAX_TERMS = 5
