@@ -24,7 +24,8 @@ alternating Chern sums T1(j) and the eta'_* help sums, each have one owner on
 the context, swept row by row by a recurrence: the build checks every cell it
 keeps (the help sums' cells past k = r through the one-step identities of
 eta'_* that telescope to them), and the raw routes of term_B and term_A read
-the stored values.
+the stored values.  term_A's closed form is a third table on the context, the
+one expected value of each help cell and of term_A's comparison.
 """
 
 from __future__ import annotations
@@ -90,48 +91,38 @@ class FlopContext:
 
     def _help_table(self) -> MappingProxyType:
         """help(j, k) = sum_{i<j} (-1)^i l^i eta'_*(H^{k+j-i-1}) for j, k <= r,
-        the entries term_A reads, each checked to be col[k+j] - (-l)^j col[k],
-        col[k] = pull(tau_{k,r}).  The 2r one-step identities eta'_*(H^m) =
-        col[m+1] + l col[m], m < 2r, telescope to the cells with k > r, which
-        are never formed.  The row is swept in place by help(j+1, k) =
-        eta'_*(H^{k+j}) - l help(j, k), one ``Pdual.sub`` of shift 1 that never
-        reaches slot r + 1, and a cell is compared slot by slot: for (-l)^j =
-        e l^s, the sign e and s >= 1 read from lpow[j], slot 0 holds
-        tau_{k+j,r}, slot s holds -e tau_{k,r} and no other slot is stored; at
-        (-l)^0 = 1 the cell is 0.  Any other cell meets ``require_equal``."""
-        r, zero, one = self.r, self.S.zero, self.S.one
+        the entries term_A reads, each checked against entry (k, j) of
+        ``closed_A``: col[k+j] - (-l)^j col[k], as col[k] = pull(tau_{k,r}) is
+        delta_{k,r} for k <= r.  The 2r one-step identities eta'_*(H^m) =
+        col[m+1] + l col[m], m < 2r, telescope to the cells with k > r, never
+        formed.  The row is swept in place by help(j+1, k) = eta'_*(H^{k+j}) -
+        l help(j, k), one ``Pdual.sub`` of shift 1 that never reaches slot r + 1."""
+        r = self.r
         col = [self.Pdual.pullback(self.P.tau(k, r)) for k in range(2 * r + 1)]
         self.E.segre(r)  # the top class the checks read: G's Segre list grows once
         push = self.E.pushforward_power  # eta'_*(H^k), through the Segre table of G
         for m in range(2 * r):
             message = f"eta'_* one-step identity fails at m={m}"
             require_equal(col[m + 1] - push(m), -(self.lpow[1] * col[m]), message)
-        tau = [x.slots.get(0, zero) for x in col]
-        signed = {1: [-t for t in tau[: r + 1]], -1: tau}  # slot s of cell k: -e tau_{k,r}
+        closed = self.closed_A.rows
         row, table = [self.Pdual.zero] * (r + 1), {}
         for j in range(r + 1):
-            lj = self.lpow[j] * (-1) ** j
-            [(s, u)] = lj.slots.items() if len(lj.slots) == 1 else [(None, zero)]
-            e, kept = 1 if u == one else -1 if u == -one else 0, {0, s}
             for k, lhs in enumerate(row):
-                slots = lhs.slots
-                if s:
-                    held = e and slots.keys() <= kept and slots.get(0, zero) == tau[k + j] and (
-                        slots.get(s, zero) == signed[e][k])
-                else:
-                    held = j == 0 and e == 1 and not slots
-                if not held:
-                    rhs = col[k + j] - lj * col[k]
-                    require_equal(lhs, rhs, f"help-sum identity fails at j={j}, k={k}")
+                require_equal(lhs, closed[k][j], f"help-sum identity fails at j={j}, k={k}")
                 table[j, k] = lhs
             if j < r:
                 for k in range(r + 1):
                     row[k] = self.Pdual.sub(push(k + j), row[k], 1)
         return MappingProxyType(table)
 
-    # each table is built, every cell checked, on first read, then kept
+    def _closed_A(self) -> SigmaTable:
+        """term_A's closed form pull(tau_{k+j,r}) - L, read by the help sweep and term_A."""
+        return tau_pairing(self).map(self.Pdual.pullback) - l_pairing(self)
+
+    # each table is built on first read, then kept; a sweep checks every cell it keeps
     t1_sums = cached_property(_t1_table)
     help_sums = cached_property(_help_table)
+    closed_A = cached_property(_closed_A)
 
     # ------------------------------------------------------------- helpers
 
@@ -230,8 +221,7 @@ def sigma_top_product(ctx: FlopContext) -> SigmaTable:
 def term_A(ctx: FlopContext) -> SigmaTable:
     """Correction term from the pure pullback products and the first mixed
     product, computed both raw (pushforward expansion) and in closed form."""
-    ks = range(ctx.r + 1)
-    closed = tau_pairing(ctx).map(ctx.Pdual.pullback) - l_pairing(ctx)
+    ks, closed = range(ctx.r + 1), ctx.closed_A
     # raw route: the pre-simplification double sum through eta'_* tables
     raw = SigmaTable([ctx.help_sums[j, k] for j in ks] for k in ks)
     require_equal(raw, closed, "first correction term: raw and closed routes disagree")

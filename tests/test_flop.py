@@ -1,6 +1,8 @@
 import functools
+import operator
 import re
 import types
+from itertools import combinations, combinations_with_replacement
 from types import MappingProxyType
 
 import pytest
@@ -151,6 +153,47 @@ def test_euler_form_mutant_fails_the_euler_form(monkeypatch, mutant):
         assert _euler_form_failures(r), r
 
 
+def _splitting_failures(r: int) -> list[tuple[str, int]]:
+    """The (route, m), m <= 2r, where tau's column r at c_i -> e_i(x_1..x_{r+1})
+    is not (-1)^{m-r} h_{m-r}(x), 0 for m < r: by the splitting principle
+    s(F) = prod 1/(1 + x_i) (Fulton, *Intersection Theory*, §3.2), sharing
+    nothing with the Segre recursion.  The routes are the tau table and the
+    direct route of sigma_top, h^m reduced into slot r."""
+    ctx = FlopContext(r)
+    X = GradedRing([(f"x{i}", 1) for i in range(1, r + 2)])
+    xs = [X.gen(f"x{i}") for i in range(1, r + 2)]
+
+    def monomial_sum(choose, k: int):
+        return X.sum(functools.reduce(operator.mul, c, X.one) for c in choose(xs, k))
+
+    images = {f"c{i}": monomial_sum(combinations, i) for i in range(1, r + 2)}
+    failures = []
+    for m in range(2 * r + 1):
+        k = m - r
+        h = monomial_sum(combinations_with_replacement, k) * (-1) ** k if k >= 0 else X.zero
+        routes = {
+            "tau": ctx.P.tau(m, r),
+            "reduce": ctx.P.reduce({m: ctx.S.one}, stop=r).get(r, ctx.S.zero),
+        }
+        failures += [(name, m) for name, x in routes.items() if x.substitute(images, X) != h]
+    return failures
+
+
+def test_tau_column_r_has_the_splitting_form():
+    for r in range(1, 5):
+        assert _splitting_failures(r) == [], r
+
+
+def test_segre_recursion_missing_its_last_term_fails_the_splitting_form(monkeypatch):
+    function, old, new, owners = EULER_FORM_MUTANTS["segre_drops_its_last_term"]
+    for owner, name in owners:
+        monkeypatch.setattr(owner, name, mutated(function, old, new))
+    for r in range(1, 5):
+        failures = _splitting_failures(r)
+        # the tau route reads the Segre classes past m = r; the direct route never
+        assert failures and {name for name, _ in failures} == {"tau"}, r
+
+
 def _failed(report) -> dict:
     return {c.name: c.witness for c in report.checks if c.status == "fail"}
 
@@ -206,7 +249,7 @@ def test_corrupted_segre_class_of_g_fails_the_one_step_identity_it_enters():
 def test_a_wrong_slot_of_a_help_cell_fails_the_check(slot):
     # the first step of the sweep, help(1, 0) = eta'_*(H^0) = 0 for r >= 2,
     # returned with l^slot added: slot 0, the slot j = 1 of l^j, or a slot
-    # help(1, 0) may not hold.  The slot-wise comparison reads each of them
+    # help(1, 0) may not hold.  The cell's one comparison with closed_A sees each of them
     for r in (2, 3):
         ctx, steps = FlopContext(r), []
         sub = ctx.Pdual.sub
@@ -226,19 +269,22 @@ def test_a_wrong_slot_of_a_help_cell_fails_the_check(slot):
 
 def _install_mutant(monkeypatch, name: str, old: str, new: str) -> None:
     """Replace the table ``FlopContext.<name>`` by a property that builds it
-    with a mutated copy of its method."""
-    attr = vars(FlopContext)[name]
-    monkeypatch.setattr(FlopContext, name, property(mutated(attr.func, old, new)))
+    with a mutated copy of its method, or the function ``flop.<name>`` by a
+    mutated copy."""
+    attr = vars(FlopContext).get(name)
+    if attr is None:
+        monkeypatch.setattr(flop_mod, name, mutated(getattr(flop_mod, name), old, new))
+    else:
+        monkeypatch.setattr(FlopContext, name, property(mutated(attr.func, old, new)))
 
 
-# (table, code in its method, mutant, checks that must fail, at each of these
-# r).  The T1 sweep carries (-1)^j lhs(j, q); the help sweep takes
+# (table or flop function, code in it, mutant, checks that must fail, at each
+# of these r).  The T1 sweep carries (-1)^j lhs(j, q); the help sweep takes
 # l·help(j, k) from eta'_*(H^{k+j}) in one Pdual.sub of shift 1.  At r = 1
 # the one step has help(0, k) = 0 to shift, so no mutant of the shift can
-# change a value there.  A help cell is compared slot by slot and, failing
-# that, whole against col[k+j] - (-l)^j col[k]; a mutant of the slot-wise
-# comparison alone only sends a sound cell to the whole one, so the sign
-# mutant drops the (-1)^j that both read
+# change a value there.  A help cell has one comparison, with entry (k, j) of
+# closed_A = pull(tau) - L, the table term_A compares with as well; the help
+# check reads (-1)^j from l_pairing, which term_B reads too
 SWEEP_MUTANTS = {
     "t1_without_c_term": (
         "t1_sums",
@@ -262,9 +308,16 @@ SWEEP_MUTANTS = {
         (2, 3),
     ),
     "help_slot_sign_taken_as_plus": (
-        "help_sums",
-        "self.lpow[j] * (-1) ** j",
-        "self.lpow[j]",
+        "l_pairing",
+        "x * (-1) ** j",
+        "x",
+        {"flop.help_sum_identity", "flop.term_A_routes", "flop.term_B_routes"},
+        (1, 2, 3),
+    ),
+    "closed_A_without_l": (
+        "closed_A",
+        " - l_pairing(self)",
+        "",
         {"flop.help_sum_identity", "flop.term_A_routes"},
         (1, 2, 3),
     ),

@@ -25,8 +25,8 @@ CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 # the Segre classes of every tower take one ProjBundleRing.dot per degree, a
 # sigma-bilinear term is a table, so no term is multiplied by pull(sigma_r
 # sigma'_r), and the help sweep takes l·help(j, k) from eta'_*(H^{k+j}) in one
-# pass over the slots and compares each cell slot by slot, with no product;
-# its 2r one-step identities take l·col[m] once each
+# pass over the slots and compares each cell with term_A's closed table, with
+# no product; its 2r one-step identities take l·col[m] once each
 FLOP_R4_TOWER_PRODUCTS = 63
 # ProjBundleRing.reduce calls for the same run: h·y reduces once, pull(c)·y
 # not at all, a product with a zero factor is zero at once, T1's right-hand
@@ -50,7 +50,8 @@ FLOP_R4_ZERO_TESTS = 413
 FLOP_R4_COERCIONS = 0
 # GradedRing.dot calls for the same run: the sigma-bilinear terms are tables
 # of their (k, j) coefficients, so a product by sigma_k sigma'_j is an index,
-# and a help cell is compared slot by slot, with no (-l)^j·col[k]
+# and a help cell is compared with an entry of term_A's closed table, with no
+# (-l)^j·col[k]
 FLOP_R4_GRADED_DOTS = 198
 # the largest term count of a GradedElement built in the same run: the tower
 # runs over Q[c_1..c_5] alone, so no sigma-tagged sum is formed
