@@ -5,18 +5,19 @@ models for CH(X) and CH(P), i^* (generator images, and a table on monomials
 filled once per entry), i_* (a table on monomials), and the normal bundle N;
 both maps extend their table linearly, in one ``GradedRing.combine`` each.
 A class is a pair (ambient part, exceptional part) with the exceptional part
-in CH(E) = CH(P(N)) of zero pushforward to the center, restricted to E once.
-E's normal bundle is O(-1), so E·E multiplies by -xi: a slot shift up and a
-negation.  ``exc_push`` and ``mul`` share one normalization by c_{r-1}(W)
-(Fulton, Thm 6.7): one base product per stored slot, and one ambient ``dot``.
+in CH(E) = CH(P(N)) of zero pushforward to the center; its ambient part is
+restricted once.  A product lists its base pairs slot by slot: i^*a·eb,
+i^*b·ea, and E·E = -xi·ea·eb (E's normal bundle is O(-1)) one slot up.  One
+top-down ``E.form``, shared with ``exc_push``, then forms each slot in one base
+product with its relation pairs and, below slot r-1, the pair -c_k(W)·eta of
+the normalization by c_{r-1}(W) (Fulton, Thm 6.7).  That reads only the slots
+of c_{r-1}(W) below r-1: it is monic in xi, so eta, slot r-1, goes whole to i_*.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 import re
-from dataclasses import dataclass, field
 
 from .chern import BundleClass, binomial
 from .errors import ConsistencyError, bounded, require_equal
@@ -32,24 +33,17 @@ def key_formula_check(bl: "BlowupRing", gamma: GradedElement) -> None:
     require_equal(lhs, rhs, "key formula fails")
 
 
-@dataclass
 class EmbeddingData:
     """A regular embedding P -> X presented algebraically; its codimension
     is the rank of the normal bundle."""
 
-    ambient: GradedRing
-    center: GradedRing
-    pull_images: dict[str, GradedElement]
-    push_table: dict[tuple[int, ...], GradedElement]
-    normal: BundleClass
-    # i^* of each ambient monomial, by packed key; a cache that ``pull`` fills
-    pull_table: dict[int, GradedElement] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        if self.normal.ring is not self.center:
-            raise ValueError(f"normal bundle must live over the center, not {self.normal.ring}")
+    def __init__(self, ambient: GradedRing, center: GradedRing, pull_images: dict,
+                 push_table: dict[tuple[int, ...], GradedElement], normal: BundleClass):
+        if normal.ring is not center:
+            raise ValueError(f"normal bundle must live over the center, not {normal.ring}")
+        self.ambient, self.center, self.normal = ambient, center, normal
+        self.pull_images, self.push_table = pull_images, push_table
+        self.pull_table: dict[int, GradedElement] = {}  # i^* by packed monomial, for ``pull``
 
     def pull(self, alpha: GradedElement) -> GradedElement:
         """i^*: ``pull_table`` extended linearly, each new monomial substituted once."""
@@ -125,7 +119,8 @@ class BlowupRing:
         self.data = data
         self.E = ProjBundleRing(data.normal, hyperplane="xi")
         self.cW = cw_top(self.E)  # c_{r-1} of the universal quotient bundle
-        self._minus_cw = [(k, -c) for k, c in self.cW.slots.items()]
+        # -c_k(W) below its top slot r - 1, which is 1: the normalization's pairs
+        self._fold = {k: -c for k, c in self.cW.slots.items() if k < self.E.rank - 1}
         self.zero = self.pull(data.ambient.zero)
         self.one = self.pull(data.ambient.one)
         if validate_samples:
@@ -145,19 +140,14 @@ class BlowupRing:
         """j_*: push a class on E into the blow-up, in normalized form."""
         if eps.ring is not self.E:
             raise ValueError("elements belong to different rings")
-        return self._normalized(eps.slots)
+        return self._normalized(dict(eps.slots), {}, self.E.rank - 1)
 
-    def _normalized(self, slots: dict, pairs=()) -> "BlowupClass":
-        """phi^*(Σ a·b over ambient ``pairs``) + j_*(reduced ``slots``), normalized:
-        eta = slot r-1 goes in through i_*, and each stored slot k of c_{r-1}(W)
-        takes c_k·eta from slot k in one ``base.dot``, emptying slot r-1."""
-        eta, ambient = slots.get(self.E.rank - 1), self.data.ambient.zero
-        if eta is not None:
-            slots, dot = dict(slots), self.E.base.dot
-            for k, minus_c in self._minus_cw:
-                if value := dot(((minus_c, eta),), slots.pop(k, None)):
-                    slots[k] = value
-            ambient = self.data.push(eta)
+    def _normalized(self, work: dict, pending: dict, top: int, pairs=()) -> "BlowupClass":
+        """phi^*(Σ a·b over ambient ``pairs``) + j_*(``work`` + ``pending``) in
+        normalized form, the ambient part in one ``dot`` after i_*(eta)."""
+        slots = self.E.form(work, pending, top, 0, self._fold)
+        eta = slots.pop(self.E.rank - 1, None)
+        ambient = self.data.ambient.zero if eta is None else self.data.push(eta)
         ambient = self.data.ambient.dot(pairs, ambient) if pairs else ambient
         return BlowupClass(self, ambient, PBElement(self.E, slots))
 
@@ -172,24 +162,33 @@ class BlowupRing:
     def mul(self, a: "BlowupClass", b: "BlowupClass") -> "BlowupClass":
         if a.ring is not self or b.ring is not self:
             raise ValueError("classes belong to a different blow-up")
-        # phi^*a.phi^*b + projection-formula terms + E·E, -xi·ea as a slot shift
-        E, ea, eb = self.E, a.exceptional, b.exceptional
-        exc = E.dot(((a.restriction, eb), (b.restriction, ea), (E.sub(E.zero, ea, 1), eb)))
-        return self._normalized(exc.slots, ((a.ambient, b.ambient),))
+        # phi^*a.phi^*b, and the base pairs of i^*a·eb, i^*b·ea and -xi·ea·eb
+        pending, right = {}, b.exceptional.slots.items()
+        for rho, eps in ((a.restriction, b.exceptional), (b.restriction, a.exceptional)):
+            if rho:
+                for j, y in eps.slots.items():
+                    pending.setdefault(j, []).append((rho, y))
+        for i, x in a.exceptional.slots.items():
+            x = -x
+            for j, y in right:
+                pending.setdefault(i + j + 1, []).append((x, y))
+        return self._normalized({}, pending, max(pending, default=0), ((a.ambient, b.ambient),))
 
 
-@dataclass(repr=False, eq=False)
 class BlowupClass(RingElement):
     """phi^*(ambient) + j_*(exceptional), with eta_*(exceptional) = 0."""
 
-    ring: BlowupRing
-    ambient: GradedElement
-    exceptional: PBElement
+    def __init__(self, ring: BlowupRing, ambient: GradedElement, exceptional: PBElement):
+        self.ring, self.ambient, self.exceptional = ring, ambient, exceptional
 
-    @functools.cached_property
-    def restriction(self) -> PBElement:
-        """The ambient part restricted to E, E.pullback(i^* ambient)."""
-        return self.ring.E.pullback(self.ring.data.pull(self.ambient))
+    _restriction = None
+
+    @property
+    def restriction(self) -> GradedElement:
+        """i^* of the ambient part, in the center, formed on first read."""
+        if self._restriction is None:
+            self._restriction = self.ring.data.pull(self.ambient)
+        return self._restriction
 
     def _state(self) -> tuple:
         return (self.ambient, self.exceptional)

@@ -23,7 +23,6 @@ import contextlib
 import math
 import random
 import sys
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import blowup as bl_mod
@@ -39,23 +38,12 @@ USAGE_EXIT = 2
 FAIL_EXIT = 1
 
 
-@dataclass
 class SuiteConfig:
-    suite: str
-    r: int | None = None
-    r_max: int | None = None
-    trials: int = 5
-    seed: int = 0
-    dim_bound: int | None = None
-    case: str | None = None
-    fmt: str = "text"
-    out: str | None = None
-    # the blow-up --case names, built here so that a bad file is a usage error
-    embedding: bl_mod.EmbeddingData | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
+    def __init__(self, suite: str, r: int | None = None, r_max: int | None = None,
+                 trials: int = 5, seed: int = 0, dim_bound: int | None = None,
+                 case: str | None = None, fmt: str = "text", out: str | None = None):
+        self.suite, self.r, self.r_max, self.trials, self.seed = suite, r, r_max, trials, seed
+        self.dim_bound, self.case, self.fmt, self.out = dim_bound, case, fmt, out
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.fmt not in ("text", "json"):
@@ -76,8 +64,8 @@ class SuiteConfig:
         readers = ("projbundle", "charclass", "all")
         if self.dim_bound is not None and self.suite not in readers:
             raise ValueError(f"--dim-bound does not apply to the {self.suite} suite")
-        if self.suite in ("blowup", "all"):
-            self.embedding = _blowup_case(self.case)
+        # the blow-up --case names, built here so that a bad file is a usage error
+        self.embedding = _blowup_case(self.case) if self.suite in ("blowup", "all") else None
 
 
 # ------------------------------------------------------------------ suites
@@ -386,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_KEYS = tuple(f.name for f in fields(SuiteConfig) if f.init)
+# SuiteConfig's arguments, each a config-file key and a parser dest
+_KEYS = ("suite", "r", "r_max", "trials", "seed", "dim_bound", "case", "fmt", "out")
 _INT_KEYS = {"r", "r_max", "trials", "seed", "dim_bound"}
 
 

@@ -5,15 +5,16 @@ with basis 1, h, ..., h^{n-1}, h the relative hyperplane class.  One format,
 a dict k -> nonzero coefficient of h^k, holds an element's slots, the input
 of ``element``, each read-only tau row and the relation (-c_j(F) only for
 c_j(F) != 0), so a zero slot is never tested, multiplied or copied.
-``ProjBundleRing.dot`` is the one product kernel: the base products of every
-pair of stored slots go into their convolution slot, one ``base.dot`` per
-slot, and ``reduce`` forms each slot once, top down, by the defining relation
-h^n = -sum_j pull(c_j(F)) h^{n-j}; a dict with nothing at or above h^n it
-returns as it is.  ``mul`` first tries two shapes (Fulton, *Intersection
-Theory*, §3.2): h·y is y shifted one slot up plus one reduction step, pull(c)·y
-is y scaled slot by slot; a zero factor gives zero.  ``sub(a, y, shift)``,
-a - h^shift·y, is the one slot loop of every subtraction in a tower.
-``reduce(…, stop)`` forms only the slots from ``stop`` up.  As p_*(h^k) =
+``ProjBundleRing.dot`` is the one product kernel: the base pairs of every pair
+of stored slots go into their convolution slot's list.  ``form`` is the one
+relation loop: top down, each slot takes its own pairs and those of the
+defining relation h^n = -sum_j pull(c_j(F)) h^{n-j} on the slots formed above
+it, in one ``base.dot``; ``reduce`` runs it on formed slots, and returns a dict
+with nothing at or above h^n as it is.  ``mul`` first tries two shapes (Fulton,
+*Intersection Theory*, §3.2): h·y is y shifted one slot up plus one reduction
+step, pull(c)·y is y scaled slot by slot; a zero factor gives zero.
+``sub(a, y, shift)``, a - h^shift·y, is the one slot loop of every subtraction
+in a tower.  ``reduce(…, stop)`` forms only the slots from ``stop`` up.  As p_*(h^k) =
 s_{k-n+1}(F) is 0 for k < n-1 and 1 at k = n-1, the pushforward of a reduced
 element is its top coefficient.  The h-power table tau_{i,j} (reduced h^i) is
 built row by row by the c_j(F) recursion, each row checked against the
@@ -43,6 +44,7 @@ class ProjBundleRing:
         self.zero = PBElement(self, {})
         self.one = self.pullback(base.one)
         self._minus_c = {j: -c for j in range(1, n + 1) if (c := bundle.c(j))}
+        self._reach = max(self._minus_c, default=0)  # the largest j with c_j(F) != 0
         self.h = self.element({1: base.one})
         self._segre: list = [base.one]
         self._tau_rows: list = [MappingProxyType({0: base.one})]
@@ -72,26 +74,33 @@ class ProjBundleRing:
         return PBElement(self, {k: v for k, cs in by_slot.items() if (v := self.base.sum(cs))})
 
     def reduce(self, slots: dict, stop: int = 0) -> dict:
-        """Slots stop..n-1 of ``slots`` (k >= 0 -> nonzero coefficient of h^k)
-        reduced: each slot t >= stop, top down, gets -c_{s-t}(F)·slot s over
-        stored s and stored -c_{s-t}(F), t < s <= t + n, s >= n, in one
-        ``base.dot``, and is kept only if nonzero.  A dict with nothing at or
-        above slot n is already reduced and returned as it is."""
-        n, minus_c = self.rank, self._minus_c
-        top = max(slots, default=0)
-        if top < n:
+        """Slots stop..n-1 of ``slots`` (k >= 0 -> nonzero coefficient of h^k),
+        reduced by ``form`` unless nothing is at or above slot n."""
+        if max(slots, default=0) < self.rank:
             return {k: c for k, c in slots.items() if k >= stop} if stop else slots
-        work = dict(slots)
-        for t in range(top - 1, stop - 1, -1):
-            pulled = range(max(t + 1, n), min(t + n, top) + 1)
-            pairs = [(minus_c[s - t], work[s]) for s in pulled if s in work and s - t in minus_c]
-            if pairs and (value := self.base.dot(pairs, work.pop(t, None))):
+        return self.form(dict(slots), {}, max(slots), stop)
+
+    def form(self, work: dict, pending: dict, top: int, stop: int = 0, fold=None) -> dict:
+        """Slots stop..n-1 of ``work`` (k -> nonzero coefficient of h^k) plus Σ x·y
+        over the base pairs of ``pending[k]``, no slot of either above ``top``:
+        each slot t >= stop, top down, takes its own pairs, -c_{s-t}(F)·slot s
+        for stored s >= n and -c_{s-t}(F), and c·slot n-1 for an entry t: c of
+        ``fold`` (t < n-1), in one ``base.dot``, kept only if nonzero."""
+        n, minus_c, reach, dot = self.rank, self._minus_c, self._reach, self.base.dot
+        for t in range(top if pending else top - 1, stop - 1, -1):
+            pairs = pending.get(t, [])
+            if pulled := range(max(t + 1, n), min(t + reach, top) + 1):
+                pairs.extend(
+                    [(minus_c[s - t], work[s]) for s in pulled if s in work and s - t in minus_c])
+            if fold and t in fold and n - 1 in work:
+                pairs.append((fold[t], work[n - 1]))
+            if pairs and (value := dot(pairs, work.pop(t, None))):
                 work[t] = value
         return {k: c for k, c in work.items() if stop <= k < n}
 
     def dot(self, pairs, start: "PBElement | None" = None) -> "PBElement":
-        """``start`` + Σ a·b over ``pairs`` (``start`` enters as start·1), one
-        ``base.dot`` per convolution slot, reduced once."""
+        """``start`` + Σ a·b over ``pairs`` (``start`` enters as start·1): one
+        ``base.dot`` per convolution slot, through ``form`` if one reaches h^n."""
         pairs = pairs if start is None else (*pairs, (start, self.one))
         base, slots = self.base, {}
         for a, b in pairs:
@@ -101,7 +110,9 @@ class ProjBundleRing:
             for i, x in a.slots.items():
                 for j, y in right:
                     slots.setdefault(i + j, []).append((x, y))
-        return PBElement(self, self.reduce({k: v for k, p in slots.items() if (v := base.dot(p))}))
+        if max(slots, default=0) >= self.rank:
+            return PBElement(self, self.form({}, slots, max(slots)))
+        return PBElement(self, {k: v for k, p in slots.items() if (v := base.dot(p))})
 
     def sub(self, a: "PBElement", y: "PBElement", shift: int) -> "PBElement":
         """a - h^shift·y, y's slot j taken from a's slot j + shift in one pass;

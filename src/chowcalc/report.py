@@ -4,18 +4,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
 
 from .errors import ConsistencyError, bounded
 
 
-@dataclass
 class CheckResult:
-    name: str
-    anchor: str
-    status: str  # "pass" | "fail"
-    witness: str | None = None
-    millis: float = 0.0
+    def __init__(self, name: str, anchor: str, status: str,
+                 witness: str | None = None, millis: float = 0.0):
+        self.name, self.anchor, self.witness, self.millis = name, anchor, witness, millis
+        self.status = status  # "pass" | "fail"
 
     def to_dict(self) -> dict:
         out = {
@@ -29,9 +26,9 @@ class CheckResult:
         return out
 
 
-@dataclass
 class Report:
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self):
+        self.checks: list[CheckResult] = []
 
     @property
     def ok(self) -> bool:
@@ -39,7 +36,10 @@ class Report:
 
     def extend(self, other: "Report", prefix: str = ""):
         """Append the checks of ``other``, each name prefixed by ``prefix``."""
-        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
+        self.checks.extend(
+            CheckResult(prefix + c.name, c.anchor, c.status, c.witness, c.millis)
+            for c in other.checks
+        )
 
     def run(self, name: str, anchor: str, fn):
         """Run a check function, record it in ``checks``, return its value.

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -10,7 +9,9 @@ from chowcalc import (
     BlowupRing,
     BundleClass,
     ConsistencyError,
+    EmbeddingData,
     GradedRing,
+    PBElement,
     cw_top,
     embedding_validate,
     key_formula_check,
@@ -19,6 +20,7 @@ from chowcalc import (
 )
 from chowcalc.cli import SuiteConfig, run_suite
 from conftest import mutated
+from test_local_model import RANKS, local_model_text
 
 try:
     from hypothesis import given, settings
@@ -274,15 +276,21 @@ def test_doubled_pull_table_entry_is_caught(case, exps, law, monkeypatch):
     assert failed["blowup.embedding_valid"] == exc.value.witness
 
 
-# (function, code, mutant) of the -xi·ea slot shift in BlowupRing.mul, one
-# ProjBundleRing.sub, and of the normalization by c_{r-1}(W) that exc_push
-# and mul share
+# (function, code, mutant) of the -xi·ea·eb pairs of BlowupRing.mul, one
+# slot up and negated, and of the normalization by c_{r-1}(W) that exc_push
+# and mul share: c_{r-1}(W) is monic in xi, so eta, slot r-1, leaves the
+# exceptional part whole; the mutant keeps it there as well
 PRODUCT_MUTANTS = {
-    "shift-loses-its-sign": ("BlowupRing.mul", "E.sub(E.zero, ea, 1)", "E.sub(E.zero, -ea, 1)"),
-    "shift-forgets-the-plus-one": ("BlowupRing.mul", "E.sub(E.zero, ea, 1)", "E.sub(E.zero, ea, 0)"),
+    "shift-loses-its-sign": ("BlowupRing.mul", "x = -x", "x = x"),
+    "shift-forgets-the-plus-one": ("BlowupRing.mul", "i + j + 1", "i + j"),
     "normalization-skips-a-cw-slot": (
-        "BlowupRing._normalized", "in self._minus_cw:", "in self._minus_cw[1:]:"),
+        "BlowupRing._normalized", "slots.pop(self.E.rank - 1, None)", "slots.get(self.E.rank - 1)"),
 }
+# the normalization skips the lowest stored slot of c_{r-1}(W) below r-1;
+# on a point center c_{r-1}(W) = xi^{r-1} has none, so it is no product mutant
+LOWER_CW_SLOT_MUTANT = (
+    "BlowupRing.__init__", "in self.cW.slots.items() if",
+    "in list(self.cW.slots.items())[1:] if")
 
 
 def _mutate(monkeypatch, function: str, old: str, new: str) -> None:
@@ -302,17 +310,20 @@ def _failed_blowup_checks(case: str) -> tuple[int, dict]:
         ("GradedRing.combine", "k *= c", "pass", {"blowup.embedding_valid", "blowup.ring_laws"}),
         ("GradedRing.combine", "for x, c in rows:", "for x, c in list(rows)[1:]:",
          {"blowup.embedding_valid", "blowup.ring_laws"}),
-        ("BlowupRing.mul", "(b.restriction, ea)", "(a.restriction, ea)", {"blowup.ring_laws"}),
+        ("BlowupRing.mul", "(b.restriction, a.exceptional)", "(a.restriction, a.exceptional)",
+         {"blowup.ring_laws"}),
         (*PRODUCT_MUTANTS["shift-forgets-the-plus-one"], {"blowup.ring_laws"}),
         (*PRODUCT_MUTANTS["normalization-skips-a-cw-slot"],
          {"blowup.key_formula", "blowup.ring_laws"}),
+        (*LOWER_CW_SLOT_MUTANT, {"blowup.key_formula", "blowup.ring_laws"}),
     ],
     ids=["map-ignores-c", "map-skips-a-row", "mul-restricts-a-twice",
-         "shift-forgets-the-plus-one", "normalization-skips-a-cw-slot"],
+         "shift-forgets-the-plus-one", "normalization-skips-a-cw-slot",
+         "normalization-skips-a-lower-cw-slot"],
 )
 def test_blowup_mutants_fail_the_suite_on_linear_4_1(function, old, new, failing, monkeypatch):
     # the one-pass linear map of i^* and i_*, the cached restrictions, the
-    # -xi·ea shift and the shared normalization of BlowupRing.mul: each
+    # -xi·ea·eb pairs and the shared normalization of BlowupRing.mul: each
     # mutant fails the named checks with a nonzero witness
     _mutate(monkeypatch, function, old, new)
     status, failed = _failed_blowup_checks("linear:4,1")
@@ -457,6 +468,42 @@ WHITNEY_CASES["weighted"] = EMBEDDINGS["weighted"]
 @pytest.mark.parametrize("case", sorted(WHITNEY_CASES))
 def test_cw_satisfies_the_whitney_formula(case):
     assert _whitney_holds(BlowupRing(WHITNEY_CASES[case]()))
+
+
+def _cw_is_monic(E, cw=cw_top) -> bool:
+    """Slot r-1 of c_{r-1}(W) is 1: the normalization reads only the slots
+    below it and sends slot r-1 of a class whole through i_*."""
+    return cw(E).slots.get(E.rank - 1) == E.base.one
+
+
+MONIC_CASES = {
+    **WHITNEY_CASES,
+    **{f"local-model:{r}": (lambda r=r: load_embedding(local_model_text(r))) for r in RANKS},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MONIC_CASES))
+def test_cw_has_one_in_its_top_slot(case):
+    assert _cw_is_monic(BlowupRing(MONIC_CASES[case]()).E)
+
+
+def _doubled_top_slot(E):
+    cw = cw_top(E)
+    return PBElement(E, {**cw.slots, E.rank - 1: cw.slots[E.rank - 1] * 2})
+
+
+@pytest.mark.parametrize("case", ["linear:4,1", "linear:5,2", "linear:6,3"])
+def test_a_doubled_top_slot_of_cw_fails_the_key_formula(case, monkeypatch):
+    # the normalization no longer reads slot r-1 of c_{r-1}(W), so the ring
+    # laws hold with it doubled; key_formula's cW·pull(gamma) reads it, and
+    # the monic check above sees it
+    import chowcalc.blowup as bl_mod
+
+    assert not _cw_is_monic(BlowupRing(WHITNEY_CASES[case]()).E, _doubled_top_slot)
+    monkeypatch.setattr(bl_mod, "cw_top", _doubled_top_slot)
+    status, failed = _failed_blowup_checks(case)
+    assert status == 1 and set(failed) == {"blowup.key_formula"}
+    assert all(w and "diff 0" not in w and w != "0" for w in failed.values())
 
 
 @pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 2), (6, 2)])
@@ -657,12 +704,14 @@ def _normal_over_ambient(data):
     "reject, token",
     [
         (
-            lambda data, bl: dataclasses.replace(data, normal=_normal_over_ambient(data)),
+            lambda data, bl: EmbeddingData(data.ambient, data.center, data.pull_images,
+                                           data.push_table, _normal_over_ambient(data)),
             "not GradedRing(t:1, dim<=4)",
         ),
         (
             lambda data, bl: embedding_validate(
-                dataclasses.replace(data, ambient=GradedRing([("t", 1)])), samples=1
+                EmbeddingData(GradedRing([("t", 1)]), data.center, data.pull_images,
+                              data.push_table, data.normal), samples=1
             ),
             "not GradedRing(t:1)",
         ),

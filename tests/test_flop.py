@@ -415,7 +415,7 @@ def test_tau_table_dropping_its_top_entry_fails_its_readers(monkeypatch, drop):
         assert (readers <= witnessed) if drop else not failed, (r, failed)
 
 
-# (code in ProjBundleRing.reduce, mutant): the direct route of sigma_top
+# (code in ProjBundleRing.form, mutant): the direct route of sigma_top
 # reduces h^m into slot r through it for m = r..2r; the tau route reads
 # rows 0..r only, whose reductions have nothing to reduce
 DIRECT_ROUTE_MUTANTS = {
@@ -430,8 +430,8 @@ def test_direct_route_mutant_fails_sigma_top(monkeypatch, mutant):
     for code in (old, new):  # the harness alone passes
         for r in (1, 2, 3):
             ctx = FlopContext(r)
-            reduce = types.MethodType(mutated(ProjBundleRing.reduce, old, code), ctx.P)
-            monkeypatch.setattr(ctx.P, "reduce", reduce)
+            form = types.MethodType(mutated(ProjBundleRing.form, old, code), ctx.P)
+            monkeypatch.setattr(ctx.P, "form", form)
             failed = _failed(verify_multiplicativity(ctx, *ctx.formal_sigmas()))
             if code == old:
                 assert not failed, r
@@ -526,7 +526,7 @@ def test_tower_shortcut_mutant_fails_its_checks(monkeypatch, mutant):
 # slot loop every tower subtraction runs through.
 ZERO_SLOT_MUTANTS = {
     "reduce_returns_one_slot_past_the_basis": (
-        (ProjBundleRing, "reduce"), "if top < n:", "if top < n + 1:",
+        (ProjBundleRing, "reduce"), "< self.rank:", "< self.rank + 1:",
         {"foundations.eta_push_table", "flop.sigma_top_cross_route",
          "flop.t1_identity", "flop.term_B_routes"},
     ),

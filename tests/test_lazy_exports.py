@@ -36,6 +36,15 @@ def test_chern_import_loads_no_other_layer():
     assert not added & NOT_LOADED
 
 
+def test_cli_import_loads_no_record_machinery():
+    # every layer's records are plain classes, so a fresh ``chow-verify``
+    # process loads neither ``dataclasses`` nor the ``inspect`` it imports
+    bare = _modules_after("pass")
+    added = _modules_after("import chowcalc.cli") - bare
+    assert "chowcalc.blowup" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_every_public_name_is_its_home_modules_object():
     # ``__all__`` is derived from ``_HOME``; a name listed under two homes
     # would keep only the last one there

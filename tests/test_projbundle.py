@@ -354,11 +354,13 @@ def test_tau_column_builds_no_row_past_the_basis():
 
 
 def test_tau_reduction_route_catches_a_dropped_relation_term(monkeypatch):
-    # the pull-form reduce without its s = t + n term, -c_n(F) * slot t + n
-    old = "min(t + n, top)"
-    for new in (old, "min(t + n - 1, top)"):  # the harness alone passes
+    # the relation loop without its s = t + n term, -c_n(F) * slot t + n
+    # (c_n(F) != 0 on the generic tower, so the relation reaches n)
+    old = "min(t + reach, top)"
+    for new in (old, "min(t + reach - 1, top)"):  # the harness alone passes
         P = generic_tower(4)
-        monkeypatch.setattr(P, "reduce", types.MethodType(mutated(ProjBundleRing.reduce, old, new), P))
+        assert P._reach == P.rank
+        monkeypatch.setattr(P, "form", types.MethodType(mutated(ProjBundleRing.form, old, new), P))
         if new == old:
             assert len(P.tau_rows(6)) == 7
             continue

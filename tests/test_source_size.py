@@ -12,7 +12,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "chowcalc"
 
 # cat src/chowcalc/*.py | wc -l
-SRC_LINES = 2278
+SRC_LINES = 2277
 
 
 def test_source_stays_within_its_line_bound():

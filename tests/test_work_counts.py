@@ -30,9 +30,10 @@ CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 FLOP_R4_TOWER_PRODUCTS = 63
 # ProjBundleRing.reduce calls for the same run: h·y reduces once, pull(c)·y
 # not at all, a product with a zero factor is zero at once, T1's right-hand
-# side is swept by l, and a help step reduces only when help(j, k) holds
-# slot r
-FLOP_R4_REDUCTIONS = 91
+# side is swept by l, a help step reduces only when help(j, k) holds
+# slot r, and a ProjBundleRing.dot that reaches slot n runs the relation loop
+# ``form`` on its pair lists itself
+FLOP_R4_REDUCTIONS = 57
 # GradedElement.__sub__ calls for the same run: a tower difference subtracts
 # only its stored right slots, the help sweep forms pull(tau_{k,r}) once and
 # steps only the cells with k <= r
@@ -51,8 +52,9 @@ FLOP_R4_COERCIONS = 0
 # GradedRing.dot calls for the same run: the sigma-bilinear terms are tables
 # of their (k, j) coefficients, so a product by sigma_k sigma'_j is an index,
 # and a help cell is compared with an entry of term_A's closed table, with no
-# (-l)^j·col[k]
-FLOP_R4_GRADED_DOTS = 198
+# (-l)^j·col[k]; a tower product that reaches slot n forms each slot below it
+# in one dot with its relation pairs, not a product dot and a reduction dot
+FLOP_R4_GRADED_DOTS = 188
 # the largest term count of a GradedElement built in the same run: the tower
 # runs over Q[c_1..c_5] alone, so no sigma-tagged sum is formed
 FLOP_R4_MAX_TERMS = 5
@@ -67,20 +69,21 @@ FLOP_R4_SEGRE_EXTENSIONS = 4
 # BlowupRing.mul calls for the blowup suite on linear:4,1
 BLOWUP_LINEAR_4_1_PRODUCTS = 1000
 # ProjBundleRing.mul calls in CH(E) for the same suite: none per blow-up
-# product, which shifts -xi·eps itself, puts every exceptional term into one
-# ProjBundleRing.dot and normalizes by c_{r-1}(W) slot by slot; the two left
-# are key_formula's cW·pull(gamma)
+# product, which lists the base pairs of every exceptional term slot by slot
+# (-xi·ea·eb one slot up) and forms them with the normalization by
+# c_{r-1}(W) in one ProjBundleRing.form; the two left are key_formula's
+# cW·pull(gamma)
 BLOWUP_LINEAR_4_1_TOWER_PRODUCTS = 2
-# ProjBundleRing.reduce calls in CH(E) for the same suite: one per blow-up
-# product, its one ProjBundleRing.dot.  The shift -xi·eps is a
-# ProjBundleRing.sub, which reduces only when eps holds the top slot r - 1,
-# and a normalized exceptional part never does; the normalization reduces
-# nothing
-BLOWUP_LINEAR_4_1_REDUCTIONS = 1002
+# ProjBundleRing.reduce calls in CH(E) for the same suite: none per blow-up
+# product or exc_push, which list their base pairs slot by slot and run the
+# relation loop ``ProjBundleRing.form`` on them directly; the two left build
+# c_{r-1}(W) for each BlowupRing
+BLOWUP_LINEAR_4_1_REDUCTIONS = 2
 # GradedRing.dot calls for the same suite: the base products themselves, one
-# per convolution slot, per cW slot of the normalization and per ambient
+# per formed exceptional slot (its own pairs, its relation pairs and, below
+# slot r - 1, the normalization's -c_k(W)·eta together) and per ambient
 # product.  The tower entry points no longer see them, so they are pinned here
-BLOWUP_LINEAR_4_1_GRADED_DOTS = 9255
+BLOWUP_LINEAR_4_1_GRADED_DOTS = 5657
 # GradedElement.__sub__ calls for the same suite: the normalization takes
 # c_k·eta from slot k inside a base.dot, with no slot-wise subtraction
 BLOWUP_LINEAR_4_1_GRADED_SUBTRACTIONS = 0
